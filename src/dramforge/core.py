@@ -117,8 +117,9 @@ class TargetDensity:
     """A natural-log density (possibly unnormalized) on R^ndim.
 
     ``log_density`` maps a length-``ndim`` float array to a real; ``-inf``
-    means the point is outside the support and is always rejected. NaN is
-    treated as a caller bug and makes the sampler abort.
+    means the point is outside the support and is always rejected. NaN and
+    ``+inf`` are treated as caller bugs: the sampler aborts with
+    ``NumericalError`` at the start point or at any delayed-rejection stage.
     """
 
     __slots__ = ("ndim", "log_density")
@@ -201,7 +202,12 @@ def rosenbrock_target(ndim: int, scale: float = 100.0) -> TargetDensity:
 
 
 def mixture_target(weights, means, covs) -> TargetDensity:
-    """Gaussian mixture log-density with fully normalized components."""
+    """Gaussian mixture log-density with fully normalized components.
+
+    Component means and precisions are stacked once, so a call is one
+    vectorized quadratic form over all components plus a max-shifted
+    log-sum-exp.
+    """
     weights = np.asarray(weights, dtype=float).reshape(-1)
     means = [np.asarray(m, dtype=float).reshape(-1) for m in means]
     if len(means) != weights.size or len(covs) != weights.size:
@@ -221,13 +227,13 @@ def mixture_target(weights, means, covs) -> TargetDensity:
         precs.append(np.linalg.inv(c))
         sign, logdet = np.linalg.slogdet(c)
         lognorms.append(-0.5 * (ndim * math.log(TWO_PI) + logdet))
-    logw = np.log(weights)
+    means = np.stack(means)
+    precs = np.stack(precs)
+    offsets = np.log(weights) + np.asarray(lognorms)
 
     def log_density(x):
-        terms = np.empty(weights.size)
-        for i, (m, p) in enumerate(zip(means, precs)):
-            d = x - m
-            terms[i] = logw[i] + lognorms[i] - 0.5 * float(d @ (p @ d))
+        d = x - means
+        terms = offsets - 0.5 * np.einsum("ki,kij,kj->k", d, precs, d)
         peak = terms.max()
         if peak == -math.inf:
             return -math.inf

@@ -57,6 +57,7 @@ from .proposal import (
 )
 
 _LN2 = math.log(2.0)
+_INF = math.inf
 PROGRESS_EVERY = 1000
 
 
@@ -82,9 +83,11 @@ MSG_KINDS = ("proposal_batch", "state_update", "shutdown")
 class WorkerMsg:
     """One message on the coordinator/worker channel.
 
-    ``proposal_batch`` flows worker to coordinator and carries the full
+    ``proposal_batch`` flows worker to coordinator and carries one rank's
     DR attempt outcome plus its RNG consumption (stages attempted, each
-    costing ndim Gaussians and one uniform on that worker's stream).
+    costing ndim Gaussians and one uniform on that worker's stream). The
+    in-process cycle asks only the ranks whose verdicts the chain
+    consumes, in rank order, up to the first acceptance.
     ``state_update`` broadcasts a new chain head; ``shutdown`` ends a
     worker. The in-process backend delivers state updates by sharing the
     head directly, but the payloads are complete enough for a
@@ -276,6 +279,12 @@ def _accepts(rng: SplitMix64, log_alpha: float) -> bool:
     return math.log(u) < log_alpha
 
 
+def _bad_value(logf: float, where: str) -> NumericalError:
+    return NumericalError(
+        f"target returned {logf} {where}; a log-density must be finite or -inf"
+    )
+
+
 def _attempt(
     current: np.ndarray,
     current_logf: float,
@@ -285,15 +294,18 @@ def _attempt(
     rng: SplitMix64,
     iteration_hint: int,
 ) -> _Verdict:
-    """One full DR attempt sequence from ``current`` on a single stream.
+    """One DR attempt from ``current`` on a single stream.
 
-    Consumes ndim Gaussian deviates plus one uniform per stage actually
-    attempted, and nothing else.
+    Tries stage 0, then up to ``spec.dr_stage_count`` delayed-rejection
+    stages, stopping at the first acceptance. Consumes ndim Gaussian
+    deviates plus one uniform per stage actually attempted, and nothing
+    else. A NaN or ``+inf`` target value at any stage raises
+    ``NumericalError``.
     """
     y1 = propose(prop, current, 0, rng)
     f1 = target(y1)
-    if f1 != f1:  # fast NaN test
-        raise NumericalError(f"target returned NaN near iteration {iteration_hint}")
+    if not f1 < _INF:  # NaN or +inf, in one comparison
+        raise _bad_value(f1, f"near iteration {iteration_hint}")
     if _accepts(rng, f1 - current_logf if f1 < current_logf else 0.0):
         return _Verdict(True, y1, f1, 0, 1)
     if spec.dr_stage_count < 1:
@@ -301,8 +313,8 @@ def _attempt(
 
     y2 = propose(prop, current, 1, rng)
     f2 = target(y2)
-    if math.isnan(f2):
-        raise NumericalError(f"target returned NaN near iteration {iteration_hint}")
+    if not f2 < _INF:
+        raise _bad_value(f2, f"near iteration {iteration_hint}")
     k0_y2_y1 = log_kernel(prop, y1 - y2, 0)
     k0_x_y1 = log_kernel(prop, y1 - current, 0)
     la2 = dr_log_alpha2(current_logf, f1, f2, k0_y2_y1, k0_x_y1)
@@ -313,8 +325,8 @@ def _attempt(
 
     y3 = propose(prop, current, 2, rng)
     f3 = target(y3)
-    if math.isnan(f3):
-        raise NumericalError(f"target returned NaN near iteration {iteration_hint}")
+    if not f3 < _INF:
+        raise _bad_value(f3, f"near iteration {iteration_hint}")
     la3 = _dr_log_alpha3(
         current_logf,
         f1,
@@ -403,28 +415,30 @@ def worker_attempt(state: SamplerState, target: TargetDensity, spec: SimSpec,
 
 def fork_join_cycle(state: SamplerState, target: TargetDensity, spec: SimSpec,
                     max_steps: int | None = None):
-    """One barrier-synchronized cycle of every worker stream.
+    """One fork-join cycle from the shared chain head, evaluated lazily.
 
-    Each worker runs a full DR attempt from the shared head on its own
-    stream and reports a ``proposal_batch`` message. The coordinator
-    replays the verdicts as serial iterations in rank order: each
-    rejection increments the head weight, and the lowest-rank acceptance
-    wins the cycle (the new head is the in-process ``state_update``).
+    Ranks 1, 2, ... run in turn, each a DR attempt from the head on its
+    own stream (a ``proposal_batch`` message), and each verdict is
+    applied as one serial iteration: a rejection increments the head
+    weight, and the first acceptance wins the cycle (the new head is the
+    in-process ``state_update``). At most ``max_steps`` ranks run, all
+    of them when None. Ranks past the winner or the budget are never
+    evaluated, so their streams, Box-Muller caches included, stay
+    untouched: a rank's stream advances only by the draws of verdicts
+    the chain consumes. An eager backend that evaluates every rank
+    reproduces this chain by restoring the streams of the ranks it
+    discards.
     Returns ``(state, winning_rank_or_None, row_or_None)``.
     """
     n = len(state.rngs)
     budget = n if max_steps is None else min(n, max_steps)
-    messages = [worker_attempt(state, target, spec, rank) for rank in range(1, n + 1)]
-    winner = None
-    row = None
-    for msg in messages[:budget]:
+    for rank in range(1, budget + 1):
+        verdict = worker_attempt(state, target, spec, rank).payload
         state.iteration += 1
-        verdict = msg.payload
-        row = _apply_verdict(state, verdict, process_id=msg.rank)
+        row = _apply_verdict(state, verdict, process_id=rank)
         if verdict.accepted:
-            winner = msg.rank
-            break
-    return state, winner, row
+            return state, rank, row
+    return state, None, None
 
 
 def detect_burnin(chain, ndim: int) -> int:
@@ -484,8 +498,8 @@ def init_state(spec: SimSpec, target: TargetDensity) -> SamplerState:
             f"target has ndim {target.ndim}, simulation spec says {spec.ndim}"
         )
     logf0 = target(spec.start_point)
-    if math.isnan(logf0):
-        raise NumericalError("target returned NaN at the start point")
+    if not logf0 < _INF:
+        raise _bad_value(logf0, "at the start point")
     if logf0 == -math.inf:
         raise UsageError("start_point lies outside the target support")
     n_streams = spec.num_workers if spec.parallelism == "single_chain" else 1

@@ -44,6 +44,31 @@ class TestEvalBuiltin:
         expect = math.log(0.5 * phi(-mu) + 0.5 * phi(mu))
         assert eval_builtin(target, np.zeros(1)) == pytest.approx(expect, rel=1e-12)
 
+    def test_mixture_matches_per_component_oracle(self):
+        # Full covariances and unequal weights, far points included: the
+        # stacked evaluation must agree with a per-component log-sum-exp.
+        rng = np.random.default_rng(16)
+        ndim, k = 3, 5
+        weights = rng.uniform(0.5, 2.0, k)
+        weights /= weights.sum()
+        means = rng.normal(0, 3, (k, ndim))
+        covs = []
+        for _ in range(k):
+            a = rng.normal(0, 1, (ndim, ndim))
+            covs.append(a @ a.T + np.eye(ndim))
+        target = df.mixture_target(weights, list(means), covs)
+        for scale in (0.5, 5.0, 200.0):
+            x = rng.normal(0, scale, ndim)
+            terms = [
+                math.log(w) - 0.5 * (ndim * math.log(2 * math.pi)
+                                     + np.linalg.slogdet(c)[1])
+                - 0.5 * float((x - m) @ np.linalg.solve(c, x - m))
+                for w, m, c in zip(weights, means, covs)
+            ]
+            peak = max(terms)
+            expect = peak + math.log(sum(math.exp(t - peak) for t in terms))
+            assert target(x) == pytest.approx(expect, rel=1e-12, abs=1e-12)
+
     def test_dimension_mismatch_rejected(self):
         target = BuiltinTarget("mvn", {"mean": np.zeros(4), "cov": np.eye(4)})
         with pytest.raises(UsageError):

@@ -18,8 +18,9 @@ from dramforge.parallel import (
     predict_speedup,
     run_multi_chain,
 )
+from dramforge import sampler
 from dramforge.parallel import WorkerMsg, worker_attempt
-from dramforge.sampler import fork_join_cycle, init_state
+from dramforge.sampler import _apply_verdict, _attempt, fork_join_cycle, init_state
 
 
 def sha(path):
@@ -101,6 +102,122 @@ class TestForkJoinCycle:
         state, winner, _ = fork_join_cycle(state, reject_all, spec, max_steps=3)
         assert winner is None
         assert state.iteration == 4  # start slot + 3 consumed verdicts
+
+
+    def test_unconsumed_ranks_streams_untouched(self, mvn4):
+        # Rank 1 always accepts, so ranks 2..4 are never evaluated and keep
+        # their initial streams, Box-Muller caches included.
+        spec = SimSpec(
+            ndim=4, output_prefix="x", seed=12, parallelism="single_chain",
+            num_workers=4,
+        )
+        state = init_state(spec, mvn4)
+        state.rngs[2].gauss()  # leave a cached deviate on rank 3
+        before = [rng.getstate() for rng in state.rngs]
+        accept_all = df.TargetDensity(4, lambda x: 0.0)
+        state, winner, _ = fork_join_cycle(state, accept_all, spec)
+        assert winner == 1
+        assert state.rngs[0].getstate() != before[0]
+        assert [rng.getstate() for rng in state.rngs[1:]] == before[1:]
+
+    def test_ranks_past_budget_not_evaluated(self):
+        calls = []
+
+        def logf(x):
+            calls.append(1)
+            return 0.0 if np.array_equal(x, np.zeros(4)) else -math.inf
+
+        target = df.TargetDensity(4, logf)
+        spec = SimSpec(
+            ndim=4, output_prefix="x", seed=3, parallelism="single_chain",
+            num_workers=8, dr_stage_count=0,
+        )
+        state = init_state(spec, target)
+        before = [rng.getstate() for rng in state.rngs]
+        fork_join_cycle(state, target, spec, max_steps=3)
+        assert len(calls) == 1 + 3  # start point + one call per consumed rank
+        assert [rng.getstate() for rng in state.rngs[3:]] == before[3:]
+
+
+def eager_cycle(state, target, spec, max_steps=None):
+    """Reference fork-join cycle of an eager backend.
+
+    Every rank runs a DR attempt against a copy of its stream; only the
+    ranks whose verdicts the chain consumes commit their copies.
+    """
+    n = len(state.rngs)
+    budget = n if max_steps is None else min(n, max_steps)
+    attempts = []
+    for rng in state.rngs:
+        scratch = rng.copy()
+        verdict = _attempt(state.current, state.current_logf, state.proposal, spec,
+                           target, scratch, state.iteration + 1)
+        attempts.append((scratch, verdict))
+    for rank, (scratch, verdict) in enumerate(attempts[:budget], start=1):
+        state.rngs[rank - 1].setstate(scratch.getstate())
+        state.iteration += 1
+        row = _apply_verdict(state, verdict, process_id=rank)
+        if verdict.accepted:
+            return state, rank, row
+    return state, None, None
+
+
+class TestLazyMatchesEager:
+    """The lazy in-process cycle yields the chain an eager backend would."""
+
+    class Interrupt(Exception):
+        pass
+
+    def _spec(self, tmp_path, name, **fields):
+        kwargs = dict(ndim=4, chain_size=3000, seed=23, parallelism="single_chain",
+                      num_workers=8)
+        kwargs.update(fields)
+        return SimSpec(output_prefix=str(tmp_path / name), **kwargs)
+
+    @pytest.mark.parametrize(
+        "dr_stage_count,num_workers", [(0, 8), (1, 8), (2, 8), (2, 1), (2, 3)]
+    )
+    def test_dr_stages_and_worker_counts(self, monkeypatch, tmp_path, mvn4,
+                                         dr_stage_count, num_workers):
+        fields = dict(dr_stage_count=dr_stage_count, num_workers=num_workers)
+        lazy = df.run_sampler(self._spec(tmp_path, "lazy", **fields), mvn4)
+        monkeypatch.setattr(sampler, "fork_join_cycle", eager_cycle)
+        eager = df.run_sampler(self._spec(tmp_path, "eager", **fields), mvn4)
+        assert sha(lazy.paths["chain"]) == sha(eager.paths["chain"])
+
+    def test_cycles_cut_at_period_boundaries(self, monkeypatch, tmp_path, mvn4):
+        # A prime period puts boundaries mid-cycle, so drive() passes
+        # max_steps below the worker count; a narrow target makes most
+        # ranks reject, so many cycles run into that budget.
+        cuts = []
+
+        def spy(state, target, spec, max_steps=None):
+            if max_steps is not None and max_steps < spec.num_workers:
+                cuts.append(max_steps)
+            return fork_join_cycle(state, target, spec, max_steps)
+
+        narrow = df.TargetDensity(4, lambda x: -50.0 * float(x @ x))
+        monkeypatch.setattr(sampler, "fork_join_cycle", spy)
+        lazy = df.run_sampler(self._spec(tmp_path, "lazy", adaptation_period=13), narrow)
+        assert len(cuts) > 20
+        monkeypatch.setattr(sampler, "fork_join_cycle", eager_cycle)
+        eager = df.run_sampler(self._spec(tmp_path, "eager", adaptation_period=13), narrow)
+        assert sha(lazy.paths["chain"]) == sha(eager.paths["chain"])
+
+    def test_interrupted_and_resumed(self, monkeypatch, tmp_path, mvn4):
+        lazy = df.run_sampler(self._spec(tmp_path, "lazy", dr_stage_count=2), mvn4)
+
+        def hook(iteration):
+            if iteration >= 1200:
+                raise self.Interrupt
+
+        monkeypatch.setattr(sampler, "fork_join_cycle", eager_cycle)
+        spec = self._spec(tmp_path, "eager", dr_stage_count=2)
+        with pytest.raises(self.Interrupt):
+            df.run_sampler(spec, mvn4, on_checkpoint=hook)
+        eager = df.resume(spec, mvn4)
+        assert eager.chain.total_weight == spec.chain_size
+        assert sha(lazy.paths["chain"]) == sha(eager.paths["chain"])
 
 
 class TestWorkerMessages:

@@ -108,6 +108,37 @@ class TestStep:
         assert "iteration" in str(err.value)
 
 
+class TestNonFiniteTarget:
+    """NaN and +inf are fatal at every DR stage and at the start point."""
+
+    @staticmethod
+    def scripted(values):
+        # Returns values[k] on the k-th call; the start point is call 0.
+        calls = iter(values)
+        return df.TargetDensity(2, lambda x: next(calls))
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_fatal_at_every_stage(self, stage, bad):
+        spec = SimSpec(ndim=2, output_prefix="x", seed=4, dr_stage_count=2)
+        target = self.scripted([0.0] + [-math.inf] * stage + [bad])
+        state = init_state(spec, target)
+        with pytest.raises(NumericalError, match="iteration 2"):
+            step(state, target, spec)
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_fatal_at_start_point(self, bad):
+        spec = SimSpec(ndim=2, output_prefix="x", seed=4)
+        with pytest.raises(NumericalError, match="start point"):
+            init_state(spec, self.scripted([bad]))
+
+    def test_plus_inf_aborts_a_run(self, tmp_path):
+        spec = SimSpec(ndim=1, output_prefix=str(tmp_path / "r"), chain_size=2000, seed=2)
+        spike = df.TargetDensity(1, lambda x: math.inf if x[0] > 1.0 else -0.5 * x[0] ** 2)
+        with pytest.raises(NumericalError):
+            run_sampler(spec, spike)
+
+
 class TestDetectBurnin:
     def test_flat_chain(self):
         assert detect_burnin(np.zeros(5), 4) == 0
