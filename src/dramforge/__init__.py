@@ -51,7 +51,6 @@ from .sampler import (
     step,
 )
 from .chainio import (
-    ChainRow,
     CompactChain,
     ParallelStats,
     ParseError,
@@ -80,7 +79,6 @@ from .refinement import (
 from .parallel import (
     ContributionStats,
     MultiChainReport,
-    WorkerMsg,
     compare_refined_samples,
     contribution_stats,
     fit_geometric,

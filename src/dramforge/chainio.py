@@ -1,10 +1,15 @@
 """Readers and writers for the five output files, plus checkpoint records.
 
 Files per run prefix: chain (compact or verbose, ascii or binary),
-restart, sample, report, progress. ASCII reals carry 17 significant
-digits so every 64-bit float round-trips exactly; binary layouts are
-little-endian and versioned by a 4-byte magic. Readers tolerate a
-truncated final row or record, because interrupts happen mid-write.
+restart, sample, report, progress. Two definitions fix the record
+layouts. ``chain_row_dtype`` is the chain row: the binary file row and
+the row of ``CompactChain``, the one in-memory row store, which the
+sampler appends to and the readers fill. ``CHECKPOINT_FIELDS`` lists the
+restart checkpoint fields in record order and drives both encodings.
+ASCII reals carry 17 significant digits so every 64-bit float round-trips
+exactly; binary layouts are little-endian and versioned by a 4-byte
+magic. Readers tolerate a truncated final row or record, because
+interrupts happen mid-write, and re-compact verbose chains on read.
 """
 
 from __future__ import annotations
@@ -53,154 +58,165 @@ def output_paths(prefix: str, encoding: str) -> dict:
     }
 
 
-@dataclass(slots=True)
-class ChainRow:
-    """One accepted state with its repeat weight and bookkeeping columns."""
+def chain_row_dtype(ndim: int) -> np.dtype:
+    """Layout of one chain row: a binary chain file row, and a row in memory.
 
-    process_id: int
-    dr_stage: int
-    mean_accept_rate: float
-    adaptation_measure: float
-    burnin_loc: int
-    weight: int
-    logf: float
-    state: np.ndarray
+    Packed little-endian fields in this order. ``reserved`` is an f64 slot
+    of the version-1 binary format, written as 0.0 and never read. The
+    ascii columns are the other fields in the same order, with ``state``
+    spread over Var1..VarD. Indexing rows of this dtype yields records
+    whose fields read as attributes (``row.weight``).
+    """
+    return np.dtype((np.record, [
+        ("process_id", "<i4"),
+        ("dr_stage", "<i4"),
+        ("mean_accept_rate", "<f8"),
+        ("adaptation_measure", "<f8"),
+        ("reserved", "<f8"),
+        ("burnin_loc", "<i8"),
+        ("weight", "<i8"),
+        ("logf", "<f8"),
+        ("state", "<f8", (ndim,)),
+    ]))
+
+
+# The row fields that carry data, in ascii column order.
+_ROW_FIELDS = tuple(name for name in chain_row_dtype(1).names if name != "reserved")
+
+
+def _chain_header(ndim: int) -> list[str]:
+    return list(CHAIN_COLUMNS) + [f"Var{i + 1}" for i in range(ndim)]
+
+
+class _Column:
+    """A chain column: one row field, viewed over the rows the chain holds."""
+
+    def __init__(self, field: str):
+        self.field = field
+
+    def __get__(self, chain, owner=None):
+        if chain is None:
+            return self
+        return chain.records[self.field]
+
+    def __set__(self, chain, values):
+        chain.records[self.field] = values
 
 
 class CompactChain:
-    """Weighted sequence of unique accepted states, stored columnar."""
+    """Weighted sequence of unique accepted states, stored columnar.
+
+    The rows live in one array of ``chain_row_dtype(ndim)`` with spare
+    capacity at its end, so ``append`` is amortized O(1). Each column
+    attribute (``weight``, ``states``, ...) is a view of one row field.
+    """
+
+    process_id = _Column("process_id")
+    dr_stage = _Column("dr_stage")
+    mean_accept_rate = _Column("mean_accept_rate")
+    adaptation_measure = _Column("adaptation_measure")
+    burnin_loc = _Column("burnin_loc")
+    weight = _Column("weight")
+    logf = _Column("logf")
+    states = _Column("state")
 
     def __init__(
         self,
         ndim: int,
-        process_id,
-        dr_stage,
-        mean_accept_rate,
-        adaptation_measure,
-        burnin_loc,
-        weight,
-        logf,
-        states,
+        process_id=(),
+        dr_stage=(),
+        mean_accept_rate=(),
+        adaptation_measure=(),
+        burnin_loc=(),
+        weight=(),
+        logf=(),
+        states=(),
         truncated: bool = False,
     ):
-        self.ndim = int(ndim)
-        self.process_id = np.asarray(process_id, dtype=np.int64)
-        self.dr_stage = np.asarray(dr_stage, dtype=np.int64)
-        self.mean_accept_rate = np.asarray(mean_accept_rate, dtype=float)
-        self.adaptation_measure = np.asarray(adaptation_measure, dtype=float)
-        self.burnin_loc = np.asarray(burnin_loc, dtype=np.int64)
-        self.weight = np.asarray(weight, dtype=np.int64)
-        self.logf = np.asarray(logf, dtype=float)
-        self.states = np.asarray(states, dtype=float).reshape(-1, self.ndim)
-        self.truncated = truncated
-        if np.any(self.weight < 1):
+        ndim = int(ndim)
+        records = np.zeros(np.size(weight), chain_row_dtype(ndim))
+        columns = (
+            process_id, dr_stage, mean_accept_rate, adaptation_measure, burnin_loc,
+            weight, logf, np.asarray(states, dtype=float).reshape(-1, ndim),
+        )
+        for name, values in zip(_ROW_FIELDS, columns):
+            records[name] = values
+        self._hold(records, truncated)
+
+    @classmethod
+    def _of_records(cls, records: np.ndarray, truncated: bool = False) -> "CompactChain":
+        chain = cls.__new__(cls)
+        chain._hold(records, truncated)
+        return chain
+
+    def _hold(self, records: np.ndarray, truncated: bool) -> None:
+        if np.any(records["weight"] < 1):
             raise UsageError("chain row weights must be >= 1")
+        self.ndim = records.dtype["state"].shape[0]
+        self._buf = records
+        self._n = records.size
+        self.truncated = truncated
+
+    @property
+    def records(self) -> np.ndarray:
+        """The rows held, as one array of ``chain_row_dtype(ndim)``."""
+        return self._buf[: self._n]
+
+    def append(self, process_id, dr_stage, mean_accept_rate, adaptation_measure,
+               burnin_loc, weight, logf, state) -> None:
+        """Add one row at the end; the spare capacity doubles when full."""
+        n = self._n
+        if n == self._buf.size:
+            grown = np.zeros(max(2 * n, 64), self._buf.dtype)
+            grown[:n] = self._buf
+            self._buf = grown
+        self._buf[n] = (process_id, dr_stage, mean_accept_rate, adaptation_measure, 0.0,
+                        burnin_loc, weight, logf, state)
+        self._n = n + 1
 
     @property
     def header(self) -> list[str]:
-        return list(CHAIN_COLUMNS) + [f"Var{i + 1}" for i in range(self.ndim)]
+        return _chain_header(self.ndim)
 
     @property
     def n_rows(self) -> int:
-        return self.weight.size
+        return self._n
 
     @property
     def total_weight(self) -> int:
         return int(self.weight.sum())
 
-    def row(self, i: int) -> ChainRow:
-        return ChainRow(
-            process_id=int(self.process_id[i]),
-            dr_stage=int(self.dr_stage[i]),
-            mean_accept_rate=float(self.mean_accept_rate[i]),
-            adaptation_measure=float(self.adaptation_measure[i]),
-            burnin_loc=int(self.burnin_loc[i]),
-            weight=int(self.weight[i]),
-            logf=float(self.logf[i]),
-            state=self.states[i].copy(),
-        )
-
-    @property
-    def rows(self) -> list[ChainRow]:
-        return [self.row(i) for i in range(self.n_rows)]
-
     def __len__(self) -> int:
-        return self.n_rows
+        return self._n
 
     def __eq__(self, other):
         if not isinstance(other, CompactChain):
             return NotImplemented
-        return (
-            self.ndim == other.ndim
-            and np.array_equal(self.process_id, other.process_id)
-            and np.array_equal(self.dr_stage, other.dr_stage)
-            and np.array_equal(self.mean_accept_rate, other.mean_accept_rate)
-            and np.array_equal(self.adaptation_measure, other.adaptation_measure)
-            and np.array_equal(self.burnin_loc, other.burnin_loc)
-            and np.array_equal(self.weight, other.weight)
-            and np.array_equal(self.logf, other.logf)
-            and np.array_equal(self.states, other.states)
-        )
-
-    @classmethod
-    def from_rows(cls, rows, ndim: int) -> "CompactChain":
-        return cls(
-            ndim,
-            [r.process_id for r in rows],
-            [r.dr_stage for r in rows],
-            [r.mean_accept_rate for r in rows],
-            [r.adaptation_measure for r in rows],
-            [r.burnin_loc for r in rows],
-            [r.weight for r in rows],
-            [r.logf for r in rows],
-            np.array([r.state for r in rows], dtype=float).reshape(-1, ndim),
+        return self.ndim == other.ndim and all(
+            np.array_equal(self.records[name], other.records[name]) for name in _ROW_FIELDS
         )
 
     def sliced(self, n_rows: int) -> "CompactChain":
-        return CompactChain(
-            self.ndim,
-            self.process_id[:n_rows],
-            self.dr_stage[:n_rows],
-            self.mean_accept_rate[:n_rows],
-            self.adaptation_measure[:n_rows],
-            self.burnin_loc[:n_rows],
-            self.weight[:n_rows],
-            self.logf[:n_rows],
-            self.states[:n_rows],
-        )
+        return CompactChain._of_records(self.records[:n_rows].copy())
 
 
-def _row_struct(ndim: int) -> struct.Struct:
-    return struct.Struct(f"<iidddqqd{ndim}d")
+_CHAIN_HEADER = struct.Struct("<IIQ")  # format version, ndim, row count
 
 
-def _ascii_row(row: ChainRow, weight: int) -> str:
+def _ascii_line(row, weight: int) -> str:
+    """The ascii chain line of one row record, with the given weight."""
+    process_id, dr_stage, rate, measure, _, burnin_loc, _, logf, state = row.item()
     cols = [
-        str(row.process_id),
-        str(row.dr_stage),
-        fmt_float(row.mean_accept_rate),
-        fmt_float(row.adaptation_measure),
-        str(row.burnin_loc),
+        str(process_id),
+        str(dr_stage),
+        fmt_float(rate),
+        fmt_float(measure),
+        str(burnin_loc),
         str(weight),
-        fmt_float(row.logf),
+        fmt_float(logf),
     ]
-    cols.extend(fmt_float(v) for v in row.state)
-    return ",".join(cols)
-
-
-def _pack_row(packer: struct.Struct, row: ChainRow, weight: int) -> bytes:
-    # Third f64 is a reserved rate slot in the on-disk layout.
-    return packer.pack(
-        row.process_id,
-        row.dr_stage,
-        row.mean_accept_rate,
-        row.adaptation_measure,
-        0.0,
-        row.burnin_loc,
-        weight,
-        row.logf,
-        *row.state,
-    )
+    cols.extend(fmt_float(v) for v in state.tolist())
+    return ",".join(cols) + "\n"
 
 
 class ChainWriter:
@@ -219,35 +235,34 @@ class ChainWriter:
         self.ndim = ndim
         self.chain_format = chain_format
         self.encoding = encoding
-        self._packer = _row_struct(ndim)
+        self._row_size = chain_row_dtype(ndim).itemsize
         self._count = existing_rows
-        header = list(CHAIN_COLUMNS) + [f"Var{i + 1}" for i in range(ndim)]
-        self._header_len = len((",".join(header) + "\n").encode("utf-8"))
         if encoding == "ascii":
-            base = self._header_len
-        else:
-            base = len(CHAIN_MAGIC) + struct.calcsize("<IIQ")
-        self.compact_bytes, self.verbose_bytes = initial_bytes or (base, base)
-        if encoding == "ascii":
+            header = ",".join(_chain_header(ndim)) + "\n"
+            base = len(header.encode("utf-8"))
             mode = "a" if append else "w"
             self._fh = open(path, mode, encoding="utf-8", newline="\n")
             if not append:
-                self._fh.write(",".join(header) + "\n")
+                self._fh.write(header)
         else:
+            base = len(CHAIN_MAGIC) + _CHAIN_HEADER.size
             if append:
                 self._fh = open(path, "r+b")
                 self._fh.seek(0, os.SEEK_END)
             else:
                 self._fh = open(path, "wb")
                 self._fh.write(CHAIN_MAGIC)
-                self._fh.write(struct.pack("<IIQ", FORMAT_VERSION, ndim, 0))
+                self._fh.write(_CHAIN_HEADER.pack(FORMAT_VERSION, ndim, 0))
+        self.compact_bytes, self.verbose_bytes = initial_bytes or (base, base)
 
-    def append(self, row: ChainRow) -> None:
-        w = row.weight
+    def append(self, chain: CompactChain, i: int) -> None:
+        """Write row ``i`` of ``chain``: once if compact, weight times if verbose."""
+        records = chain.records
+        w = int(records["weight"][i])
         if self.encoding == "ascii":
             # Row content is pure ASCII: len(str) == byte count.
             if self.chain_format == "verbose":
-                line = _ascii_row(row, 1) + "\n"
+                line = _ascii_line(records[i], 1)
                 self._fh.write(line * w)
                 self._count += w
                 unit = len(line)
@@ -255,21 +270,24 @@ class ChainWriter:
                 # The compact twin differs only in the weight column.
                 self.compact_bytes += unit - 1 + len(str(w))
             else:
-                line = _ascii_row(row, w) + "\n"
+                line = _ascii_line(records[i], w)
                 self._fh.write(line)
                 self._count += 1
                 unit = len(line)
                 self.compact_bytes += unit
                 self.verbose_bytes += (unit - len(str(w)) + 1) * w
         else:
+            row = records[i : i + 1]
             if self.chain_format == "verbose":
-                self._fh.write(_pack_row(self._packer, row, 1) * w)
+                row = row.copy()
+                row["weight"] = 1
+                self._fh.write(row.tobytes() * w)
                 self._count += w
             else:
-                self._fh.write(_pack_row(self._packer, row, w))
+                self._fh.write(row.tobytes())
                 self._count += 1
-            self.compact_bytes += self._packer.size
-            self.verbose_bytes += self._packer.size * w
+            self.compact_bytes += self._row_size
+            self.verbose_bytes += self._row_size * w
 
     def flush(self) -> None:
         self._fh.flush()
@@ -292,7 +310,7 @@ def write_chain(chain: CompactChain, path: str, chain_format: str = "compact",
     writer = ChainWriter(path, chain.ndim, chain_format, encoding)
     try:
         for i in range(chain.n_rows):
-            writer.append(chain.row(i))
+            writer.append(chain, i)
     finally:
         writer.close()
 
@@ -303,33 +321,15 @@ def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> in
     Row content is pure ASCII, so string length equals byte length.
     """
     if encoding == "ascii":
-        header = list(CHAIN_COLUMNS) + [f"Var{i + 1}" for i in range(chain.ndim)]
-        total = len(",".join(header)) + 1
-        for i in range(chain.n_rows):
-            row = chain.row(i)
+        total = len(",".join(chain.header)) + 1
+        for row, w in zip(chain.records, chain.weight.tolist()):
             if chain_format == "verbose":
-                total += (len(_ascii_row(row, 1)) + 1) * row.weight
+                total += len(_ascii_line(row, 1)) * w
             else:
-                total += len(_ascii_row(row, row.weight)) + 1
+                total += len(_ascii_line(row, w))
         return total
-    packer = _row_struct(chain.ndim)
     nrows = chain.total_weight if chain_format == "verbose" else chain.n_rows
-    return len(CHAIN_MAGIC) + struct.calcsize("<IIQ") + nrows * packer.size
-
-
-def _recompact(rows: list[ChainRow]) -> list[ChainRow]:
-    """Merge consecutive rows with identical states (verbose inverse)."""
-    merged: list[ChainRow] = []
-    for row in rows:
-        if (
-            merged
-            and row.logf == merged[-1].logf
-            and np.array_equal(row.state, merged[-1].state)
-        ):
-            merged[-1].weight += row.weight
-        else:
-            merged.append(row)
-    return merged
+    return len(CHAIN_MAGIC) + _CHAIN_HEADER.size + nrows * chain_row_dtype(chain.ndim).itemsize
 
 
 def read_chain(path: str) -> CompactChain:
@@ -339,26 +339,36 @@ def read_chain(path: str) -> CompactChain:
     dropped and flagged via the returned chain's ``truncated`` attribute.
     """
     with open(path, "rb") as fh:
-        head = fh.read(4)
+        head = fh.read(len(CHAIN_MAGIC))
     if head == CHAIN_MAGIC:
-        return _read_chain_binary(path)
-    return _read_chain_ascii(path)
+        records, truncated = _binary_records(path)
+    else:
+        records, truncated = _ascii_records(path)
+    return CompactChain._of_records(_merge_repeats(records), truncated)
 
 
-def _parse_ascii_row(parts: list[str], ndim: int) -> ChainRow:
-    return ChainRow(
-        process_id=int(parts[0]),
-        dr_stage=int(parts[1]),
-        mean_accept_rate=float(parts[2]),
-        adaptation_measure=float(parts[3]),
-        burnin_loc=int(parts[4]),
-        weight=int(parts[5]),
-        logf=float(parts[6]),
-        state=np.array([float(v) for v in parts[7 : 7 + ndim]], dtype=float),
-    )
+def _merge_repeats(records: np.ndarray) -> np.ndarray:
+    """Merge each row into the row before it when logf and state are equal.
+
+    This is the inverse of the verbose expansion. Merged runs keep their
+    first row, with the run's summed weight.
+    """
+    logf, states = records["logf"], records["state"]
+    first = np.ones(records.size, dtype=bool)
+    first[1:] = (logf[1:] != logf[:-1]) | np.any(states[1:] != states[:-1], axis=1)
+    starts = np.flatnonzero(first)
+    merged = records[starts]
+    if starts.size:
+        merged["weight"] = np.add.reduceat(records["weight"], starts)
+    return merged
 
 
-def _read_chain_ascii(path: str) -> CompactChain:
+# Ascii chain lines split and converted at once; it bounds the memory that
+# the split cells take while a file is read.
+_PARSE_LINES = 2048
+
+
+def _ascii_records(path: str) -> tuple[np.ndarray, bool]:
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         content = fh.read()
     lines = content.split("\n")
@@ -372,72 +382,68 @@ def _read_chain_ascii(path: str) -> CompactChain:
     ndim = len(header) - len(CHAIN_COLUMNS)
     if ndim < 1 or header[: len(CHAIN_COLUMNS)] != list(CHAIN_COLUMNS):
         raise ParseError(f"{path}:1: unrecognized chain header")
-    rows: list[ChainRow] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
+    records = np.zeros(len(lines) - 1, chain_row_dtype(ndim))
+    for start in range(1, len(lines), _PARSE_LINES):
+        chunk = lines[start : start + _PARSE_LINES]
         try:
-            if len(parts) != len(CHAIN_COLUMNS) + ndim:
-                raise ValueError("wrong column count")
-            rows.append(_parse_ascii_row(parts, ndim))
-        except ValueError as exc:
-            raise ParseError(f"{path}:{lineno}: {exc}") from None
-    rows = _recompact(rows)
-    if not rows:
-        chain = CompactChain(ndim, [], [], [], [], [], [], [], np.zeros((0, ndim)))
-        chain.truncated = truncated
-        return chain
-    chain = CompactChain.from_rows(rows, ndim)
-    chain.truncated = truncated
-    return chain
+            records[start - 1 : start - 1 + len(chunk)] = _parse_ascii_lines(chunk, ndim)
+        except (ValueError, OverflowError):
+            # Parse line by line to name the first malformed one.
+            for lineno, line in enumerate(chunk, start=start + 1):
+                try:
+                    _parse_ascii_lines([line], ndim)
+                except (ValueError, OverflowError) as exc:
+                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+            raise
+    return records, truncated
 
 
-def _read_chain_binary(path: str) -> CompactChain:
+def _parse_ascii_lines(lines: list[str], ndim: int) -> np.ndarray:
+    """Chain records from ascii chain lines; ValueError if one is malformed."""
+    cells = [line.split(",") for line in lines]
+    width = len(CHAIN_COLUMNS) + ndim
+    if any(len(row) != width for row in cells):
+        raise ValueError("wrong column count")
+    table = np.array(cells, dtype=float).reshape(len(cells), width)
+    records = np.zeros(len(cells), chain_row_dtype(ndim))
+    for j, name in enumerate(_ROW_FIELDS[:-1]):
+        if records.dtype[name].kind == "i":
+            # int() rejects a fractional value that a float cast would keep.
+            records[name] = [int(row[j]) for row in cells]
+        else:
+            records[name] = table[:, j]
+    records["state"] = table[:, len(CHAIN_COLUMNS):]
+    return records
+
+
+def _binary_records(path: str) -> tuple[np.ndarray, bool]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    header_len = len(CHAIN_MAGIC) + struct.calcsize("<IIQ")
+    header_len = len(CHAIN_MAGIC) + _CHAIN_HEADER.size
     if len(blob) < header_len:
         raise ParseError(f"{path}: truncated binary header")
-    version, ndim, _count = struct.unpack_from("<IIQ", blob, 4)
+    version, ndim, _count = _CHAIN_HEADER.unpack_from(blob, len(CHAIN_MAGIC))
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported chain format version {version}")
-    packer = _row_struct(ndim)
-    body = blob[header_len:]
-    n_complete, remainder = divmod(len(body), packer.size)
-    rows = []
-    for i in range(n_complete):
-        vals = packer.unpack_from(body, i * packer.size)
-        rows.append(
-            ChainRow(
-                process_id=vals[0],
-                dr_stage=vals[1],
-                mean_accept_rate=vals[2],
-                adaptation_measure=vals[3],
-                burnin_loc=vals[5],
-                weight=vals[6],
-                logf=vals[7],
-                state=np.array(vals[8:], dtype=float),
-            )
-        )
-    rows = _recompact(rows)
-    if not rows:
-        chain = CompactChain(ndim, [], [], [], [], [], [], [], np.zeros((0, ndim)))
-        chain.truncated = remainder != 0
-        return chain
-    chain = CompactChain.from_rows(rows, ndim)
-    chain.truncated = remainder != 0
-    return chain
+    dtype = chain_row_dtype(ndim)
+    n_complete, remainder = divmod(len(blob) - header_len, dtype.itemsize)
+    return np.frombuffer(blob, dtype, n_complete, header_len), remainder != 0
 
 
 # ---------------------------------------------------------------------------
 # Simulation spec echo (shared by the restart header and the report file)
 
 
+def _floats_text(values) -> str:
+    return ",".join(fmt_float(v) for v in values)
+
+
 def spec_value_to_text(spec: SimSpec, name: str, kind: str) -> str:
     value = getattr(spec, name)
     if kind == "point":
-        return ",".join(fmt_float(v) for v in value)
+        return _floats_text(value)
     if kind == "window":
-        return "none" if value is None else ",".join(fmt_float(v) for v in value)
+        return "none" if value is None else _floats_text(value)
     if kind == "float":
         return fmt_float(value)
     return str(value)
@@ -482,6 +488,44 @@ def spec_from_echo(pairs: dict, provenance: dict | None = None) -> SimSpec:
 # Restart checkpoints
 
 
+# (name, kind) of every checkpoint field, in record order; this one table
+# drives the ascii and binary codecs and RestartCheckpoint equality. Kinds:
+#   section  u32; in ascii it heads the record as "[checkpoint N]"
+#   i32, u64, f64  scalars (ascii reals at 17 significant digits)
+#   vector   ndim f64 values (ascii: comma-separated)
+#   sym      symmetric ndim x ndim matrix as its ndim*(ndim+1)/2 upper
+#            triangle values, row by row (ascii key "<name>_upper")
+#   rngs     u32 stream count, then per stream: u64 state, u64 stream id,
+#            u8 has-cache flag, f64 Box-Muller cache (0.0 when absent);
+#            ascii: "rng_count = K" then "rng_i = state,stream,cache|none"
+CHECKPOINT_FIELDS = (
+    ("checkpoint_index", "section"),
+    ("iteration", "u64"),
+    ("rows_emitted", "u64"),
+    ("measure", "f64"),
+    ("pending_weight", "u64"),
+    ("current_logf", "f64"),
+    ("current_state", "vector"),
+    ("live_dr_stage", "i32"),
+    ("live_process_id", "i32"),
+    ("rng_states", "rngs"),
+    ("scale", "f64"),
+    ("epsilon", "f64"),
+    ("eps_rel", "f64"),
+    ("dr_scale", "f64"),
+    ("sample_count", "u64"),
+    ("adaptation_count", "u64"),
+    ("mean", "vector"),
+    ("cov", "sym"),
+    ("scatter", "sym"),
+)
+
+_SCALARS = {kind: struct.Struct(fmt) for kind, fmt in
+            (("section", "<I"), ("i32", "<i"), ("u64", "<Q"), ("f64", "<d"))}
+_ARRAY_KINDS = ("vector", "sym")
+_RNG_RECORD = struct.Struct("<QQBd")
+
+
 @dataclass
 class RestartCheckpoint:
     """Everything needed to continue a run exactly as if never stopped."""
@@ -509,20 +553,11 @@ class RestartCheckpoint:
     def __eq__(self, other):
         if not isinstance(other, RestartCheckpoint):
             return NotImplemented
-        scalars = (
-            "checkpoint_index", "iteration", "rows_emitted", "measure",
-            "pending_weight", "current_logf", "live_dr_stage", "live_process_id",
-            "scale", "epsilon", "eps_rel", "dr_scale", "sample_count",
-            "adaptation_count",
-        )
-        return (
-            all(getattr(self, n) == getattr(other, n) for n in scalars)
-            and self.rng_states == other.rng_states
-            and np.array_equal(self.current_state, other.current_state)
-            and np.array_equal(self.mean, other.mean)
-            and np.array_equal(self.cov, other.cov)
-            and np.array_equal(self.scatter, other.scatter)
-        )
+        for name, kind in CHECKPOINT_FIELDS:
+            a, b = getattr(self, name), getattr(other, name)
+            if not (np.array_equal(a, b) if kind in _ARRAY_KINDS else a == b):
+                return False
+        return True
 
 
 def checkpoint_proposal(ck: RestartCheckpoint) -> ProposalState:
@@ -572,143 +607,67 @@ def _rng_state_parse(text: str) -> tuple[int, int, float | None]:
     return (int(s), int(stream), None if cache == "none" else float(cache))
 
 
-def _checkpoint_lines(ck: RestartCheckpoint) -> list[str]:
-    lines = [
-        f"[checkpoint {ck.checkpoint_index}]",
-        f"iteration = {ck.iteration}",
-        f"rows_emitted = {ck.rows_emitted}",
-        f"measure = {fmt_float(ck.measure)}",
-        f"pending_weight = {ck.pending_weight}",
-        f"current_logf = {fmt_float(ck.current_logf)}",
-        "current_state = " + ",".join(fmt_float(v) for v in ck.current_state),
-        f"live_dr_stage = {ck.live_dr_stage}",
-        f"live_process_id = {ck.live_process_id}",
-        f"rng_count = {len(ck.rng_states)}",
-    ]
-    for i, st in enumerate(ck.rng_states, start=1):
-        lines.append(f"rng_{i} = {_rng_state_text(st)}")
-    lines.extend(
-        [
-            f"scale = {fmt_float(ck.scale)}",
-            f"epsilon = {fmt_float(ck.epsilon)}",
-            f"eps_rel = {fmt_float(ck.eps_rel)}",
-            f"dr_scale = {fmt_float(ck.dr_scale)}",
-            f"sample_count = {ck.sample_count}",
-            f"adaptation_count = {ck.adaptation_count}",
-            "mean = " + ",".join(fmt_float(v) for v in ck.mean),
-            "cov_upper = " + ",".join(fmt_float(v) for v in _triu_pack(ck.cov)),
-            "scatter_upper = " + ",".join(fmt_float(v) for v in _triu_pack(ck.scatter)),
+def _field_text(name: str, kind: str, value) -> list[str]:
+    """The ascii lines of one checkpoint field."""
+    if kind == "section":
+        return [f"[checkpoint {value}]"]
+    if kind == "rngs":
+        return [f"rng_count = {len(value)}"] + [
+            f"rng_{i} = {_rng_state_text(st)}" for i, st in enumerate(value, start=1)
         ]
-    )
-    return lines
+    if kind == "sym":
+        return [f"{name}_upper = {_floats_text(_triu_pack(value))}"]
+    if kind == "vector":
+        return [f"{name} = {_floats_text(value)}"]
+    return [f"{name} = {fmt_float(value) if kind == 'f64' else value}"]
 
 
-def _checkpoint_from_pairs(index: int, pairs: dict, ndim: int) -> RestartCheckpoint:
-    rng_count = int(pairs["rng_count"])
-    rng_states = [_rng_state_parse(pairs[f"rng_{i}"]) for i in range(1, rng_count + 1)]
-    to_array = lambda text: np.array([float(v) for v in text.split(",")], dtype=float)
-    return RestartCheckpoint(
-        checkpoint_index=index,
-        iteration=int(pairs["iteration"]),
-        rows_emitted=int(pairs["rows_emitted"]),
-        measure=float(pairs["measure"]),
-        rng_states=rng_states,
-        pending_weight=int(pairs["pending_weight"]),
-        current_logf=float(pairs["current_logf"]),
-        current_state=to_array(pairs["current_state"]),
-        live_dr_stage=int(pairs["live_dr_stage"]),
-        live_process_id=int(pairs["live_process_id"]),
-        mean=to_array(pairs["mean"]),
-        cov=_triu_unpack(to_array(pairs["cov_upper"]), ndim),
-        scatter=_triu_unpack(to_array(pairs["scatter_upper"]), ndim),
-        scale=float(pairs["scale"]),
-        epsilon=float(pairs["epsilon"]),
-        eps_rel=float(pairs["eps_rel"]),
-        dr_scale=float(pairs["dr_scale"]),
-        sample_count=int(pairs["sample_count"]),
-        adaptation_count=int(pairs["adaptation_count"]),
-    )
+def _field_parse(name: str, kind: str, pairs: dict, ndim: int):
+    """One checkpoint field from the key/value pairs of an ascii record.
+
+    The record's section header supplies ``pairs[name]`` for the section.
+    """
+    if kind == "rngs":
+        count = int(pairs["rng_count"])
+        return [_rng_state_parse(pairs[f"rng_{i}"]) for i in range(1, count + 1)]
+    if kind == "sym":
+        return _triu_unpack(spec_text_to_value("point", pairs[f"{name}_upper"]), ndim)
+    if kind == "vector":
+        return spec_text_to_value("point", pairs[name])
+    return float(pairs[name]) if kind == "f64" else int(pairs[name])
 
 
-def _pack_checkpoint(ck: RestartCheckpoint, ndim: int) -> bytes:
-    tri = ndim * (ndim + 1) // 2
-    parts = [
-        struct.pack(
-            "<IQQdQd",
-            ck.checkpoint_index,
-            ck.iteration,
-            ck.rows_emitted,
-            ck.measure,
-            ck.pending_weight,
-            ck.current_logf,
-        ),
-        struct.pack(f"<{ndim}d", *ck.current_state),
-        struct.pack("<iiI", ck.live_dr_stage, ck.live_process_id, len(ck.rng_states)),
-    ]
-    for s, stream, cache in ck.rng_states:
-        parts.append(
-            struct.pack("<QQBd", s, stream, cache is not None, cache or 0.0)
+def _field_pack(kind: str, value) -> bytes:
+    """The binary bytes of one checkpoint field."""
+    if kind == "rngs":
+        return struct.pack("<I", len(value)) + b"".join(
+            _RNG_RECORD.pack(s, stream, cache is not None, cache or 0.0)
+            for s, stream, cache in value
         )
-    parts.append(
-        struct.pack(
-            "<ddddQQ",
-            ck.scale,
-            ck.epsilon,
-            ck.eps_rel,
-            ck.dr_scale,
-            ck.sample_count,
-            ck.adaptation_count,
-        )
-    )
-    parts.append(struct.pack(f"<{ndim}d", *ck.mean))
-    parts.append(struct.pack(f"<{tri}d", *_triu_pack(ck.cov)))
-    parts.append(struct.pack(f"<{tri}d", *_triu_pack(ck.scatter)))
-    payload = b"".join(parts)
-    return struct.pack("<I", len(payload)) + payload
+    if kind in _ARRAY_KINDS:
+        flat = _triu_pack(value) if kind == "sym" else value
+        return np.asarray(flat, dtype="<f8").tobytes()
+    return _SCALARS[kind].pack(value)
 
 
-def _unpack_checkpoint(payload: bytes, ndim: int) -> RestartCheckpoint:
-    tri = ndim * (ndim + 1) // 2
-    off = 0
-    index, iteration, rows, measure, pending, logf = struct.unpack_from("<IQQdQd", payload, off)
-    off += struct.calcsize("<IQQdQd")
-    state = np.array(struct.unpack_from(f"<{ndim}d", payload, off))
-    off += 8 * ndim
-    stage, pid, rng_count = struct.unpack_from("<iiI", payload, off)
-    off += struct.calcsize("<iiI")
-    rng_states = []
-    for _ in range(rng_count):
-        s, stream, has_cache, cache = struct.unpack_from("<QQBd", payload, off)
-        off += struct.calcsize("<QQBd")
-        rng_states.append((s, stream, cache if has_cache else None))
-    scale, epsilon, eps_rel, dr_scale, count, acount = struct.unpack_from("<ddddQQ", payload, off)
-    off += struct.calcsize("<ddddQQ")
-    mean = np.array(struct.unpack_from(f"<{ndim}d", payload, off))
-    off += 8 * ndim
-    cov = _triu_unpack(np.array(struct.unpack_from(f"<{tri}d", payload, off)), ndim)
-    off += 8 * tri
-    scatter = _triu_unpack(np.array(struct.unpack_from(f"<{tri}d", payload, off)), ndim)
-    return RestartCheckpoint(
-        checkpoint_index=index,
-        iteration=iteration,
-        rows_emitted=rows,
-        measure=measure,
-        rng_states=rng_states,
-        pending_weight=pending,
-        current_logf=logf,
-        current_state=state,
-        live_dr_stage=stage,
-        live_process_id=pid,
-        mean=mean,
-        cov=cov,
-        scatter=scatter,
-        scale=scale,
-        epsilon=epsilon,
-        eps_rel=eps_rel,
-        dr_scale=dr_scale,
-        sample_count=count,
-        adaptation_count=acount,
-    )
+def _field_unpack(kind: str, payload: bytes, off: int, ndim: int):
+    """One checkpoint field read from ``payload`` at ``off``: (value, next off)."""
+    if kind == "rngs":
+        (count,) = struct.unpack_from("<I", payload, off)
+        off += 4
+        states = []
+        for _ in range(count):
+            s, stream, has_cache, cache = _RNG_RECORD.unpack_from(payload, off)
+            states.append((s, stream, cache if has_cache else None))
+            off += _RNG_RECORD.size
+        return states, off
+    if kind in _ARRAY_KINDS:
+        size = ndim if kind == "vector" else ndim * (ndim + 1) // 2
+        flat = np.frombuffer(payload, "<f8", size, off).astype(float)
+        value = _triu_unpack(flat, ndim) if kind == "sym" else flat
+        return value, off + 8 * size
+    scalar = _SCALARS[kind]
+    return scalar.unpack_from(payload, off)[0], off + scalar.size
 
 
 class RestartWriter:
@@ -720,7 +679,6 @@ class RestartWriter:
 
     def __init__(self, path: str, spec: SimSpec, append: bool = False):
         self.path = path
-        self.ndim = spec.ndim
         self.encoding = spec.file_encoding
         if self.encoding == "ascii":
             mode = "a" if append else "w"
@@ -742,9 +700,17 @@ class RestartWriter:
 
     def append(self, ck: RestartCheckpoint) -> None:
         if self.encoding == "ascii":
-            self._fh.write("\n".join(_checkpoint_lines(ck)) + "\n")
+            lines = [
+                line
+                for name, kind in CHECKPOINT_FIELDS
+                for line in _field_text(name, kind, getattr(ck, name))
+            ]
+            self._fh.write("\n".join(lines) + "\n")
         else:
-            self._fh.write(_pack_checkpoint(ck, self.ndim))
+            payload = b"".join(
+                _field_pack(kind, getattr(ck, name)) for name, kind in CHECKPOINT_FIELDS
+            )
+            self._fh.write(struct.pack("<I", len(payload)) + payload)
         self._fh.flush()
 
     def close(self) -> None:
@@ -803,9 +769,12 @@ def _read_restart_ascii(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
     for bi, (name, pairs) in enumerate(blocks[1:], start=1):
         if not name.startswith("checkpoint "):
             raise ParseError(f"{path}: unexpected section [{name}]")
-        index = int(name.split()[1])
+        pairs["checkpoint_index"] = name.partition(" ")[2]
         try:
-            checkpoints.append(_checkpoint_from_pairs(index, pairs, spec.ndim))
+            checkpoints.append(RestartCheckpoint(**{
+                field: _field_parse(field, kind, pairs, spec.ndim)
+                for field, kind in CHECKPOINT_FIELDS
+            }))
         except (KeyError, ValueError, IndexError):
             # A truncated trailing block is expected after an interrupt.
             if bi == len(blocks) - 1:
@@ -836,10 +805,14 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
         (length,) = struct.unpack_from("<I", blob, off)
         if off + 4 + length > len(blob):
             break  # truncated trailing record
+        payload = blob[off + 4 : off + 4 + length]
+        values, pos = {}, 0
         try:
-            checkpoints.append(_unpack_checkpoint(blob[off + 4 : off + 4 + length], ndim))
-        except struct.error:
+            for name, kind in CHECKPOINT_FIELDS:
+                values[name], pos = _field_unpack(kind, payload, pos, ndim)
+        except (struct.error, ValueError):
             break
+        checkpoints.append(RestartCheckpoint(**values))
         off += 4 + length
     return spec, checkpoints
 
@@ -1025,10 +998,3 @@ def inspect_outputs(spec: SimSpec) -> tuple[str, CompactChain | None]:
     if chain.total_weight >= spec.chain_size:
         return "complete", chain
     return "incomplete", chain
-
-
-def resume(spec: SimSpec, target, **kwargs):
-    """Continue an interrupted run (see the sampler module for details)."""
-    from .sampler import resume as _resume
-
-    return _resume(spec, target, **kwargs)

@@ -289,6 +289,34 @@ SIMSPEC_FIELDS = (
 )
 
 
+# Default of every optional SimSpec field; a callable derives it from ndim.
+_SIMSPEC_DEFAULTS = {
+    "chain_size": 10_000,
+    "start_point": np.zeros,
+    "seed": 0,
+    "chain_format": "compact",
+    "file_encoding": "ascii",
+    "adaptation_period": lambda ndim: 100 * ndim,
+    "greedy_adaptation_count": 0,
+    "dr_stage_count": 1,
+    "dr_scale_factor": 0.5,
+    "proposal_scale": lambda ndim: 2.38 / math.sqrt(ndim),
+    "cov_epsilon": 1e-12,
+    "parallelism": "none",
+    "num_workers": 1,
+    "target_acceptance_window": None,
+}
+
+# Normalizing conversion per SIMSPEC_FIELDS kind; validation normalizes the
+# window, and strings are kept as given.
+_SIMSPEC_CASTS = {
+    "int": int,
+    "u64": int,
+    "float": float,
+    "point": lambda value: np.asarray(value, dtype=float).reshape(-1),
+}
+
+
 @dataclass
 class SimSpec:
     """Complete simulation specification with defaulted fields resolved.
@@ -319,22 +347,6 @@ class SimSpec:
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
-        defaults = {
-            "chain_size": 10_000,
-            "start_point": None,  # zeros, filled after ndim check
-            "seed": 0,
-            "chain_format": "compact",
-            "file_encoding": "ascii",
-            "adaptation_period": None,  # 100 * ndim
-            "greedy_adaptation_count": 0,
-            "dr_stage_count": 1,
-            "dr_scale_factor": 0.5,
-            "proposal_scale": None,  # 2.38 / sqrt(ndim)
-            "cov_epsilon": 1e-12,
-            "parallelism": "none",
-            "num_workers": 1,
-            "target_acceptance_window": None,
-        }
         self.ndim = int(self.ndim)
         if self.ndim < 1:
             raise UsageError(f"ndim must be positive, got {self.ndim}")
@@ -343,49 +355,17 @@ class SimSpec:
         prov = dict(self.provenance)
         prov.setdefault("ndim", "user")
         prov.setdefault("output_prefix", "user")
-        for name, default in defaults.items():
-            if getattr(self, name) is None and name != "target_acceptance_window":
+        for name, default in _SIMSPEC_DEFAULTS.items():
+            if getattr(self, name) is None:
                 prov.setdefault(name, "default")
+                setattr(self, name, default(self.ndim) if callable(default) else default)
             else:
                 prov.setdefault(name, "user")
-        if self.chain_size is None:
-            self.chain_size = defaults["chain_size"]
-        if self.start_point is None:
-            self.start_point = np.zeros(self.ndim)
-        if self.seed is None:
-            self.seed = defaults["seed"]
-        if self.chain_format is None:
-            self.chain_format = defaults["chain_format"]
-        if self.file_encoding is None:
-            self.file_encoding = defaults["file_encoding"]
-        if self.adaptation_period is None:
-            self.adaptation_period = 100 * self.ndim
-        if self.greedy_adaptation_count is None:
-            self.greedy_adaptation_count = defaults["greedy_adaptation_count"]
-        if self.dr_stage_count is None:
-            self.dr_stage_count = defaults["dr_stage_count"]
-        if self.dr_scale_factor is None:
-            self.dr_scale_factor = defaults["dr_scale_factor"]
-        if self.proposal_scale is None:
-            self.proposal_scale = 2.38 / math.sqrt(self.ndim)
-        if self.cov_epsilon is None:
-            self.cov_epsilon = defaults["cov_epsilon"]
-        if self.parallelism is None:
-            self.parallelism = defaults["parallelism"]
-        if self.num_workers is None:
-            self.num_workers = defaults["num_workers"]
         self.provenance = prov
-
-        self.chain_size = int(self.chain_size)
-        self.seed = int(self.seed)
-        self.adaptation_period = int(self.adaptation_period)
-        self.greedy_adaptation_count = int(self.greedy_adaptation_count)
-        self.dr_stage_count = int(self.dr_stage_count)
-        self.num_workers = int(self.num_workers)
-        self.dr_scale_factor = float(self.dr_scale_factor)
-        self.proposal_scale = float(self.proposal_scale)
-        self.cov_epsilon = float(self.cov_epsilon)
-        self.start_point = np.asarray(self.start_point, dtype=float).reshape(-1)
+        for name, kind in SIMSPEC_FIELDS:
+            cast = _SIMSPEC_CASTS.get(kind)
+            if cast is not None:
+                setattr(self, name, cast(getattr(self, name)))
         self._validate()
 
     def _validate(self):

@@ -16,14 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimSpec, TargetDensity, UsageError
-from .sampler import SimulationOutputs, WorkerMsg, fork_join_cycle, worker_attempt
+from .sampler import SimulationOutputs, fork_join_cycle, worker_attempt
 
 SPEEDUP_ASYMPTOTE_FRACTION = 0.99
 
 __all__ = [
     "ContributionStats",
     "MultiChainReport",
-    "WorkerMsg",
     "compare_refined_samples",
     "contribution_stats",
     "fit_geometric",

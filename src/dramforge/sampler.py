@@ -18,7 +18,6 @@ import numpy as np
 
 from . import refinement
 from .chainio import (
-    ChainRow,
     ChainWriter,
     CompactChain,
     ParallelStats,
@@ -76,85 +75,6 @@ class _Verdict:
     stages_attempted: int = 1
 
 
-MSG_KINDS = ("proposal_batch", "state_update", "shutdown")
-
-
-@dataclass(slots=True)
-class WorkerMsg:
-    """One message on the coordinator/worker channel.
-
-    ``proposal_batch`` flows worker to coordinator and carries one rank's
-    DR attempt outcome plus its RNG consumption (stages attempted, each
-    costing ndim Gaussians and one uniform on that worker's stream). The
-    in-process cycle asks only the ranks whose verdicts the chain
-    consumes, in rank order, up to the first acceptance.
-    ``state_update`` broadcasts a new chain head; ``shutdown`` ends a
-    worker. The in-process backend delivers state updates by sharing the
-    head directly, but the payloads are complete enough for a
-    distributed transport to serialize instead.
-    """
-
-    rank: int
-    kind: str
-    payload: object = None
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise UsageError("worker ranks are 1-based")
-        if self.kind not in MSG_KINDS:
-            raise UsageError(f"message kind must be one of {MSG_KINDS}")
-
-
-class _RowStore:
-    """Columnar accumulator for emitted chain rows."""
-
-    def __init__(self, ndim: int):
-        self.ndim = ndim
-        self.process_id: list[int] = []
-        self.dr_stage: list[int] = []
-        self.mean_accept_rate: list[float] = []
-        self.adaptation_measure: list[float] = []
-        self.burnin_loc: list[int] = []
-        self.weight: list[int] = []
-        self.logf: list[float] = []
-        self.states: list[np.ndarray] = []
-
-    @property
-    def n(self) -> int:
-        return len(self.weight)
-
-    def to_chain(self) -> CompactChain:
-        states = (
-            np.array(self.states, dtype=float).reshape(-1, self.ndim)
-            if self.states
-            else np.zeros((0, self.ndim))
-        )
-        return CompactChain(
-            self.ndim,
-            self.process_id,
-            self.dr_stage,
-            self.mean_accept_rate,
-            self.adaptation_measure,
-            self.burnin_loc,
-            self.weight,
-            self.logf,
-            states,
-        )
-
-    @classmethod
-    def from_chain(cls, chain: CompactChain) -> "_RowStore":
-        store = cls(chain.ndim)
-        store.process_id = chain.process_id.tolist()
-        store.dr_stage = chain.dr_stage.tolist()
-        store.mean_accept_rate = chain.mean_accept_rate.tolist()
-        store.adaptation_measure = chain.adaptation_measure.tolist()
-        store.burnin_loc = chain.burnin_loc.tolist()
-        store.weight = chain.weight.tolist()
-        store.logf = chain.logf.tolist()
-        store.states = [chain.states[i].copy() for i in range(chain.n_rows)]
-        return store
-
-
 @dataclass
 class SamplerState:
     """Live Markov-chain state plus run bookkeeping.
@@ -174,7 +94,7 @@ class SamplerState:
     adaptation_history: list[AdaptationRecord]
     live_dr_stage: int
     live_process_id: int
-    rows: _RowStore
+    rows: CompactChain
     absorbed_rows: int
     last_measure: float
     max_logf: float
@@ -344,37 +264,22 @@ def _attempt(
     return _Verdict(False, stages_attempted=3)
 
 
-def _emit_live(state: SamplerState) -> ChainRow:
-    """Close the live row and append it to the emitted rows."""
+def _emit_live(state: SamplerState) -> np.record:
+    """Close the live row: append it to ``state.rows`` and return it."""
     rows = state.rows
     logf = state.current_logf
-    point = state.current.copy()
-    rows.process_id.append(state.live_process_id)
-    rows.dr_stage.append(state.live_dr_stage)
-    rate = state.accepted_count / state.iteration
-    rows.mean_accept_rate.append(rate)
-    rows.adaptation_measure.append(state.last_measure)
-    rows.weight.append(state.pending_weight)
-    rows.logf.append(logf)
-    rows.states.append(point)
+    rows.append(
+        state.live_process_id, state.live_dr_stage, state.accepted_count / state.iteration,
+        state.last_measure, state.burnin_loc, state.pending_weight, logf, state.current,
+    )
     if logf > state.max_logf:
         state.max_logf = logf
-        threshold = logf - rows.ndim / 2.0
-        state.burnin_loc = int(np.argmax(np.asarray(rows.logf) >= threshold))
-    rows.burnin_loc.append(state.burnin_loc)
-    return ChainRow(
-        process_id=state.live_process_id,
-        dr_stage=state.live_dr_stage,
-        mean_accept_rate=rate,
-        adaptation_measure=state.last_measure,
-        burnin_loc=state.burnin_loc,
-        weight=state.pending_weight,
-        logf=logf,
-        state=point,
-    )
+        state.burnin_loc = int(np.argmax(rows.logf >= logf - rows.ndim / 2.0))
+        rows.burnin_loc[-1] = state.burnin_loc
+    return rows.records[-1]
 
 
-def _apply_verdict(state: SamplerState, verdict: _Verdict, process_id: int) -> ChainRow | None:
+def _apply_verdict(state: SamplerState, verdict: _Verdict, process_id: int) -> np.record | None:
     """Bookkeeping for one consumed iteration; returns any emitted row."""
     if not verdict.accepted:
         state.pending_weight += 1
@@ -404,13 +309,12 @@ def step(state: SamplerState, target: TargetDensity, spec: SimSpec):
 
 
 def worker_attempt(state: SamplerState, target: TargetDensity, spec: SimSpec,
-                   rank: int) -> WorkerMsg:
-    """One worker's contribution to a cycle, as a channel message."""
-    verdict = _attempt(
+                   rank: int) -> _Verdict:
+    """One rank's DR attempt from the chain head, on that rank's stream."""
+    return _attempt(
         state.current, state.current_logf, state.proposal, spec, target,
         state.rngs[rank - 1], state.iteration + 1,
     )
-    return WorkerMsg(rank, "proposal_batch", verdict)
 
 
 def fork_join_cycle(state: SamplerState, target: TargetDensity, spec: SimSpec,
@@ -418,11 +322,10 @@ def fork_join_cycle(state: SamplerState, target: TargetDensity, spec: SimSpec,
     """One fork-join cycle from the shared chain head, evaluated lazily.
 
     Ranks 1, 2, ... run in turn, each a DR attempt from the head on its
-    own stream (a ``proposal_batch`` message), and each verdict is
-    applied as one serial iteration: a rejection increments the head
-    weight, and the first acceptance wins the cycle (the new head is the
-    in-process ``state_update``). At most ``max_steps`` ranks run, all
-    of them when None. Ranks past the winner or the budget are never
+    own stream, and each verdict is applied as one serial iteration: a
+    rejection increments the head weight, and the first acceptance wins
+    the cycle and becomes the new head. At most ``max_steps`` ranks run,
+    all of them when None. Ranks past the winner or the budget are never
     evaluated, so their streams, Box-Muller caches included, stay
     untouched: a rank's stream advances only by the draws of verdicts
     the chain consumes. An eager backend that evaluates every rank
@@ -433,7 +336,7 @@ def fork_join_cycle(state: SamplerState, target: TargetDensity, spec: SimSpec,
     n = len(state.rngs)
     budget = n if max_steps is None else min(n, max_steps)
     for rank in range(1, budget + 1):
-        verdict = worker_attempt(state, target, spec, rank).payload
+        verdict = worker_attempt(state, target, spec, rank)
         state.iteration += 1
         row = _apply_verdict(state, verdict, process_id=rank)
         if verdict.accepted:
@@ -461,18 +364,19 @@ def adapt_if_due(state: SamplerState, spec: SimSpec) -> SamplerState:
         return state
     old = state.proposal
     rows = state.rows
-    new_rows = range(state.absorbed_rows, rows.n)
+    new_states = rows.states[state.absorbed_rows :]
     greedy = old.adaptation_count < spec.greedy_adaptation_count
     new = old
-    if len(new_rows) > 0:
+    if len(new_states) > 0:
         if greedy:
             fresh = old.copy()
             fresh.mean = np.zeros(rows.ndim)
             fresh.scatter = np.zeros((rows.ndim, rows.ndim))
             fresh.sample_count = 0
-            new = update_mean_cov(fresh, [(rows.states[i], 1) for i in new_rows])
+            new = update_mean_cov(fresh, [(x, 1) for x in new_states])
         else:
-            new = update_mean_cov(old, [(rows.states[i], rows.weight[i]) for i in new_rows])
+            new_weights = rows.weight[state.absorbed_rows :].tolist()
+            new = update_mean_cov(old, list(zip(new_states, new_weights)))
     if spec.target_acceptance_window is not None:
         lo, hi = spec.target_acceptance_window
         rate = state.accepted_count / state.iteration
@@ -485,7 +389,7 @@ def adapt_if_due(state: SamplerState, spec: SimSpec) -> SamplerState:
     new = new.copy() if new is old else new
     new.adaptation_count = old.adaptation_count + 1
     state.proposal = new
-    state.absorbed_rows = rows.n
+    state.absorbed_rows = rows.n_rows
     state.last_measure = measure
     state.adaptation_history.append(AdaptationRecord(state.iteration, measure))
     return state
@@ -518,7 +422,7 @@ def init_state(spec: SimSpec, target: TargetDensity) -> SamplerState:
         adaptation_history=[],
         live_dr_stage=0,
         live_process_id=1,
-        rows=_RowStore(spec.ndim),
+        rows=CompactChain(spec.ndim),
         absorbed_rows=0,
         last_measure=0.0,
         max_logf=-math.inf,
@@ -532,7 +436,7 @@ def _make_checkpoint(state: SamplerState) -> RestartCheckpoint:
     ck = RestartCheckpoint(
         checkpoint_index=state.checkpoint_count,
         iteration=state.iteration,
-        rows_emitted=state.rows.n,
+        rows_emitted=state.rows.n_rows,
         measure=state.last_measure,
         rng_states=[rng.getstate() for rng in state.rngs],
         pending_weight=state.pending_weight,
@@ -580,7 +484,7 @@ class _Run:
         existing = 0
         initial_bytes = None
         if append:
-            kept = state.rows.to_chain()
+            kept = state.rows
             existing = kept.total_weight if spec.chain_format == "verbose" else kept.n_rows
             initial_bytes = (
                 chain_byte_size(kept, "compact", spec.file_encoding),
@@ -616,7 +520,7 @@ class _Run:
                     max_steps = min(spec.chain_size, boundary) - state.iteration
                     _, _, row = fork_join_cycle(state, self.target, spec, max_steps)
                 if row is not None:
-                    self.chain_writer.append(row)
+                    self.chain_writer.append(state.rows, state.rows.n_rows - 1)
                 while next_progress <= state.iteration:
                     self.progress.line(
                         next_progress, state.accepted_count,
@@ -627,8 +531,8 @@ class _Run:
                 if state.iteration % period == 0:
                     adapt_if_due(state, spec)
                     self.checkpoint()
-            final_row = _emit_live(state)
-            self.chain_writer.append(final_row)
+            _emit_live(state)
+            self.chain_writer.append(state.rows, state.rows.n_rows - 1)
             self.chain_writer.close()
             if state.iteration % PROGRESS_EVERY != 0:
                 self.progress.line(
@@ -644,7 +548,7 @@ class _Run:
 
     def _finalize(self) -> SimulationOutputs:
         spec, state = self.spec, self.state
-        chain = state.rows.to_chain()
+        chain = state.rows
         burnin = state.burnin_loc
         refined = refinement.refine(chain, burnin)
         tau0 = refined.iac_history[0] if refined.iac_history else 1.0
@@ -758,7 +662,7 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
         ],
         live_dr_stage=ck.live_dr_stage,
         live_process_id=ck.live_process_id,
-        rows=_RowStore.from_chain(kept),
+        rows=kept,
         absorbed_rows=ck.rows_emitted,
         last_measure=ck.measure,
         max_logf=float(kept.logf.max()) if kept.n_rows else -math.inf,

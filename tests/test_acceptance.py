@@ -268,7 +268,7 @@ def test_criterion_10_plain_metropolis_degeneration():
     while state.iteration < spec.chain_size:
         step(state, target, spec)
     _emit_live(state)
-    chain = state.rows.to_chain()
+    chain = state.rows
     refined = df.refine(chain, 0)
     p = st.kstest(refined.states[:, 0], "norm").pvalue
     assert p > 0.01

@@ -117,6 +117,18 @@ class TestChainRoundTrip:
             df.read_chain(path)
         assert ":3:" in str(err.value)
 
+    def test_malformed_line_in_a_later_parse_chunk_is_named(self, tmp_path):
+        rng = np.random.default_rng(14)
+        chain = random_chain(rng, 2, 5000)
+        path = str(tmp_path / "long.txt")
+        df.write_chain(chain, path, "compact", "ascii")
+        lines = open(path).read().splitlines()
+        lines[4499] = lines[4499].replace(",", ",1.5x,", 1)
+        open(path, "w").write("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            df.read_chain(path)
+        assert ":4500:" in str(err.value)
+
     def test_byte_size_matches_disk(self, tmp_path):
         rng = np.random.default_rng(6)
         chain = random_chain(rng, 4, 30)
@@ -129,6 +141,48 @@ class TestChainRoundTrip:
     def test_weight_validation(self):
         with pytest.raises(df.UsageError):
             CompactChain(1, [1], [0], [0.5], [0.1], [0], [0], [1.0], np.zeros((1, 1)))
+
+
+class TestRowStore:
+    def test_appending_rows_one_at_a_time_matches_the_constructor(self):
+        rng = np.random.default_rng(12)
+        expected = random_chain(rng, 3, 10_000)
+        chain = CompactChain(3)
+        for i in range(expected.n_rows):
+            chain.append(
+                expected.process_id[i], expected.dr_stage[i], expected.mean_accept_rate[i],
+                expected.adaptation_measure[i], expected.burnin_loc[i], expected.weight[i],
+                expected.logf[i], expected.states[i],
+            )
+        assert chain.n_rows == 10_000
+        assert chain == expected
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    def test_verbose_read_merges_only_rows_equal_in_logf_and_state(self, tmp_path, encoding):
+        # Rows 1-2 share a state but not logf; rows 2-3 share logf but not
+        # the state. Only each row's own verbose repeats merge back.
+        states = np.array([[0.5, 1.0], [0.5, 1.0], [0.5, 2.0]])
+        chain = CompactChain(2, [1, 1, 1], [0, 0, 0], [0.5] * 3, [0.0] * 3, [0, 0, 0],
+                             [2, 3, 1], [-1.0, -2.0, -2.0], states)
+        path = str(tmp_path / f"v.{encoding}")
+        df.write_chain(chain, path, "verbose", encoding)
+        back = df.read_chain(path)
+        assert back == chain
+        assert back.n_rows == 3
+
+    def test_torn_final_row_of_verbose_binary_is_dropped(self, tmp_path):
+        rng = np.random.default_rng(13)
+        chain = random_chain(rng, 2, 4)
+        chain.weight = np.array([2, 1, 3, 4])
+        path = str(tmp_path / "v.bin")
+        df.write_chain(chain, path, "verbose", "binary")
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[:-5])  # cut into the last verbose row
+        back = df.read_chain(path)
+        assert back.truncated
+        expected = chain.sliced(4)
+        expected.weight = np.array([2, 1, 3, 3])
+        assert back == expected
 
 
 def make_checkpoint(rng, ndim=3, index=0, n_rngs=1):

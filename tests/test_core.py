@@ -125,6 +125,13 @@ class TestSimSpec:
         spec = SimSpec(ndim=2, output_prefix="x", seed=9)
         assert spec.provenance["seed"] == "user"
 
+    def test_acceptance_window_provenance(self):
+        omitted = SimSpec(ndim=2, output_prefix="x")
+        given = SimSpec(ndim=2, output_prefix="x", target_acceptance_window=(0.2, 0.4))
+        assert omitted.target_acceptance_window is None
+        assert omitted.provenance["target_acceptance_window"] == "default"
+        assert given.provenance["target_acceptance_window"] == "user"
+
     @pytest.mark.parametrize(
         "kwargs",
         [

@@ -375,7 +375,7 @@ class TestStationarity:
             dr_stage_count=1, adaptation_period=10**9,
         )
         state = run_chain_in_memory(spec, target)
-        refined = df.refine(state.rows.to_chain(), 0)
+        refined = df.refine(state.rows, 0)
         p = st.kstest(refined.states[:, 0], "norm").pvalue
         assert p > 0.01
 
@@ -386,7 +386,7 @@ class TestStationarity:
             dr_stage_count=2, adaptation_period=10**9,
         )
         state = run_chain_in_memory(spec, target)
-        refined = df.refine(state.rows.to_chain(), 0)
+        refined = df.refine(state.rows, 0)
         p = st.kstest(refined.states[:, 0], "norm").pvalue
         assert p > 0.01
 
@@ -477,12 +477,6 @@ class TestRestartProtocol:
         out = df.resume(spec, mvn4)
         assert out.chain.total_weight == 8000
         assert sha(tmp_path / "ref_chain.txt") == sha(tmp_path / "twin_chain.txt")
-
-    def test_chainio_resume_entry_point(self, mvn4, tmp_path):
-        spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=5000, seed=5)
-        self._interrupted_run(spec, mvn4, at_iteration=2000)
-        out = df.chainio.resume(spec, mvn4)
-        assert out.chain.total_weight == 5000
 
     def test_run_sampler_auto_resumes_incomplete(self, mvn4, tmp_path):
         spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=6000, seed=5)
