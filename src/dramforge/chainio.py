@@ -203,20 +203,16 @@ class CompactChain:
 _CHAIN_HEADER = struct.Struct("<IIQ")  # format version, ndim, row count
 
 
-def _ascii_line(row, weight: int) -> str:
-    """The ascii chain line of one row record, with the given weight."""
-    process_id, dr_stage, rate, measure, _, burnin_loc, _, logf, state = row.item()
-    cols = [
-        str(process_id),
-        str(dr_stage),
-        fmt_float(rate),
-        fmt_float(measure),
-        str(burnin_loc),
-        str(weight),
-        fmt_float(logf),
-    ]
-    cols.extend(fmt_float(v) for v in state.tolist())
-    return ",".join(cols) + "\n"
+def _ascii_format(ndim: int) -> str:
+    """The %-format of one ascii chain line: ints as ``%d``, floats as fmt_float."""
+    return "%d,%d,%.17g,%.17g,%d,%d,%.17g" + ",%.17g" * ndim + "\n"
+
+
+def _ascii_line(fmt: str, fields: tuple, weight: int) -> str:
+    """The ascii chain line of one row, given as ``row.item()``, with the given weight."""
+    process_id, dr_stage, rate, measure, _, burnin_loc, _, logf, state = fields
+    return fmt % (process_id, dr_stage, rate, measure, burnin_loc, weight, logf,
+                  *state.tolist())
 
 
 class ChainWriter:
@@ -236,6 +232,7 @@ class ChainWriter:
         self.chain_format = chain_format
         self.encoding = encoding
         self._row_size = chain_row_dtype(ndim).itemsize
+        self._format = _ascii_format(ndim)
         self._count = existing_rows
         if encoding == "ascii":
             header = ",".join(_chain_header(ndim)) + "\n"
@@ -258,11 +255,12 @@ class ChainWriter:
     def append(self, chain: CompactChain, i: int) -> None:
         """Write row ``i`` of ``chain``: once if compact, weight times if verbose."""
         records = chain.records
-        w = int(records["weight"][i])
         if self.encoding == "ascii":
+            fields = records[i].item()
+            w = fields[6]
             # Row content is pure ASCII: len(str) == byte count.
             if self.chain_format == "verbose":
-                line = _ascii_line(records[i], 1)
+                line = _ascii_line(self._format, fields, 1)
                 self._fh.write(line * w)
                 self._count += w
                 unit = len(line)
@@ -270,7 +268,7 @@ class ChainWriter:
                 # The compact twin differs only in the weight column.
                 self.compact_bytes += unit - 1 + len(str(w))
             else:
-                line = _ascii_line(records[i], w)
+                line = _ascii_line(self._format, fields, w)
                 self._fh.write(line)
                 self._count += 1
                 unit = len(line)
@@ -278,6 +276,7 @@ class ChainWriter:
                 self.verbose_bytes += (unit - len(str(w)) + 1) * w
         else:
             row = records[i : i + 1]
+            w = int(row["weight"][0])
             if self.chain_format == "verbose":
                 row = row.copy()
                 row["weight"] = 1
@@ -321,12 +320,14 @@ def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> in
     Row content is pure ASCII, so string length equals byte length.
     """
     if encoding == "ascii":
+        fmt = _ascii_format(chain.ndim)
         total = len(",".join(chain.header)) + 1
-        for row, w in zip(chain.records, chain.weight.tolist()):
+        for fields in chain.records.tolist():
+            w = fields[6]
             if chain_format == "verbose":
-                total += len(_ascii_line(row, 1)) * w
+                total += len(_ascii_line(fmt, fields, 1)) * w
             else:
-                total += len(_ascii_line(row, w))
+                total += len(_ascii_line(fmt, fields, w))
         return total
     nrows = chain.total_weight if chain_format == "verbose" else chain.n_rows
     return len(CHAIN_MAGIC) + _CHAIN_HEADER.size + nrows * chain_row_dtype(chain.ndim).itemsize

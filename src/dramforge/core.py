@@ -40,10 +40,22 @@ class RunAlreadyComplete(ResumeRefused):
     """Output files for this prefix already hold a finished run."""
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-    return z ^ (z >> 31)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
+_GAMMA64 = np.uint64(GOLDEN_GAMMA)
+
+# Raw draws generated per block: the first block of a stream is small, so
+# short-lived streams (fork-join ranks, copies) stay cheap, and each refill
+# doubles the size up to the cap.
+_BLOCK_FIRST = 16
+_BLOCK_CAP = 1024
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """SplitMix64 output function over a uint64 array (wraps mod 2**64)."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 class SplitMix64:
@@ -53,9 +65,16 @@ class SplitMix64:
     to give every worker rank its own reproducible sequence. The second
     Box-Muller deviate is cached so Gaussian draws consume a fixed number
     of raw outputs; the cache is part of the serialized state.
+
+    Raw draws and uniforms are served from a block computed ahead in one
+    vectorized pass. The ``state += gamma`` recurrence is a counter, so a
+    block is a pure function of the position it starts at, and every draw
+    is bitwise the one the scalar recurrence gives. ``state`` is the
+    position of the last draw consumed; the block is never serialized.
     """
 
-    __slots__ = ("state", "stream_id", "gauss_cache")
+    __slots__ = ("stream_id", "gauss_cache", "_base", "_pos", "_len", "_next",
+                 "_raw", "_u")
 
     def __init__(self, seed: int, stream_id: int = 0):
         if not 0 <= seed <= MASK64:
@@ -66,20 +85,47 @@ class SplitMix64:
         self.stream_id = stream_id
         self.gauss_cache: float | None = None
 
+    @property
+    def state(self) -> int:
+        return (self._base + self._pos * GOLDEN_GAMMA) & MASK64
+
+    @state.setter
+    def state(self, value: int) -> None:
+        self._base = value
+        self._pos = self._len = 0
+        self._next = _BLOCK_FIRST
+        self._raw = self._u = None
+
+    def _refill(self) -> None:
+        """Start a new block of raw draws and their uniforms at the current state."""
+        base = self.state
+        size = self._next
+        self._next = min(2 * size, _BLOCK_CAP)
+        steps = np.arange(1, size + 1, dtype=np.uint64)
+        raw = _mix64(steps * _GAMMA64 + np.uint64(base))
+        self._base, self._pos, self._len = base, 0, size
+        self._raw = raw
+        # Exact: a 53-bit integer times a power of two.
+        self._u = ((raw >> np.uint64(11)).astype(float) * _INV_2POW53).tolist()
+
     def next_uint64(self) -> int:
-        self.state = (self.state + GOLDEN_GAMMA) & MASK64
-        return _mix64(self.state)
+        pos = self._pos
+        if pos >= self._len:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return int(self._raw[pos])
 
     def uniform(self) -> float:
         """Next deviate in [0, 1), from the top 53 bits of the stream."""
         # Top-53-bit truncation keeps the result strictly below 1.0, which
-        # a rounded 64-bit division would not. The mix is inlined; this is
-        # the innermost call of the whole sampler.
-        s = (self.state + GOLDEN_GAMMA) & MASK64
-        self.state = s
-        z = ((s ^ (s >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return ((z ^ (z >> 31)) >> 11) * _INV_2POW53
+        # a rounded 64-bit division would not.
+        pos = self._pos
+        if pos >= self._len:
+            self._refill()
+            pos = 0
+        self._pos = pos + 1
+        return self._u[pos]
 
     def gauss(self) -> float:
         """Next standard normal deviate (Box-Muller, no rejection loop)."""
@@ -93,6 +139,11 @@ class SplitMix64:
         theta = TWO_PI * u2
         self.gauss_cache = r * math.sin(theta)
         return r * math.cos(theta)
+
+    def gauss_vector(self, n: int) -> np.ndarray:
+        """The next ``n`` deviates of ``gauss()``, as an array."""
+        gauss = self.gauss
+        return np.array([gauss() for _ in range(n)], dtype=float)
 
     def getstate(self) -> tuple[int, int, float | None]:
         return (self.state, self.stream_id, self.gauss_cache)

@@ -142,12 +142,12 @@ def update_mean_cov(state: ProposalState, batch) -> ProposalState:
         w = float(weight)
         count += int(weight)
         delta = point - mean
-        mean = mean + (w / count) * delta
+        mean += (w / count) * delta
         # w * (count_old / count) * outer(d, d) is exactly symmetric,
         # unlike the outer(d_before, d_after) form.
         coeff = w * (count - int(weight)) / count if count > int(weight) else 0.0
         if coeff != 0.0:
-            scatter = scatter + coeff * np.outer(delta, delta)
+            scatter += coeff * (delta[:, None] * delta)
     if count >= 2:
         cov = scatter / (count - 1)
     else:
@@ -182,9 +182,7 @@ def propose(
         if dr_stage:
             step *= state.dr_scale**dr_stage
         return center + step
-    gauss = rng.gauss
-    z = np.array([gauss() for _ in range(ndim)])
-    step = chol @ z
+    step = chol @ rng.gauss_vector(ndim)
     if dr_stage:
         step *= state.dr_scale**dr_stage
     return center + step

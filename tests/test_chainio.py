@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 import dramforge as df
 from dramforge import CompactChain, ParseError, SimSpec
 from dramforge.chainio import (
+    ChainWriter,
     RestartCheckpoint,
     RestartWriter,
     chain_byte_size,
@@ -141,6 +142,72 @@ class TestChainRoundTrip:
     def test_weight_validation(self):
         with pytest.raises(df.UsageError):
             CompactChain(1, [1], [0], [0.5], [0.1], [0], [0], [1.0], np.zeros((1, 1)))
+
+
+def _oracle_line(row, weight):
+    """Ascii chain line: ints via str, reals via format(v, ".17g"), comma-joined."""
+    cols = [str(int(row.process_id)), str(int(row.dr_stage)),
+            format(float(row.mean_accept_rate), ".17g"),
+            format(float(row.adaptation_measure), ".17g"),
+            str(int(row.burnin_loc)), str(weight), format(float(row.logf), ".17g")]
+    cols += [format(v, ".17g") for v in row.state.tolist()]
+    return ",".join(cols) + "\n"
+
+
+class TestAsciiLineOracle:
+    EDGES = [-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308,
+             -1.7976931348623157e308, -1e300, math.pi, 1e-300, 2.0**-1022,
+             math.inf, -math.inf, math.nan]
+
+    def _chain(self, ndim, weights):
+        rng = np.random.default_rng(ndim)
+        n = len(weights)
+        edges = self.EDGES
+        states = np.array([[edges[(i + j) % len(edges)] if (i + j) % 3 else rng.normal()
+                            for j in range(ndim)] for i in range(n)])
+        return CompactChain(
+            ndim,
+            process_id=[1 + i % 8 for i in range(n)],
+            dr_stage=[i % 3 for i in range(n)],
+            mean_accept_rate=[edges[i % len(edges)] for i in range(n)],
+            adaptation_measure=[edges[(i + 5) % len(edges)] for i in range(n)],
+            burnin_loc=[10**i for i in range(n)],
+            weight=weights,
+            logf=[[-1e300, -0.0, 5e-324, -1.7976931348623157e308][i % 4] for i in range(n)],
+            states=states,
+        )
+
+    @pytest.mark.parametrize("ndim", [1, 25])
+    def test_writer_and_byte_size_match_oracle(self, ndim, tmp_path):
+        chain = self._chain(ndim, [1, 3, 10**12, 2, 7, 1])
+        header = ",".join(chain.header) + "\n"
+        compact = header + "".join(_oracle_line(r, int(r.weight)) for r in chain.records)
+        verbose_size = len(header) + sum(
+            len(_oracle_line(r, 1)) * int(r.weight) for r in chain.records)
+        assert chain_byte_size(chain, "compact", "ascii") == len(compact)
+        assert chain_byte_size(chain, "verbose", "ascii") == verbose_size
+
+        path = str(tmp_path / "compact.txt")
+        writer = ChainWriter(path, ndim, "compact", "ascii")
+        for i in range(chain.n_rows):
+            writer.append(chain, i)
+        writer.close()
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == compact
+        assert (writer.compact_bytes, writer.verbose_bytes) == (len(compact), verbose_size)
+
+        small = chain.sliced(chain.n_rows)
+        small.weight = [1, 3, 4, 2, 1, 1]  # verbose files repeat each line weight times
+        verbose = header + "".join(_oracle_line(r, 1) * int(r.weight) for r in small.records)
+        path = str(tmp_path / "verbose.txt")
+        writer = ChainWriter(path, ndim, "verbose", "ascii")
+        for i in range(small.n_rows):
+            writer.append(small, i)
+        writer.close()
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == verbose
+        assert chain_byte_size(small, "verbose", "ascii") == len(verbose)
+        assert writer.verbose_bytes == len(verbose)
 
 
 class TestRowStore:

@@ -24,6 +24,9 @@ class _ZeroRng:
     def gauss(self):
         return 0.0
 
+    def gauss_vector(self, n):
+        return np.array([self.gauss() for _ in range(n)])
+
 
 class _SequenceRng:
     def __init__(self, values):
@@ -33,6 +36,9 @@ class _SequenceRng:
     def gauss(self):
         self.consumed += 1
         return self.values.pop(0)
+
+    def gauss_vector(self, n):
+        return np.array([self.gauss() for _ in range(n)])
 
 
 class TestUpdateMeanCov:

@@ -4,6 +4,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dramforge import SplitMix64, UsageError
 
@@ -119,3 +121,79 @@ def test_gauss_finite_even_at_uniform_edge_cases():
     for _ in range(10_000):
         assert math.isfinite(rng.gauss())
     rng.setstate(rng_state)
+
+
+class ScalarSplitMix64:
+    """Test oracle: SplitMix64 + Box-Muller one draw at a time, in Python ints and math.*."""
+
+    def __init__(self, seed, stream=0):
+        self.state = (seed ^ ((stream * GOLDEN) & MASK)) & MASK
+        self.cache = None
+
+    def next_uint64(self):
+        self.state = (self.state + GOLDEN) & MASK
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK
+        return z ^ (z >> 31)
+
+    def uniform(self):
+        return (self.next_uint64() >> 11) * (1.0 / (1 << 53))
+
+    def gauss(self):
+        if self.cache is not None:
+            g, self.cache = self.cache, None
+            return g
+        u1 = self.uniform()
+        u2 = self.uniform()
+        r = math.sqrt(-2.0 * math.log(1.0 - u1))
+        theta = 2.0 * math.pi * u2
+        self.cache = r * math.sin(theta)
+        return r * math.cos(theta)
+
+
+_RNG_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(["uniform", "gauss", "next_uint64", "restore"])),
+        st.tuples(st.just("gauss_vector"), st.integers(1, 40)),
+        # Long runs of uniforms carry the stream across the doubling
+        # blocks and past the block-size cap.
+        st.tuples(st.just("skip"), st.integers(1, 1100)),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.sampled_from([0, 11, 2**63 + 5, 2**64 - 1]),
+    stream=st.sampled_from([0, 1, 7]),
+    ops=_RNG_OPS,
+)
+def test_block_draws_match_scalar_oracle(seed, stream, ops):
+    rng, ref = SplitMix64(seed, stream), ScalarSplitMix64(seed, stream)
+    for op, *arg in ops:
+        if op == "restore":  # mid-block, possibly with a cached deviate
+            rng = SplitMix64.from_state(rng.getstate())
+        elif op == "skip":
+            assert [rng.uniform() for _ in range(arg[0])] == [
+                ref.uniform() for _ in range(arg[0])]
+        elif op == "gauss_vector":
+            got = rng.gauss_vector(arg[0])
+            assert got.shape == (arg[0],)
+            assert got.tolist() == [ref.gauss() for _ in range(arg[0])]
+        else:
+            assert getattr(rng, op)() == getattr(ref, op)()
+        assert rng.getstate() == (ref.state, stream, ref.cache)
+
+
+def test_block_draws_cross_first_block_and_cap():
+    rng, ref = SplitMix64(11, 1), ScalarSplitMix64(11, 1)
+    # 16 raws fill the first block; blocks double up to 1024 raws, so
+    # about 30,000 raws span many full-size blocks, with Box-Muller pairs
+    # and cached deviates straddling the block edges.
+    for i in range(5000):
+        n = 1 + i % 9
+        assert rng.gauss_vector(n).tolist() == [ref.gauss() for _ in range(n)]
+        assert rng.uniform() == ref.uniform()
+    assert rng.getstate() == (ref.state, 1, ref.cache)
