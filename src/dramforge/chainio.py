@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SIMSPEC_FIELDS, SimSpec, UsageError
-from .proposal import ProposalState
+from .proposal import ProposalState, factorize
 
 CHAIN_MAGIC = b"DRMF"
 RESTART_MAGIC = b"DRRS"
@@ -225,15 +225,13 @@ class ChainWriter:
     """
 
     def __init__(self, path: str, ndim: int, chain_format: str, encoding: str,
-                 append: bool = False, existing_rows: int = 0,
-                 initial_bytes: tuple[int, int] | None = None):
+                 append: bool = False, initial_bytes: tuple[int, int] | None = None):
         self.path = path
         self.ndim = ndim
         self.chain_format = chain_format
         self.encoding = encoding
         self._row_size = chain_row_dtype(ndim).itemsize
         self._format = _ascii_format(ndim)
-        self._count = existing_rows
         if encoding == "ascii":
             header = ",".join(_chain_header(ndim)) + "\n"
             base = len(header.encode("utf-8"))
@@ -262,7 +260,6 @@ class ChainWriter:
             if self.chain_format == "verbose":
                 line = _ascii_line(self._format, fields, 1)
                 self._fh.write(line * w)
-                self._count += w
                 unit = len(line)
                 self.verbose_bytes += unit * w
                 # The compact twin differs only in the weight column.
@@ -270,7 +267,6 @@ class ChainWriter:
             else:
                 line = _ascii_line(self._format, fields, w)
                 self._fh.write(line)
-                self._count += 1
                 unit = len(line)
                 self.compact_bytes += unit
                 self.verbose_bytes += (unit - len(str(w)) + 1) * w
@@ -281,10 +277,8 @@ class ChainWriter:
                 row = row.copy()
                 row["weight"] = 1
                 self._fh.write(row.tobytes() * w)
-                self._count += w
             else:
                 self._fh.write(row.tobytes())
-                self._count += 1
             self.compact_bytes += self._row_size
             self.verbose_bytes += self._row_size * w
 
@@ -292,8 +286,9 @@ class ChainWriter:
         self._fh.flush()
         if self.encoding == "binary":
             pos = self._fh.tell()
+            rows = (pos - len(CHAIN_MAGIC) - _CHAIN_HEADER.size) // self._row_size
             self._fh.seek(len(CHAIN_MAGIC) + 8)
-            self._fh.write(struct.pack("<Q", self._count))
+            self._fh.write(struct.pack("<Q", rows))
             self._fh.seek(pos)
             self._fh.flush()
 
@@ -562,26 +557,25 @@ class RestartCheckpoint:
 
 
 def checkpoint_proposal(ck: RestartCheckpoint) -> ProposalState:
-    """Rebuild the proposal from a checkpoint, bit-identical to the run's."""
-    from .proposal import chol_derived
+    """Rebuild the proposal from a checkpoint, bit-identical to the run's.
 
-    base = ck.scale**2 * ck.cov
-    chol = np.linalg.cholesky(base + ck.epsilon * np.eye(ck.mean.size))
-    inv, logdet = chol_derived(chol)
-    return ProposalState(
+    The checkpointed epsilon already factorized, so ``factorize`` succeeds
+    on its first try and keeps it.
+    """
+    return factorize(ProposalState(
         mean=ck.mean.copy(),
         scatter=ck.scatter.copy(),
         cov=ck.cov.copy(),
-        chol_lower=chol,
-        chol_inv=inv,
-        chol_logdet=logdet,
+        chol_lower=None,
+        chol_inv=None,
+        chol_logdet=0.0,
         scale=ck.scale,
         epsilon=ck.epsilon,
         eps_rel=ck.eps_rel,
         dr_scale=ck.dr_scale,
         sample_count=ck.sample_count,
         adaptation_count=ck.adaptation_count,
-    )
+    ))
 
 
 def _triu_pack(mat: np.ndarray) -> np.ndarray:
@@ -819,12 +813,15 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
 
 
 def rewrite_restart(path: str, spec: SimSpec, checkpoints: list[RestartCheckpoint]) -> None:
-    writer = RestartWriter(path, spec)
+    """Replace the restart file atomically: an interrupt leaves the old or the new one."""
+    tmp = path + ".tmp"
+    writer = RestartWriter(tmp, spec)
     try:
         for ck in checkpoints:
             writer.append(ck)
     finally:
         writer.close()
+    os.replace(tmp, path)
 
 
 # ---------------------------------------------------------------------------

@@ -461,14 +461,7 @@ class SimSpec:
     def __eq__(self, other):
         if not isinstance(other, SimSpec):
             return NotImplemented
-        for name, _ in SIMSPEC_FIELDS:
-            a, b = getattr(self, name), getattr(other, name)
-            if name == "start_point":
-                if not np.array_equal(a, b):
-                    return False
-            elif a != b:
-                return False
-        return True
+        return not self.mismatched_fields(other)
 
     def with_updates(self, **changes) -> "SimSpec":
         """Copy with the given fields replaced (provenance marked user)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimSpec, TargetDensity, UsageError
-from .sampler import SimulationOutputs, fork_join_cycle, worker_attempt
+from .sampler import SimulationOutputs, _run_or_resume, fork_join_cycle, worker_attempt
 
 SPEEDUP_ASYMPTOTE_FRACTION = 0.99
 
@@ -246,27 +246,7 @@ def run_multi_chain(
             parallelism="none",
             num_workers=1,
         )
-        outputs.append(_run_on_stream(sub, target, stream))
+        outputs.append(_run_or_resume(sub, target, stream=stream))
     report = compare_refined_samples([out.refined.states for out in outputs])
     write_convergence_report(report, f"{spec.output_prefix}_convergence.txt")
     return outputs, report
-
-
-def _run_on_stream(spec: SimSpec, target: TargetDensity, stream: int) -> SimulationOutputs:
-    from . import sampler as _sampler
-    from .chainio import inspect_outputs
-    from .core import RunAlreadyComplete, SplitMix64
-
-    status, _ = inspect_outputs(spec)
-    if status == "complete":
-        raise RunAlreadyComplete(
-            f"outputs for prefix {spec.output_prefix!r} already hold a complete run"
-        )
-    if status == "incomplete":
-        # The checkpoint carries its own stream assignment.
-        return _sampler.resume(spec, target)
-    state = _sampler.init_state(spec, target)
-    state.rngs = [SplitMix64(spec.seed, stream)]
-    run = _sampler._Run(spec, target, state)
-    run.checkpoint()
-    return run.drive()

@@ -27,12 +27,10 @@ from .chainio import (
     RestartWriter,
     checkpoint_proposal,
     chain_byte_size,
-    inspect_outputs,
     output_paths,
     read_chain,
     read_restart,
     rewrite_restart,
-    write_chain,
     write_report,
     write_sample,
 )
@@ -469,7 +467,10 @@ class SimulationOutputs:
 
 
 class _Run:
-    """Owns the output files and the drive loop for one chain."""
+    """Owns the output files and the drive loop for one chain.
+
+    With ``append`` the chain file is first cut back to ``state.rows``.
+    """
 
     def __init__(self, spec: SimSpec, target: TargetDensity, state: SamplerState,
                  on_checkpoint=None, append: bool = False):
@@ -481,18 +482,24 @@ class _Run:
         parent = os.path.dirname(spec.output_prefix)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        existing = 0
         initial_bytes = None
         if append:
-            kept = state.rows
-            existing = kept.total_weight if spec.chain_format == "verbose" else kept.n_rows
             initial_bytes = (
-                chain_byte_size(kept, "compact", spec.file_encoding),
-                chain_byte_size(kept, "verbose", spec.file_encoding),
+                chain_byte_size(state.rows, "compact", spec.file_encoding),
+                chain_byte_size(state.rows, "verbose", spec.file_encoding),
             )
+            # Each row has one serialization, so the kept rows' bytes on
+            # disk are exactly what rewriting them would produce.
+            cut = initial_bytes[spec.chain_format == "verbose"]
+            if spec.file_encoding == "ascii":
+                with open(self.paths["chain"], "rb") as fh:
+                    fh.seek(cut - 1)
+                    if fh.read(1) != b"\n":
+                        raise ResumeRefused("chain file rows were not written by this version")
+            os.truncate(self.paths["chain"], cut)
         self.chain_writer = ChainWriter(
             self.paths["chain"], spec.ndim, spec.chain_format, spec.file_encoding,
-            append=append, existing_rows=existing, initial_bytes=initial_bytes,
+            append=append, initial_bytes=initial_bytes,
         )
         self.restart_writer = RestartWriter(self.paths["restart"], spec, append=append)
         self.progress = ProgressWriter(self.paths["progress"], append=append)
@@ -594,40 +601,55 @@ class _Run:
                                  paths=dict(self.paths))
 
 
-def run_sampler(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> SimulationOutputs:
-    """Run one chain to ``chain_size`` iterations and write all outputs.
+def _run_or_resume(spec: SimSpec, target: TargetDensity, on_checkpoint=None,
+                   stream: int | None = None) -> SimulationOutputs:
+    """Resume if the chain file exists, else start a fresh run.
 
-    Refuses to clobber a complete run for the same prefix; an incomplete
-    one enters the restart protocol instead. ``on_checkpoint`` is called
-    with the iteration number right after each checkpoint flush (used by
-    progress displays and interrupt testing).
+    ``stream`` replaces the fresh run's streams with that single one; a
+    resumed run takes its streams from the checkpoint.
     """
-    if spec.parallelism == "multi_chain":
-        raise UsageError("multi_chain runs go through run_multi_chain")
-    status, _ = inspect_outputs(spec)
-    if status == "complete":
-        raise RunAlreadyComplete(
-            f"outputs for prefix {spec.output_prefix!r} already hold a complete run"
-        )
-    if status == "incomplete":
+    if os.path.exists(output_paths(spec.output_prefix, spec.file_encoding)["chain"]):
         return resume(spec, target, on_checkpoint=on_checkpoint)
     state = init_state(spec, target)
+    if stream is not None:
+        state.rngs = [SplitMix64(spec.seed, stream)]
     run = _Run(spec, target, state, on_checkpoint=on_checkpoint)
     run.checkpoint()
     return run.drive()
+
+
+def run_sampler(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> SimulationOutputs:
+    """Run one chain to ``chain_size`` iterations and write all outputs.
+
+    An existing chain file for the prefix enters the restart protocol:
+    a complete run raises ``RunAlreadyComplete``, an incomplete one is
+    resumed. ``on_checkpoint`` is called with the iteration number right
+    after each checkpoint flush (used by progress displays and interrupt
+    testing).
+    """
+    if spec.parallelism == "multi_chain":
+        raise UsageError("multi_chain runs go through run_multi_chain")
+    return _run_or_resume(spec, target, on_checkpoint)
 
 
 def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> SimulationOutputs:
     """Continue an interrupted run exactly where its last checkpoint left it.
 
     The spec must match the one echoed into the restart file (same seed,
-    same prefix, same everything); rows past the checkpoint are discarded
-    and regenerated, so the finished chain file is identical to what the
-    uninterrupted run would have written.
+    same prefix, same everything). The chain file is cut back to the
+    checkpoint's rows in place and the restart file is replaced
+    atomically, so an interrupt here loses no checkpoint; the rows past
+    it are regenerated, and the finished chain file is identical to what
+    the uninterrupted run would have written.
     """
     paths = output_paths(spec.output_prefix, spec.file_encoding)
     if not os.path.exists(paths["chain"]):
         raise ResumeRefused(f"no chain file at {paths['chain']!r} to resume")
+    disk_chain = read_chain(paths["chain"])
+    if disk_chain.total_weight >= spec.chain_size:
+        raise RunAlreadyComplete(
+            f"outputs for prefix {spec.output_prefix!r} already hold a complete run"
+        )
     if not os.path.exists(paths["restart"]):
         raise ResumeRefused(f"missing restart file {paths['restart']!r}")
     file_spec, records = read_restart(paths["restart"])
@@ -637,16 +659,12 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
             "simulation spec does not match the interrupted run "
             f"(differing fields: {', '.join(mismatched)})"
         )
-    disk_chain = read_chain(paths["chain"])
-    if disk_chain.total_weight >= spec.chain_size:
-        raise RunAlreadyComplete(f"run for prefix {spec.output_prefix!r} is already complete")
     usable = [i for i, r in enumerate(records) if r.rows_emitted <= disk_chain.n_rows]
     if not usable:
         raise ResumeRefused("restart file holds no checkpoint covered by the chain file")
     idx = usable[-1]
     ck = records[idx]
     kept = disk_chain.sliced(ck.rows_emitted)
-    write_chain(kept, paths["chain"], spec.chain_format, spec.file_encoding)
     rewrite_restart(paths["restart"], spec, records[: idx + 1])
 
     state = SamplerState(

@@ -5,9 +5,12 @@ import os
 import numpy as np
 import pytest
 import scipy.stats as st
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 import dramforge as df
 from dramforge import NumericalError, ResumeRefused, RunAlreadyComplete, SimSpec, UsageError
+from dramforge.chainio import ChainWriter, RestartWriter
 from dramforge.sampler import (
     _emit_live,
     adapt_if_due,
@@ -535,6 +538,66 @@ class TestRestartProtocol:
         with pytest.raises(ResumeRefused):
             df.resume(spec, mvn4)
 
+    def test_complete_run_without_restart_file_refused(self, mvn4, tmp_path):
+        spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=400, seed=5)
+        run_sampler(spec, mvn4)
+        os.remove(str(tmp_path / "r_restart.txt"))
+        with pytest.raises(RunAlreadyComplete):
+            run_sampler(spec, mvn4)
+
+    def test_resume_refuses_rows_in_another_format(self, mvn4, tmp_path):
+        # A kept row spelled differently (here a zero-padded ProcessID) moves
+        # the byte where the checkpoint's rows end, so the chain cannot be cut.
+        spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=6000, seed=5)
+        self._interrupted_run(spec, mvn4, at_iteration=2000)
+        chain_path = str(tmp_path / "r_chain.txt")
+        header, rest = open(chain_path, "rb").read().split(b"\n", 1)
+        open(chain_path, "wb").write(header + b"\n0" + rest)
+        with pytest.raises(ResumeRefused):
+            df.resume(spec, mvn4)
+
+    @staticmethod
+    def _latest_usable_iteration(paths):
+        disk = df.read_chain(paths["chain"])
+        _, records = df.read_restart(paths["restart"])
+        return max(ck.iteration for ck in records if ck.rows_emitted <= disk.n_rows)
+
+    @pytest.mark.parametrize("writer", [ChainWriter, RestartWriter])
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
+    def test_interrupt_during_resume_keeps_the_checkpoint(self, mvn4, tmp_path, monkeypatch,
+                                                         writer, encoding, chain_format):
+        # An interrupt at the second chain row or restart record that a
+        # resume writes must not lose a checkpoint the files already held.
+        kwargs = dict(ndim=4, chain_size=6000, seed=41, file_encoding=encoding,
+                      chain_format=chain_format)
+        ref = run_sampler(SimSpec(output_prefix=str(tmp_path / "ref"), **kwargs), mvn4)
+        spec = SimSpec(output_prefix=str(tmp_path / "twin"), **kwargs)
+        self._interrupted_run(spec, mvn4, at_iteration=3200)
+        paths = df.output_paths(spec.output_prefix, encoding)
+        before = self._latest_usable_iteration(paths)
+        assert before == 3200
+
+        calls = []
+        append = writer.append
+
+        def interrupted_append(self_, *args):
+            calls.append(args)
+            if len(calls) == 2:
+                raise self.Interrupt
+            return append(self_, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(writer, "append", interrupted_append)
+            with pytest.raises(self.Interrupt):
+                df.resume(spec, mvn4)
+        assert self._latest_usable_iteration(paths) >= before
+
+        df.resume(spec, mvn4)
+        for name in ("chain", "sample"):
+            assert sha(ref.paths[name]) == sha(paths[name]), name
+        assert not os.path.exists(paths["restart"] + ".tmp")
+
     def test_write_ahead_ordering_invariant(self, mvn4, tmp_path):
         spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=8000, seed=9)
         self._interrupted_run(spec, mvn4, at_iteration=4000)
@@ -564,6 +627,53 @@ class TestRestartProtocol:
         assert all(m in row_measure_set or m >= 0 for _, m in file_measures)
         iters = [it for it, _ in file_measures]
         assert iters == [400 * k for k in range(1, len(iters) + 1)]
+
+
+@pytest.fixture(scope="module", params=["ascii", "binary"])
+def cut_run(request, tmp_path_factory):
+    """An interrupted run's chain and restart bytes, the byte where a cut
+    may start in each, and the uninterrupted run's chain and sample sha."""
+    encoding = request.param
+    target = df.TargetDensity(4, lambda x: -0.5 * float(x @ x))
+    root = tmp_path_factory.mktemp(f"cut-{encoding}")
+    kwargs = dict(ndim=4, chain_size=3000, seed=19, file_encoding=encoding)
+    ref = run_sampler(SimSpec(output_prefix=str(root / "ref"), **kwargs), target)
+    spec = SimSpec(output_prefix=str(root / "twin"), **kwargs)
+
+    def hook(iteration):
+        if iteration >= 2000:
+            raise TestRestartProtocol.Interrupt
+
+    with pytest.raises(TestRestartProtocol.Interrupt):
+        run_sampler(spec, target, on_checkpoint=hook)
+    paths = df.output_paths(spec.output_prefix, encoding)
+    saved = {name: open(paths[name], "rb").read() for name in ("chain", "restart")}
+    if encoding == "ascii":
+        starts = {"chain": saved["chain"].index(b"\n") + 1,
+                  "restart": saved["restart"].index(b"[checkpoint 1]")}
+    else:
+        # Restart: 16-byte header, spec echo, then length-prefixed records.
+        off = 16 + int.from_bytes(saved["restart"][12:16], "little")
+        ck0_len = int.from_bytes(saved["restart"][off : off + 4], "little")
+        starts = {"chain": 20, "restart": off + 4 + ck0_len}
+    want = {name: sha(ref.paths[name]) for name in ("chain", "sample")}
+    return spec, target, paths, saved, starts, want
+
+
+class TestResumeAfterCut:
+    @settings(max_examples=25, deadline=None)
+    @given(which=hst.sampled_from(["chain", "restart"]), data=hst.data())
+    def test_cut_at_any_byte_resumes_to_uninterrupted_bytes(self, cut_run, which, data):
+        # An interrupt can stop either file at any byte; the resume falls
+        # back to the last checkpoint both files still cover.
+        spec, target, paths, saved, starts, want = cut_run
+        cut = data.draw(hst.integers(starts[which], len(saved[which])), label="cut")
+        for name, blob in saved.items():
+            with open(paths[name], "wb") as fh:
+                fh.write(blob[:cut] if name == which else blob)
+        df.resume(spec, target)
+        for name, digest in want.items():
+            assert sha(paths[name]) == digest, name
 
 
 class TestReportContents:
