@@ -309,23 +309,30 @@ def write_chain(chain: CompactChain, path: str, chain_format: str = "compact",
         writer.close()
 
 
-def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> int:
-    """Byte size the chain would occupy on disk in the given format.
+def chain_byte_sizes(chain: CompactChain, encoding: str) -> tuple[int, int]:
+    """Byte sizes ``(compact, verbose)`` the chain would occupy on disk.
 
-    Row content is pure ASCII, so string length equals byte length.
+    One pass over the rows: a verbose ascii line is the compact line with
+    its weight column set to 1, repeated weight times. Row content is pure
+    ASCII, so string length equals byte length.
     """
     if encoding == "ascii":
         fmt = _ascii_format(chain.ndim)
-        total = len(",".join(chain.header)) + 1
+        compact = verbose = len(",".join(chain.header)) + 1
         for fields in chain.records.tolist():
             w = fields[6]
-            if chain_format == "verbose":
-                total += len(_ascii_line(fmt, fields, 1)) * w
-            else:
-                total += len(_ascii_line(fmt, fields, w))
-        return total
-    nrows = chain.total_weight if chain_format == "verbose" else chain.n_rows
-    return len(CHAIN_MAGIC) + _CHAIN_HEADER.size + nrows * chain_row_dtype(chain.ndim).itemsize
+            unit = len(_ascii_line(fmt, fields, w))
+            compact += unit
+            verbose += (unit - len(str(w)) + 1) * w
+        return compact, verbose
+    header = len(CHAIN_MAGIC) + _CHAIN_HEADER.size
+    row_size = chain_row_dtype(chain.ndim).itemsize
+    return header + chain.n_rows * row_size, header + chain.total_weight * row_size
+
+
+def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> int:
+    """Byte size the chain would occupy on disk in the given format."""
+    return chain_byte_sizes(chain, encoding)[chain_format == "verbose"]
 
 
 def read_chain(path: str) -> CompactChain:

@@ -71,10 +71,18 @@ class SplitMix64:
     block is a pure function of the position it starts at, and every draw
     is bitwise the one the scalar recurrence gives. ``state`` is the
     position of the last draw consumed; the block is never serialized.
+
+    A *slot* is what one delayed-rejection stage attempt draws: ``ndim``
+    ``gauss()`` deviates, then one ``uniform()``. ``peek_slots`` computes
+    the next slots in one pass without consuming them, and
+    ``advance_slots`` consumes them. ``tape`` is free for a consumer to
+    hang values derived from the slots it peeked; the stream drops it
+    whenever its next draws may no longer be those slots: on
+    ``setstate`` (so on ``copy``) and on any scalar draw.
     """
 
-    __slots__ = ("stream_id", "gauss_cache", "_base", "_pos", "_len", "_next",
-                 "_raw", "_u")
+    __slots__ = ("stream_id", "gauss_cache", "tape", "_base", "_pos", "_len", "_next",
+                 "_raw", "_u", "_plan", "_slot")
 
     def __init__(self, seed: int, stream_id: int = 0):
         if not 0 <= seed <= MASK64:
@@ -95,18 +103,24 @@ class SplitMix64:
         self._pos = self._len = 0
         self._next = _BLOCK_FIRST
         self._raw = self._u = None
+        self._plan = self.tape = None
+
+    def _raws(self, base: int, size: int) -> np.ndarray:
+        """Raw draws 1..size after position ``base``."""
+        steps = np.arange(1, size + 1, dtype=np.uint64)
+        return _mix64(steps * _GAMMA64 + np.uint64(base))
 
     def _refill(self) -> None:
         """Start a new block of raw draws and their uniforms at the current state."""
         base = self.state
         size = self._next
         self._next = min(2 * size, _BLOCK_CAP)
-        steps = np.arange(1, size + 1, dtype=np.uint64)
-        raw = _mix64(steps * _GAMMA64 + np.uint64(base))
+        raw = self._raws(base, size)
         self._base, self._pos, self._len = base, 0, size
         self._raw = raw
         # Exact: a 53-bit integer times a power of two.
         self._u = ((raw >> np.uint64(11)).astype(float) * _INV_2POW53).tolist()
+        self._plan = self.tape = None
 
     def next_uint64(self) -> int:
         pos = self._pos
@@ -132,6 +146,7 @@ class SplitMix64:
         if self.gauss_cache is not None:
             g = self.gauss_cache
             self.gauss_cache = None
+            self._plan = self.tape = None
             return g
         u1 = self.uniform()
         u2 = self.uniform()
@@ -144,6 +159,62 @@ class SplitMix64:
         """The next ``n`` deviates of ``gauss()``, as an array."""
         gauss = self.gauss
         return np.array([gauss() for _ in range(n)], dtype=float)
+
+    def peek_slots(self, k: int, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next ``k`` slots, computed in one pass and not consumed.
+
+        Returns ``z`` of shape ``(k, ndim)``, the Gaussians ``gauss()``
+        would give slot by slot, and ``logu`` of shape ``(k,)``, the log of
+        each slot's ``uniform()`` (``-inf`` for a uniform of 0). Every value
+        is bitwise the scalar one: the uniforms are exact, and ``log``,
+        ``cos`` and ``sin`` are libm's, called per value.
+        """
+        base, cache = self.state, self.gauss_cache
+        c0 = 0 if cache is None else 1
+        # Gaussian t of the peek is the cache (t < c0) or half of Box-Muller
+        # pair (t - c0) // 2. A pair's two uniforms are drawn when its
+        # cosine is asked for, after the uniforms of the slots before.
+        npairs = (k * ndim - c0 + 1) // 2
+        first = c0 + 2 * np.arange(npairs)
+        u1_at = first - c0 + first // ndim
+        slots = np.arange(k + 1)
+        after = 2 * ((slots * ndim - c0 + 1) // 2) + slots  # raws drawn by slot ends
+        raw = self._raws(base, int(after[-1]))
+        u = (raw >> np.uint64(11)).astype(float) * _INV_2POW53
+        r = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[u1_at]).tolist()))
+        theta = (TWO_PI * u[u1_at + 1]).tolist()
+        g = np.empty(c0 + 2 * npairs)
+        if c0:
+            g[0] = cache
+        g[c0::2] = r * _libm(math.cos, theta)
+        g[c0 + 1 :: 2] = r * _libm(math.sin, theta)
+        # After s slots a sine is left in the cache when an odd number of
+        # Gaussians came from pairs; it is the next slot's first Gaussian.
+        caches = [None] * (k + 1)
+        caches[0] = cache
+        odd = np.flatnonzero((slots[1:] * ndim - c0) & 1) + 1
+        for s, value in zip(odd.tolist(), g[odd * ndim].tolist()):
+            caches[s] = value
+        # Serve the draws from this plan: the raw block is dropped, so a
+        # scalar draw refills at the current state and ends the plan.
+        self._base, self._pos, self._len = base, 0, 0
+        self._raw = self._u = None
+        self._plan, self._slot = (ndim, after.tolist(), caches), 0
+        return g[: k * ndim].reshape(k, ndim), _logs(u[after[1:] - 1].tolist())
+
+    def advance_slots(self, n: int, ndim: int) -> None:
+        """Consume ``n`` slots: ``state`` and ``gauss_cache`` end where
+        ``n`` rounds of ``ndim`` ``gauss()`` calls and one ``uniform()``
+        leave them. Within the last ``peek_slots`` this is O(1).
+        """
+        plan = self._plan
+        if plan is None or plan[0] != ndim or self._slot + n >= len(plan[1]):
+            self.peek_slots(n, ndim)
+            plan = self._plan
+        j = self._slot + n
+        self._slot = j
+        self._pos = plan[1][j]
+        self.gauss_cache = plan[2][j]
 
     def getstate(self) -> tuple[int, int, float | None]:
         return (self.state, self.stream_id, self.gauss_cache)
@@ -162,6 +233,19 @@ class SplitMix64:
 
     def __repr__(self) -> str:
         return f"SplitMix64(state={self.state:#x}, stream_id={self.stream_id})"
+
+
+def _libm(fn, values: list) -> np.ndarray:
+    """``fn``, a ``math`` function, of each value: libm's rounding, not numpy's."""
+    return np.fromiter(map(fn, values), float, len(values))
+
+
+def _logs(values: list) -> np.ndarray:
+    """libm ``log`` of each value, with ``log(0) = -inf``."""
+    try:
+        return _libm(math.log, values)
+    except ValueError:  # a uniform of exactly 0
+        return np.array([math.log(v) if v > 0.0 else -math.inf for v in values])
 
 
 class TargetDensity:

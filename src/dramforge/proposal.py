@@ -164,6 +164,46 @@ def update_mean_cov(state: ProposalState, batch) -> ProposalState:
     return factorize(updated)
 
 
+def _fold(mat: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``mat @ v`` for every row ``v`` of ``vecs``, as an elementwise fold.
+
+    Column ``j``'s products are added in column order with numpy's
+    elementwise multiply and add, never a BLAS product, whose summation
+    order depends on the array shapes and the CPU. A row's result is
+    therefore the same bits whichever block of rows it is computed in.
+    """
+    out = vecs[:, :1] * mat[:, 0]
+    for j in range(1, mat.shape[1]):
+        out += vecs[:, j : j + 1] * mat[:, j]
+    return out
+
+
+def _steps(state: ProposalState, z: np.ndarray, dr_stage: int) -> np.ndarray:
+    """Stage-``dr_stage`` steps ``dr_scale**dr_stage * (chol_lower @ v)``, per row ``v`` of ``z``."""
+    step = _fold(state.chol_lower, z)
+    if dr_stage:
+        step *= state.dr_scale**dr_stage
+    return step
+
+
+def _kernel_log_densities(state: ProposalState, deltas: np.ndarray, dr_stage: int) -> np.ndarray:
+    """Log density of the stage-``dr_stage`` kernel at each row offset of ``deltas``.
+
+    The squares are summed in column order, like ``_fold``'s products.
+    """
+    ndim = deltas.shape[1]
+    w = _fold(state.chol_inv, deltas)
+    quad = w[:, 0] * w[:, 0]
+    for j in range(1, ndim):
+        quad += w[:, j] * w[:, j]
+    logdet = state.chol_logdet
+    if dr_stage:
+        lam = state.dr_scale**dr_stage
+        quad /= lam * lam
+        logdet += 2.0 * ndim * math.log(lam)
+    return -0.5 * (quad + logdet + ndim * math.log(2.0 * math.pi))
+
+
 def propose(
     state: ProposalState,
     center: np.ndarray,
@@ -173,36 +213,16 @@ def propose(
     """Draw one candidate around ``center`` for the given DR stage.
 
     Consumes exactly ``ndim`` Gaussian deviates in coordinate order, at
-    every stage, so RNG consumption per attempt is fixed.
+    every stage, so RNG consumption per attempt is fixed. The step is the
+    one-row case of ``_steps``, so it equals a ``KernelTape`` step.
     """
-    chol = state.chol_lower
-    ndim = center.size
-    if ndim == 1:
-        step = chol[0, 0] * rng.gauss()
-        if dr_stage:
-            step *= state.dr_scale**dr_stage
-        return center + step
-    step = chol @ rng.gauss_vector(ndim)
-    if dr_stage:
-        step *= state.dr_scale**dr_stage
-    return center + step
+    z = rng.gauss_vector(center.size)
+    return center + _steps(state, z[None, :], dr_stage)[0]
 
 
 def log_kernel(state: ProposalState, delta: np.ndarray, dr_stage: int = 0) -> float:
     """Log density of the stage-``dr_stage`` proposal kernel at offset ``delta``."""
-    ndim = delta.size
-    if ndim == 1:
-        w = state.chol_inv[0, 0] * delta[0]
-        quad = w * w
-    else:
-        w = state.chol_inv @ delta
-        quad = float(w @ w)
-    logdet = state.chol_logdet
-    if dr_stage:
-        lam = state.dr_scale**dr_stage
-        quad /= lam * lam
-        logdet += 2.0 * ndim * math.log(lam)
-    return -0.5 * (quad + logdet + ndim * math.log(2.0 * math.pi))
+    return float(_kernel_log_densities(state, delta[None, :], dr_stage)[0])
 
 
 def adaptation_measure(old: ProposalState, new: ProposalState) -> float:
@@ -230,3 +250,54 @@ def adaptation_measure(old: ProposalState, new: ProposalState) -> float:
     h2 = -math.expm1(log_bc)
     h2 = min(max(h2, 0.0), 1.0)
     return min(math.sqrt(h2 * (2.0 - h2)), 1.0)
+
+
+class KernelTape:
+    """The proposal side of a stream's next DR attempts, under one proposal.
+
+    Row ``i`` belongs to the stream's ``i``-th next slot (see
+    ``SplitMix64.peek_slots``). An attempt that starts at slot ``i`` tries
+    stage ``j`` on slot ``i + j``: candidate ``x + delta[j][i + j]``,
+    verdict ``logu[i + j] < log alpha``. The DR kernel terms depend only
+    on differences of candidates, ``y1 - x = d1``, ``y1 - y2 = d1 - d2``,
+    ``y2 - y3 = d2 - d3``, ``y2 - x = d2`` and ``y1 - y3 = d1 - d3`` with
+    ``dj`` stage ``j - 1``'s step, so they are computed ahead too, one per
+    attempt start. A row's values do not depend on the block it is in.
+
+    ``i`` is the next slot and ``n`` the number of attempt starts held;
+    ``stages`` more slots are held as look-ahead. ``size`` is the number
+    of slots the stream was last peeked for. The tape's owner advances
+    the stream by the slots each attempt consumed.
+    """
+
+    __slots__ = ("prop", "stages", "size", "ndim", "i", "n", "z", "logu", "delta",
+                 "k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")
+
+    def __init__(self, prop: ProposalState, z: np.ndarray, logu: list, stages: int,
+                 size: int):
+        n = len(logu) - stages
+        self.prop, self.stages, self.size, self.ndim = prop, stages, size, prop.ndim
+        self.i, self.n, self.z, self.logu = 0, n, z, logu
+        step = _steps(prop, z, 0)
+        lam = prop.dr_scale
+        self.delta = [step] + [step * lam**j for j in range(1, stages + 1)]
+        if stages >= 1:
+            d1, d2 = step[:n], self.delta[1][1 : n + 1]
+            self.k0_x_y1 = _kernel_log_densities(prop, d1, 0).tolist()
+            self.k0_y2_y1 = _kernel_log_densities(prop, d1 - d2, 0).tolist()
+        if stages >= 2:
+            d3 = self.delta[2][2 : n + 2]
+            self.k0_y3_y2 = _kernel_log_densities(prop, d2 - d3, 0).tolist()
+            self.k1_x_y2 = _kernel_log_densities(prop, d2, 1).tolist()
+            self.k1_y3_y1 = _kernel_log_densities(prop, d1 - d3, 1).tolist()
+
+    @classmethod
+    def peek(cls, prop: ProposalState, rng: SplitMix64, stages: int, size: int) -> "KernelTape":
+        """A tape of the stream's next ``size`` attempt starts."""
+        z, logu = rng.peek_slots(size + stages, prop.ndim)
+        return cls(prop, z, logu.tolist(), stages, size)
+
+    def rebased(self, prop: ProposalState) -> "KernelTape":
+        """The slots not yet used, under another proposal."""
+        i = self.i
+        return KernelTape(prop, self.z[i:], self.logu[i:], self.stages, self.size)

@@ -26,7 +26,7 @@ from .chainio import (
     RestartCheckpoint,
     RestartWriter,
     checkpoint_proposal,
-    chain_byte_size,
+    chain_byte_sizes,
     output_paths,
     read_chain,
     read_restart,
@@ -44,18 +44,22 @@ from .core import (
     UsageError,
 )
 from .proposal import (
+    KernelTape,
     ProposalState,
     adaptation_measure,
     factorize,
     initial_proposal,
-    log_kernel,
-    propose,
+    propose,  # noqa: F401  (looked up here by the benchmark tracer)
     update_mean_cov,
 )
 
 _LN2 = math.log(2.0)
 _INF = math.inf
 PROGRESS_EVERY = 1000
+# Slots per kernel tape: a stream's first tape is small, so short-lived
+# streams stay cheap, and later ones double up to the cap.
+_TAPE_FIRST = 16
+_TAPE_CAP = 1024
 
 
 @dataclass
@@ -187,20 +191,28 @@ def _dr_log_alpha3(
     return min(0.0, num - den)
 
 
-def _accepts(rng: SplitMix64, log_alpha: float) -> bool:
-    # The uniform is always drawn: consumption must not depend on alpha.
-    u = rng.uniform()
-    if log_alpha >= 0.0:
-        return True  # log(u) < 0 for every u in [0, 1)
-    if u == 0.0:
-        return log_alpha > -math.inf
-    return math.log(u) < log_alpha
-
-
 def _bad_value(logf: float, where: str) -> NumericalError:
     return NumericalError(
         f"target returned {logf} {where}; a log-density must be finite or -inf"
     )
+
+
+def _tape(rng: SplitMix64, prop: ProposalState, stages: int) -> KernelTape:
+    """The stream's kernel tape for ``prop``, replaced when spent or stale.
+
+    A new proposal re-derives the slots already peeked. A spent tape is
+    followed by one for twice as many slots, from ``_TAPE_FIRST`` up to
+    ``_TAPE_CAP``, so a rank that is seldom reached peeks few slots.
+    """
+    old = rng.tape
+    if old is None:
+        tape = KernelTape.peek(prop, rng, stages, _TAPE_FIRST)
+    elif old.i < old.n and old.stages == stages:
+        tape = old.rebased(prop)
+    else:
+        tape = KernelTape.peek(prop, rng, stages, min(2 * old.size, _TAPE_CAP))
+    rng.tape = tape
+    return tape
 
 
 def _attempt(
@@ -215,51 +227,56 @@ def _attempt(
     """One DR attempt from ``current`` on a single stream.
 
     Tries stage 0, then up to ``spec.dr_stage_count`` delayed-rejection
-    stages, stopping at the first acceptance. Consumes ndim Gaussian
-    deviates plus one uniform per stage actually attempted, and nothing
-    else. A NaN or ``+inf`` target value at any stage raises
-    ``NumericalError``.
+    stages, stopping at the first acceptance. Consumes one slot (ndim
+    Gaussian deviates plus one uniform) per stage actually attempted, and
+    nothing else. The steps, the log uniforms and the kernel terms come
+    from the stream's ``KernelTape``; a precomputed ``log 0 = -inf``
+    gives the verdict ``u < alpha`` would. A NaN or ``+inf`` target value
+    at any stage raises ``NumericalError``.
     """
-    y1 = propose(prop, current, 0, rng)
+    stages = spec.dr_stage_count
+    tape = rng.tape
+    if tape is None or tape.prop is not prop or tape.i >= tape.n or tape.stages != stages:
+        tape = _tape(rng, prop, stages)
+    i = tape.i
+    logu = tape.logu
+    y1 = current + tape.delta[0][i]
     f1 = target(y1)
     if not f1 < _INF:  # NaN or +inf, in one comparison
         raise _bad_value(f1, f"near iteration {iteration_hint}")
-    if _accepts(rng, f1 - current_logf if f1 < current_logf else 0.0):
-        return _Verdict(True, y1, f1, 0, 1)
-    if spec.dr_stage_count < 1:
-        return _Verdict(False, stages_attempted=1)
-
-    y2 = propose(prop, current, 1, rng)
-    f2 = target(y2)
-    if not f2 < _INF:
-        raise _bad_value(f2, f"near iteration {iteration_hint}")
-    k0_y2_y1 = log_kernel(prop, y1 - y2, 0)
-    k0_x_y1 = log_kernel(prop, y1 - current, 0)
-    la2 = dr_log_alpha2(current_logf, f1, f2, k0_y2_y1, k0_x_y1)
-    if _accepts(rng, la2):
-        return _Verdict(True, y2, f2, 1, 2)
-    if spec.dr_stage_count < 2:
-        return _Verdict(False, stages_attempted=2)
-
-    y3 = propose(prop, current, 2, rng)
-    f3 = target(y3)
-    if not f3 < _INF:
-        raise _bad_value(f3, f"near iteration {iteration_hint}")
-    la3 = _dr_log_alpha3(
-        current_logf,
-        f1,
-        f2,
-        f3,
-        k0_x_y1,
-        log_kernel(prop, y2 - y3, 0),
-        k0_y2_y1,
-        log_kernel(prop, y2 - current, 1),
-        log_kernel(prop, y1 - y3, 1),
-        la2,
-    )
-    if _accepts(rng, la3):
-        return _Verdict(True, y3, f3, 2, 3)
-    return _Verdict(False, stages_attempted=3)
+    if logu[i] < (f1 - current_logf if f1 < current_logf else 0.0):
+        verdict = _Verdict(True, y1, f1, 0, 1)
+    elif stages < 1:
+        verdict = _Verdict(False, stages_attempted=1)
+    else:
+        y2 = current + tape.delta[1][i + 1]
+        f2 = target(y2)
+        if not f2 < _INF:
+            raise _bad_value(f2, f"near iteration {iteration_hint}")
+        k0_x_y1 = tape.k0_x_y1[i]
+        k0_y2_y1 = tape.k0_y2_y1[i]
+        la2 = dr_log_alpha2(current_logf, f1, f2, k0_y2_y1, k0_x_y1)
+        if logu[i + 1] < la2:
+            verdict = _Verdict(True, y2, f2, 1, 2)
+        elif stages < 2:
+            verdict = _Verdict(False, stages_attempted=2)
+        else:
+            y3 = current + tape.delta[2][i + 2]
+            f3 = target(y3)
+            if not f3 < _INF:
+                raise _bad_value(f3, f"near iteration {iteration_hint}")
+            la3 = _dr_log_alpha3(
+                current_logf, f1, f2, f3, k0_x_y1, tape.k0_y3_y2[i], k0_y2_y1,
+                tape.k1_x_y2[i], tape.k1_y3_y1[i], la2,
+            )
+            if logu[i + 2] < la3:
+                verdict = _Verdict(True, y3, f3, 2, 3)
+            else:
+                verdict = _Verdict(False, stages_attempted=3)
+    used = verdict.stages_attempted
+    tape.i = i + used
+    rng.advance_slots(used, tape.ndim)
+    return verdict
 
 
 def _emit_live(state: SamplerState) -> np.record:
@@ -484,10 +501,7 @@ class _Run:
             os.makedirs(parent, exist_ok=True)
         initial_bytes = None
         if append:
-            initial_bytes = (
-                chain_byte_size(state.rows, "compact", spec.file_encoding),
-                chain_byte_size(state.rows, "verbose", spec.file_encoding),
-            )
+            initial_bytes = chain_byte_sizes(state.rows, spec.file_encoding)
             # Each row has one serialization, so the kept rows' bytes on
             # disk are exactly what rewriting them would produce.
             cut = initial_bytes[spec.chain_format == "verbose"]

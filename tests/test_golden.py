@@ -10,32 +10,50 @@ import itertools
 import os
 
 import numpy as np
+import pytest
 
 import dramforge as df
 from dramforge.cli import build_cli_target, build_spec, parse_config
 
 MVN4_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "mvn4.cfg")
 
-# Serial DR1 run of configs/mvn4.cfg at 5k iterations. Unchanged since the
-# first release of the sampler: serial streams are not touched by fork-join.
-SERIAL_MVN4 = "b9b386d078d615a13b4341eb4ac47ad68e6d5f9bf46bb5381dbf057af0a04cfc"
+# Re-pinned when the DR kernel became period-batched: steps and kernel terms
+# are computed per block of slots with an elementwise fold, the kernel terms
+# from differences of steps. States, log-densities and proposal statistics
+# moved in their last digits; the draws and every accept/reject decision are
+# unchanged (the *_DECISIONS pins below are from before that change).
+#
+# Serial DR1 run of configs/mvn4.cfg at 5k iterations.
+SERIAL_MVN4 = "00e6bb3bb08b09da861430e4d3c71b91de8f567767b7e7c4079108dea78ea9f3"
 # The same config with 8 fork-join workers and two DR stages.
-FORKJOIN8_DR2_MVN4 = "1b65e792622d9da13561869a2431544d1e82962c126d083dc819f6b8698bd0fb"
+FORKJOIN8_DR2_MVN4 = "e99e649a96a0a9d1bfbda6f3881d886859cd2d6f735fcd7b7b31659c35eb3ccf"
 # Serial DR1 run on a 16-component mixture (vectorized mixture evaluation).
-SERIAL_MIXTURE16 = "d2c33757350475145bd4991e21f1e9302a242163c911b631d8c5ef5d696e3f5a"
+SERIAL_MIXTURE16 = "50330e377bf8b72bf9b22517f99e6a4fb6de3f6703e48ae6e7a2738628822c1d"
 # The serial mvn4 run's restart file (output prefix "mvn4"), and the same
-# run in binary and in the ascii verbose format. Captured before the
-# checkpoint schema and the columnar row store replaced the hand-written
-# checkpoint codecs and the per-row record type.
-SERIAL_MVN4_RESTART = "cb2ce8cf1340c6a5b18c4a586c6f50fd7249e308ecad8a2d34d5d3fe04df0a91"
-BINARY_MVN4 = "fa2a2e8247dd32d14ea4d912b3f1ac9ce950dfe5c81bd548e5dffb1ea44154b1"
-BINARY_MVN4_RESTART = "260bf01fc04b124f30e8157b5e08a8eda5a09feb327a3581132eb13c4a971330"
-VERBOSE_MVN4 = "6d6c93ebaf1a48eb26def44df1a06baeb7b49805a5644d523dbe511be24e1fc0"
+# run in binary and in the ascii verbose format.
+SERIAL_MVN4_RESTART = "dc32102e360d3023b7266ba1acdf4b3030becd93f72146a4a26b9f9607d8a7f1"
+BINARY_MVN4 = "7cc68d120cb77c4fd96fb5fbdc3d1b4e0e813f0ec749bddb04c1a38930e2ca66"
+BINARY_MVN4_RESTART = "d7f6ed125cf422e36d863aaa95a0a8fae071fdf9aab41a0bbb78dafe547bc7b4"
+VERBOSE_MVN4 = "7af99a98fff40b8e72867f01f99dec32f17aaab115bb9ce2f5f0292fe75869a9"
+
+# sha256 of the decision columns (process_id, dr_stage, weight; one "<i8"
+# array per column, in that order) of the chains above, as read back from
+# their files. Every configs/mvn4.cfg variant above makes the same decisions.
+# These must not change when only floating-point rounding does.
+SERIAL_MVN4_DECISIONS = "83f7a7f876349c39965c7b369cdbb6da0144e682b083ed29549fa8ba47f5c7f8"
+FORKJOIN8_DR2_MVN4_DECISIONS = "fa6f1a32f8fe6fab0aa0b37646ebbdc24ecccb76734a99ee7fbfe85992688063"
+SERIAL_MIXTURE16_DECISIONS = "cc5cbdc612ec95d3d968b2818919d4f642bf42b3509f6731696cd420d8172d6f"
 
 
 def sha(path):
     with open(path, "rb") as fh:
         return hashlib.sha256(fh.read()).hexdigest()
+
+
+def decisions_sha(path):
+    chain = df.read_chain(path)
+    columns = np.stack([chain.process_id, chain.dr_stage, chain.weight]).astype("<i8")
+    return hashlib.sha256(columns.tobytes()).hexdigest()
 
 
 def run_chain_sha(spec, target):
@@ -99,3 +117,21 @@ def test_binary_mvn4_config_chain_and_restart_bytes(tmp_path, monkeypatch):
 
 def test_verbose_mvn4_config_chain_bytes(tmp_path):
     assert mvn4_config_chain_sha(tmp_path, chain_format="verbose") == VERBOSE_MVN4
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    {"file_encoding": "binary"},
+    {"chain_format": "verbose"},
+    {"parallelism": "single_chain", "num_workers": 8, "dr_stage_count": 2},
+])
+def test_mvn4_config_decisions(tmp_path, fields):
+    expect = FORKJOIN8_DR2_MVN4_DECISIONS if fields.get("num_workers") else SERIAL_MVN4_DECISIONS
+    paths = mvn4_config_paths(str(tmp_path / "mvn4"), **fields)
+    assert decisions_sha(paths["chain"]) == expect
+
+
+def test_serial_mixture16_decisions(tmp_path):
+    spec = df.SimSpec(ndim=4, output_prefix=str(tmp_path / "mix"), chain_size=5000, seed=11)
+    out = df.run_sampler(spec, corner_mixture16())
+    assert decisions_sha(out.paths["chain"]) == SERIAL_MIXTURE16_DECISIONS

@@ -2,15 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dramforge import NumericalError, SplitMix64
 from dramforge.proposal import (
+    KernelTape,
     ProposalState,
     adaptation_measure,
     effective_cov,
     factorize,
     initial_proposal,
+    log_kernel,
     propose,
     update_mean_cov,
 )
@@ -270,3 +274,97 @@ class TestAdaptationMeasure:
 def _random_spd(rng, ndim):
     m = rng.normal(0, 1, (ndim, ndim))
     return m @ m.T + 0.3 * np.eye(ndim)
+
+
+def random_proposal(seed, ndim):
+    rng = np.random.default_rng(seed)
+    state = initial_proposal(ndim, 2.38 / math.sqrt(ndim), dr_scale=0.37)
+    state.cov = _random_spd(rng, ndim)
+    return factorize(state)
+
+
+class TestKernelTape:
+    """Tape steps and kernel terms are the one-slot propose/log_kernel values."""
+
+    @pytest.mark.parametrize("ndim", range(1, 7))
+    @pytest.mark.parametrize("cached", [False, True])
+    def test_steps_and_kernel_terms_match_propose_and_log_kernel(self, ndim, cached):
+        prop = random_proposal(ndim, ndim)
+        rng = SplitMix64(2**63 + 5, 3)
+        if cached:
+            rng.gauss()
+        mirror = rng.copy()
+        tape = KernelTape.peek(prop, rng, 2, 20)
+        assert tape.n == 20 and len(tape.logu) == 22
+        x = np.linspace(-1.0, 2.0, ndim)
+        for s in range(22):
+            # Slot s at every stage: the same Gaussians, scaled per stage.
+            at_slot = mirror.getstate()
+            for j in range(3):
+                probe = SplitMix64.from_state(at_slot)
+                got = x + tape.delta[j][s]
+                assert got.tobytes() == propose(prop, x, j, probe).tobytes()
+            mirror = probe
+            u = mirror.uniform()
+            assert tape.logu[s] == (math.log(u) if u > 0.0 else -math.inf)
+        d0, d1, d2 = tape.delta
+        for i in range(20):
+            a, b, c = d0[i], d1[i + 1], d2[i + 2]
+            assert tape.k0_x_y1[i] == log_kernel(prop, a, 0)
+            assert tape.k0_y2_y1[i] == log_kernel(prop, a - b, 0)
+            assert tape.k0_y3_y2[i] == log_kernel(prop, b - c, 0)
+            assert tape.k1_x_y2[i] == log_kernel(prop, b, 1)
+            assert tape.k1_y3_y1[i] == log_kernel(prop, a - c, 1)
+            # The same kernels at the differences of the candidates
+            # themselves, as the DR algebra states them, up to rounding.
+            y1, y2, y3 = x + a, x + b, x + c
+            for got, delta, stage in (
+                (tape.k0_x_y1[i], y1 - x, 0), (tape.k0_y2_y1[i], y1 - y2, 0),
+                (tape.k0_y3_y2[i], y2 - y3, 0), (tape.k1_x_y2[i], y2 - x, 1),
+                (tape.k1_y3_y1[i], y1 - y3, 1),
+            ):
+                assert got == pytest.approx(log_kernel(prop, delta, stage), rel=1e-12)
+
+    def test_log_kernel_is_the_gaussian_log_density(self):
+        prop = random_proposal(7, 3)
+        delta = np.array([0.3, -1.2, 0.8])
+        for stage in (0, 1, 2):
+            cov = prop.dr_scale ** (2 * stage) * effective_cov(prop)
+            want = -0.5 * (delta @ np.linalg.solve(cov, delta)
+                           + np.linalg.slogdet(2 * math.pi * cov)[1])
+            assert log_kernel(prop, delta, stage) == pytest.approx(want, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ndim=st.integers(1, 6),
+        stages=st.integers(0, 2),
+        offset=st.integers(0, 30),
+        sizes=st.lists(st.integers(1, 25), min_size=1, max_size=4),
+    )
+    def test_rows_do_not_depend_on_block(self, ndim, stages, offset, sizes):
+        # A slot's step, log uniform and kernel terms are the same bits in
+        # one long tape made at the start as in shorter tapes made later,
+        # and in a tape rebased off a tape of another proposal.
+        prop = random_proposal(ndim + 10, ndim)
+        start = SplitMix64(11, 4)
+        whole = KernelTape.peek(prop, start.copy(), stages, offset + sum(sizes) + 3 * len(sizes))
+        rng = start.copy()
+        rng.advance_slots(offset, ndim)
+        at = offset
+        for k in sizes:
+            other = KernelTape.peek(random_proposal(1, ndim), rng, stages, k + 3)
+            other.i = 3
+            rng.advance_slots(3, ndim)
+            at += 3
+            for tape in (KernelTape.peek(prop, rng.copy(), stages, k), other.rebased(prop)):
+                assert tape.n == k
+                assert tape.logu[:k] == whole.logu[at : at + k]
+                for j in range(stages + 1):
+                    assert tape.delta[j][:k].tobytes() == whole.delta[j][at : at + k].tobytes()
+                for name in KERNEL_TERMS[: (0, 2, 5)[stages]]:
+                    assert getattr(tape, name) == getattr(whole, name)[at : at + k]
+            rng.advance_slots(k, ndim)
+            at += k
+
+
+KERNEL_TERMS = ("k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")

@@ -197,3 +197,97 @@ def test_block_draws_cross_first_block_and_cap():
         assert rng.gauss_vector(n).tolist() == [ref.gauss() for _ in range(n)]
         assert rng.uniform() == ref.uniform()
     assert rng.getstate() == (ref.state, 1, ref.cache)
+
+
+SLOT_SEEDS = [0, 11, 2**63 + 5, 2**64 - 1]
+
+
+def scalar_slots(ref, k, ndim):
+    """k slots of the scalar oracle: ndim gauss() then one uniform() each."""
+    z, logu = [], []
+    for _ in range(k):
+        z.append([ref.gauss() for _ in range(ndim)])
+        u = ref.uniform()
+        logu.append(math.log(u) if u > 0.0 else -math.inf)
+    return z, logu
+
+
+@pytest.mark.parametrize("seed", SLOT_SEEDS)
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("ndim", range(1, 7))
+def test_slots_match_scalar_oracle(seed, cached, ndim):
+    rng, ref = SplitMix64(seed, 2), ScalarSplitMix64(seed, 2)
+    if cached:  # start with a Box-Muller deviate in the cache
+        assert rng.gauss() == ref.gauss()
+    # Peeks of several sizes, each advanced by fewer, as many or more
+    # slots than it covers (the last ones leave the plan of the peek).
+    for k, n in ((5, 3), (1, 1), (9, 9), (4, 7), (0, 2), (12, 0), (3, 5)):
+        mirror = ScalarSplitMix64(seed)
+        mirror.state, mirror.cache = ref.state, ref.cache
+        z, logu = rng.peek_slots(k, ndim)
+        assert rng.getstate() == (ref.state, 2, ref.cache)  # peeking consumes nothing
+        want_z, want_logu = scalar_slots(mirror, k, ndim)
+        assert z.shape == (k, ndim) and logu.shape == (k,)
+        assert z.tolist() == want_z
+        assert logu.tolist() == want_logu
+        rng.advance_slots(n, ndim)
+        scalar_slots(ref, n, ndim)
+        assert rng.getstate() == (ref.state, 2, ref.cache)
+    # Scalar draws carry on from where the slots left the stream.
+    assert [rng.gauss() for _ in range(3)] == [ref.gauss() for _ in range(3)]
+    assert rng.uniform() == ref.uniform()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.sampled_from(SLOT_SEEDS),
+    ndim=st.integers(1, 6),
+    cached=st.booleans(),
+    offset=st.integers(0, 40),
+    sizes=st.lists(st.integers(1, 30), min_size=1, max_size=4),
+)
+def test_slot_values_do_not_depend_on_block(seed, ndim, cached, offset, sizes):
+    # The slots past ``offset`` read the same bits from one long peek made
+    # at the start as from a run of peeks of other sizes made later.
+    rng = SplitMix64(seed, 5)
+    if cached:
+        rng.gauss()
+    start = rng.getstate()
+    z_all, logu_all = rng.peek_slots(offset + sum(sizes), ndim)
+    rng = SplitMix64.from_state(start)
+    rng.advance_slots(offset, ndim)
+    at = offset
+    for k in sizes:
+        z, logu = rng.peek_slots(k, ndim)
+        assert z.tobytes() == z_all[at : at + k].tobytes()
+        assert logu.tobytes() == logu_all[at : at + k].tobytes()
+        rng.advance_slots(k, ndim)
+        at += k
+
+
+def test_log_of_a_zero_uniform_is_minus_infinity():
+    # SplitMix64 mixes 0 to 0, so the raw draw at state 0 gives the uniform
+    # 0.0. Two slots of ndim 1 from this start draw a pair, a uniform, then
+    # the cached sine and a uniform: slot 1's uniform is at state 0.
+    start = (-4 * GOLDEN) & MASK
+    rng, ref = SplitMix64(0), ScalarSplitMix64(0)
+    rng.state = ref.state = start
+    z, logu = rng.peek_slots(3, 1)
+    want_z, want_logu = scalar_slots(ref, 3, 1)
+    assert logu.tolist() == want_logu
+    assert logu[1] == -math.inf and math.isfinite(logu[0])
+    assert z.tolist() == want_z
+
+
+def test_scalar_draws_and_restores_drop_the_tape():
+    rng = SplitMix64(5)
+    for move in (SplitMix64.uniform, SplitMix64.next_uint64, SplitMix64.gauss,
+                 lambda r: r.setstate(r.getstate())):
+        for cached in (False, True):
+            if cached and rng.gauss_cache is None:
+                rng.gauss()
+            rng.peek_slots(4, 3)
+            rng.tape = "derived from the peeked slots"
+            assert rng.copy().tape is None
+            move(rng)
+            assert rng.tape is None

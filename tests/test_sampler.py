@@ -111,6 +111,94 @@ class TestStep:
         assert "iteration" in str(err.value)
 
 
+def scalar_attempt(x, fx, prop, stages, target, rng):
+    """DR attempt drawn one deviate at a time: ``propose``, candidate
+    differences for the kernel terms, and ``u < alpha`` on a fresh uniform.
+    Returns ``(accepted, stage, stages_attempted, point)``.
+    """
+    from dramforge.proposal import log_kernel, propose
+    from dramforge.sampler import _dr_log_alpha3
+
+    def accepts(log_alpha):
+        u = rng.uniform()
+        return log_alpha >= 0.0 or (log_alpha > -math.inf if u == 0.0
+                                    else math.log(u) < log_alpha)
+
+    y1 = propose(prop, x, 0, rng)
+    f1 = target(y1)
+    if accepts(min(0.0, f1 - fx)):
+        return True, 0, 1, y1
+    if stages < 1:
+        return False, 0, 1, None
+    y2 = propose(prop, x, 1, rng)
+    f2 = target(y2)
+    k0_y2_y1, k0_x_y1 = log_kernel(prop, y1 - y2, 0), log_kernel(prop, y1 - x, 0)
+    la2 = dr_log_alpha2(fx, f1, f2, k0_y2_y1, k0_x_y1)
+    if accepts(la2):
+        return True, 1, 2, y2
+    if stages < 2:
+        return False, 0, 2, None
+    y3 = propose(prop, x, 2, rng)
+    f3 = target(y3)
+    la3 = _dr_log_alpha3(fx, f1, f2, f3, k0_x_y1, log_kernel(prop, y2 - y3, 0), k0_y2_y1,
+                         log_kernel(prop, y2 - x, 1), log_kernel(prop, y1 - y3, 1), la2)
+    if accepts(la3):
+        return True, 2, 3, y3
+    return False, 0, 3, None
+
+
+class TestKernelTapeSteps:
+    """Steps served from the kernel tape decide as scalar draws would."""
+
+    @pytest.mark.parametrize("stages", [0, 1, 2])
+    @pytest.mark.parametrize("ndim", [1, 3, 4])
+    def test_verdicts_match_scalar_draws(self, stages, ndim):
+        # A banana with a hole: some candidates are outside the support.
+        def logf(x):
+            if abs(x[0]) > 2.5:
+                return -math.inf
+            a = x[1:] - x[:-1] ** 2 if ndim > 1 else x
+            return -float(a @ a) - 0.5 * float(x @ x)
+
+        target = df.TargetDensity(ndim, logf)
+        spec = SimSpec(ndim=ndim, output_prefix="x", seed=2**64 - 1, dr_stage_count=stages,
+                       adaptation_period=37, chain_size=1200)
+        state = init_state(spec, target)
+        stage_seen = set()
+        while state.iteration < spec.chain_size:
+            mirror = state.rng.copy()
+            x, fx, prop = state.current, state.current_logf, state.proposal
+            accepted, stage, _, point = scalar_attempt(x, fx, prop, stages, target, mirror)
+            _, row = step(state, target, spec)
+            assert (row is not None) == accepted
+            if accepted:
+                stage_seen.add(stage)
+                assert state.live_dr_stage == stage
+                assert np.allclose(state.current, point, rtol=1e-13, atol=1e-15)
+            assert state.rng.getstate() == mirror.getstate()
+            if state.iteration % spec.adaptation_period == 0:
+                adapt_if_due(state, spec)  # a new proposal mid-tape
+        assert stage_seen == set(range(stages + 1))
+
+    def test_scalar_draws_between_steps(self):
+        # A scalar draw moves the stream behind the tape's back; the next
+        # step must start from where the draw left it.
+        spec = SimSpec(ndim=3, output_prefix="x", seed=7, dr_stage_count=2)
+        reject_all = df.TargetDensity(
+            3, lambda x: 0.0 if np.array_equal(x, np.zeros(3)) else -math.inf
+        )
+        state = init_state(spec, reject_all)
+        mirror = state.rng.copy()
+        for draw in ("gauss", "gauss", "uniform", "gauss", "next_uint64"):
+            step(state, reject_all, spec)
+            for _ in range(3):
+                for _ in range(3):
+                    mirror.gauss()
+                mirror.uniform()
+            assert getattr(state.rng, draw)() == getattr(mirror, draw)()
+            assert state.rng.getstate() == mirror.getstate()
+
+
 class TestNonFiniteTarget:
     """NaN and +inf are fatal at every DR stage and at the start point."""
 
