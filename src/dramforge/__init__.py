@@ -71,7 +71,6 @@ from .chainio import (
 from .refinement import (
     RefinedSample,
     autocorrelation,
-    effective_sample_size,
     integrated_autocorrelation,
     refine,
     weighted_acf,

@@ -2,7 +2,9 @@
 
 The refinement loop estimates the integrated autocorrelation time of the
 verbose chain, thins by that stride, and repeats until the remaining
-sample is statistically indistinguishable from uncorrelated.
+sample is statistically indistinguishable from uncorrelated. It works on
+the compact chain: the sample is held as (row index, weight) pairs, and
+every autocorrelation is the FFT estimate over their verbose expansion.
 """
 
 from __future__ import annotations
@@ -20,12 +22,17 @@ MIN_REFINE_SIZE = 10
 
 @dataclass
 class RefinedSample:
-    """Decorrelated sample with the tau estimate history that produced it."""
+    """Decorrelated sample with the tau estimate history that produced it.
+
+    ``ess`` is the post-burn-in verbose length over the first pass's tau;
+    it is NaN for a sample not produced by ``refine``.
+    """
 
     states: np.ndarray  # (n, ndim)
     logf: np.ndarray  # (n,)
     iac_history: list[float]
     source_burnin: int
+    ess: float = math.nan
 
     def __len__(self) -> int:
         return self.states.shape[0]
@@ -34,9 +41,9 @@ class RefinedSample:
 def weighted_acf(values, weights, max_lag: int) -> np.ndarray:
     """Autocorrelation of the verbose expansion of a weighted series.
 
-    Works directly on the run-length encoding; the expansion is never
-    materialized. Lag-k covariances use the unbiased 1/(N-k) scaling so a
-    short strongly-repeating chain thins by its full dwell length.
+    The FFT estimate of ``autocorrelation`` over the expansion, with the
+    unbiased 1/(N-k) scaling so a short strongly-repeating chain thins by
+    its full dwell length.
     """
     values = np.asarray(values, dtype=float).reshape(-1)
     weights = np.asarray(weights, dtype=np.int64).reshape(-1)
@@ -49,41 +56,11 @@ def weighted_acf(values, weights, max_lag: int) -> np.ndarray:
         raise ValueError("weighted series must expand to at least 2 elements")
     if not 0 <= max_lag < total:
         raise ValueError(f"max_lag must lie in [0, {total - 1}], got {max_lag}")
-
-    mean = float((weights * values).sum()) / total
-    dev = values - mean
-    c0 = float((weights * dev * dev).sum()) / total
-    rho = np.zeros(max_lag + 1)
-    rho[0] = 1.0
-    if c0 == 0.0:
-        return rho
-
-    starts = np.concatenate(([0], np.cumsum(weights)[:-1]))
-    ends = starts + weights
-    nruns = values.size
-    for k in range(1, max_lag + 1):
-        # Runs overlapping run i's window shifted by k; a window of length
-        # w_i spans only a handful of runs, so pair count stays O(runs).
-        lo = np.searchsorted(ends, starts + k, side="right")
-        hi = np.searchsorted(starts, ends + k, side="left")
-        counts = hi - lo
-        keep = counts > 0
-        if not np.any(keep):
-            continue
-        reps = counts[keep]
-        i_idx = np.repeat(np.nonzero(keep)[0], reps)
-        offsets = np.concatenate(([0], np.cumsum(reps)[:-1]))
-        j_idx = np.arange(reps.sum()) - np.repeat(offsets, reps) + np.repeat(lo[keep], reps)
-        overlap = np.minimum(ends[i_idx] + k, ends[j_idx]) - np.maximum(
-            starts[i_idx] + k, starts[j_idx]
-        )
-        ck = float((overlap * dev[i_idx] * dev[j_idx]).sum()) / (total - k)
-        rho[k] = ck / c0
-    return rho
+    return autocorrelation(np.repeat(values, weights), max_lag)
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
-    """FFT autocorrelation of a plain series, same scaling as weighted_acf."""
+    """FFT autocorrelation of a plain series with unbiased 1/(N-k) scaling."""
     x = np.asarray(series, dtype=float).reshape(-1)
     n = x.size
     if n < 2:
@@ -116,17 +93,6 @@ def integrated_autocorrelation(acf: np.ndarray) -> float:
     return max(tau, 1.0)
 
 
-def _series_tau(states: np.ndarray, logf: np.ndarray) -> float:
-    """Worst-case tau across every coordinate series and the logf series."""
-    n = states.shape[0]
-    max_lag = n - 1
-    tau = 1.0
-    for col in range(states.shape[1]):
-        tau = max(tau, integrated_autocorrelation(autocorrelation(states[:, col], max_lag)))
-    tau = max(tau, integrated_autocorrelation(autocorrelation(logf, max_lag)))
-    return tau
-
-
 def refine(chain, burnin: int) -> RefinedSample:
     """Recursively thin the post-burn-in verbose chain until decorrelated.
 
@@ -137,33 +103,32 @@ def refine(chain, burnin: int) -> RefinedSample:
     """
     if burnin < 0 or burnin >= chain.n_rows:
         raise ValueError(f"burnin row {burnin} out of range for {chain.n_rows} rows")
+    states = chain.states[burnin:]
+    logf = chain.logf[burnin:]
+    # The current sample is the verbose expansion of rows[i] repeated
+    # weights[i] times; n is its length.
+    rows = np.arange(states.shape[0])
     weights = chain.weight[burnin:]
-    states = np.repeat(chain.states[burnin:], weights, axis=0)
-    logf = np.repeat(chain.logf[burnin:], weights)
+    n = post = int(weights.sum())
     history: list[float] = []
-    if states.shape[0] < 2:
-        return RefinedSample(states, logf, history, burnin)
-    while True:
-        tau = _series_tau(states, logf)
+    while n >= 2:
+        tau = max(
+            integrated_autocorrelation(weighted_acf(series, weights, n - 1))
+            for series in [*states[rows].T, logf[rows]]
+        )
         if history and tau >= history[-1]:
             break
         history.append(tau)
         if tau <= STOP_TAU:
             break
-        stride = math.ceil(tau)
-        states = states[::stride]
-        logf = logf[::stride]
-        if states.shape[0] < MIN_REFINE_SIZE:
+        picks = np.searchsorted(
+            np.cumsum(weights), np.arange(0, n, math.ceil(tau)), side="right"
+        )
+        kept, weights = np.unique(picks, return_counts=True)
+        rows = rows[kept]
+        n = picks.size
+        if n < MIN_REFINE_SIZE:
             break
-    return RefinedSample(states, logf, history, burnin)
-
-
-def effective_sample_size(chain, burnin: int) -> float:
-    """Post-burn-in verbose length divided by the first-pass tau."""
-    weights = chain.weight[burnin:]
-    n = int(weights.sum())
-    if n < 2:
-        return float(n)
-    states = np.repeat(chain.states[burnin:], weights, axis=0)
-    logf = np.repeat(chain.logf[burnin:], weights)
-    return n / _series_tau(states, logf)
+    verbose = np.repeat(rows, weights)
+    ess = post / history[0] if history else float(post)
+    return RefinedSample(states[verbose], logf[verbose], history, burnin, ess)

@@ -289,7 +289,7 @@ def _emit_live(state: SamplerState) -> np.record:
     )
     if logf > state.max_logf:
         state.max_logf = logf
-        state.burnin_loc = int(np.argmax(rows.logf >= logf - rows.ndim / 2.0))
+        state.burnin_loc = detect_burnin(rows, rows.ndim)
         rows.burnin_loc[-1] = state.burnin_loc
     return rows.records[-1]
 
@@ -572,9 +572,6 @@ class _Run:
         chain = state.rows
         burnin = state.burnin_loc
         refined = refinement.refine(chain, burnin)
-        tau0 = refined.iac_history[0] if refined.iac_history else 1.0
-        post = int(chain.weight[burnin:].sum())
-        ess = post / tau0
         write_sample(refined, self.paths["sample"])
         disk_bytes = os.path.getsize(self.paths["chain"])
         if spec.chain_format == "compact":
@@ -604,7 +601,7 @@ class _Run:
             mean_accept_rate=state.accepted_count / spec.chain_size,
             burnin_loc=burnin,
             iac_history=list(refined.iac_history),
-            ess=ess,
+            ess=refined.ess,
             compact_bytes=compact_bytes,
             verbose_bytes=verbose_bytes,
             size_ratio=verbose_bytes / compact_bytes,

@@ -1,7 +1,7 @@
-"""Golden file bytes: the sha256 of chain and restart files, pinned.
+"""Golden file bytes: the sha256 of chain, restart, sample and report files, pinned.
 
 A change to any of these hashes changes the chain a seed produces, or the
-bytes of its restart file. That is allowed only on purpose, with the reason
+bytes of its restart file, refined sample or report. That is allowed only on purpose, with the reason
 recorded in CHANGES.md and the new hash pinned here.
 """
 
@@ -35,6 +35,10 @@ SERIAL_MVN4_RESTART = "dc32102e360d3023b7266ba1acdf4b3030becd93f72146a4a26b9f960
 BINARY_MVN4 = "7cc68d120cb77c4fd96fb5fbdc3d1b4e0e813f0ec749bddb04c1a38930e2ca66"
 BINARY_MVN4_RESTART = "d7f6ed125cf422e36d863aaa95a0a8fae071fdf9aab41a0bbb78dafe547bc7b4"
 VERBOSE_MVN4 = "7af99a98fff40b8e72867f01f99dec32f17aaab115bb9ce2f5f0292fe75869a9"
+# The serial mvn4 run's refined sample and report (output prefix "mvn4"):
+# they pin the burn-in, every refinement pass and the ESS.
+SERIAL_MVN4_SAMPLE = "86bfa0f687543ba31599bb73a2c26dc2fcea5856d136230418536ae629637aaf"
+SERIAL_MVN4_REPORT = "44833a313b594ca391e5e8138fd3004b29ca17767a65f162def33ce845a59ec9"
 
 # sha256 of the decision columns (process_id, dr_stage, weight; one "<i8"
 # array per column, in that order) of the chains above, as read back from
@@ -76,7 +80,7 @@ def mvn4_config_chain_sha(tmp_path, **fields):
 
 
 def mvn4_config_paths_in(tmp_path, monkeypatch, **fields):
-    # The restart file echoes the output prefix, so a pinned restart hash
+    # The restart and report files echo the output prefix, so a pinned hash
     # needs the same relative prefix on every machine.
     monkeypatch.chdir(tmp_path)
     return mvn4_config_paths("mvn4", **fields)
@@ -107,6 +111,12 @@ def test_serial_mixture16_chain_bytes(tmp_path):
 def test_serial_mvn4_config_restart_bytes(tmp_path, monkeypatch):
     paths = mvn4_config_paths_in(tmp_path, monkeypatch)
     assert sha(paths["restart"]) == SERIAL_MVN4_RESTART
+
+
+def test_serial_mvn4_config_sample_and_report_bytes(tmp_path, monkeypatch):
+    paths = mvn4_config_paths_in(tmp_path, monkeypatch)
+    assert sha(paths["sample"]) == SERIAL_MVN4_SAMPLE
+    assert sha(paths["report"]) == SERIAL_MVN4_REPORT
 
 
 def test_binary_mvn4_config_chain_and_restart_bytes(tmp_path, monkeypatch):

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 import dramforge as df
 from dramforge.refinement import (
+    MIN_REFINE_SIZE,
+    STOP_TAU,
     autocorrelation,
-    effective_sample_size,
     integrated_autocorrelation,
     refine,
     weighted_acf,
@@ -28,6 +29,38 @@ def brute_force_acf(series, max_lag):
     for k in range(1, max_lag + 1):
         rho[k] = float(dev[:-k] @ dev[k:]) / (n - k) / c0
     return rho
+
+
+def reference_refine(chain, burnin):
+    """Refinement on the materialized verbose chain: the oracle for refine.
+
+    Expands the post-burn-in rows with np.repeat, takes tau as the max of
+    the FFT autocorrelation's tau over every coordinate and logf, and thins
+    the expansion with a stride slice. Returns (states, logf, iac_history).
+    """
+    weights = chain.weight[burnin:]
+    states = np.repeat(chain.states[burnin:], weights, axis=0)
+    logf = np.repeat(chain.logf[burnin:], weights)
+    history = []
+    if states.shape[0] < 2:
+        return states, logf, history
+    while True:
+        n = states.shape[0]
+        tau = max(
+            integrated_autocorrelation(autocorrelation(series, n - 1))
+            for series in [*states.T, logf]
+        )
+        if history and tau >= history[-1]:
+            break
+        history.append(tau)
+        if tau <= STOP_TAU:
+            break
+        stride = math.ceil(tau)
+        states = states[::stride]
+        logf = logf[::stride]
+        if states.shape[0] < MIN_REFINE_SIZE:
+            break
+    return states, logf, history
 
 
 def make_chain(values, weights):
@@ -190,23 +223,57 @@ class TestRefine:
         assert refined.iac_history[0] > 5.0
 
 
+class TestRefineMatchesVerboseReference:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        nrows=st.integers(min_value=2, max_value=300),
+        ndim=st.integers(min_value=1, max_value=3),
+        max_weight=st.integers(min_value=2, max_value=8),
+        phi=st.floats(min_value=0.0, max_value=0.95),
+        burnin_share=st.floats(min_value=0.01, max_value=0.5),
+    )
+    def test_bitwise_equal_on_random_weighted_chains(
+        self, seed, nrows, ndim, max_weight, phi, burnin_share
+    ):
+        rng = np.random.default_rng(seed)
+        states = np.empty((nrows, ndim))
+        states[0] = rng.normal(0, 1, ndim)
+        for i in range(1, nrows):
+            states[i] = phi * states[i - 1] + rng.normal(0, 1, ndim)
+        weights = rng.integers(1, max_weight + 1, nrows)
+        chain = df.CompactChain(
+            ndim,
+            np.ones(nrows), np.zeros(nrows), np.full(nrows, 0.5), np.zeros(nrows),
+            np.zeros(nrows), weights, -0.5 * (states * states).sum(axis=1), states,
+        )
+        burnin = max(1, int(burnin_share * nrows))
+        assume(burnin < nrows and weights[burnin:].max() > 1)
+        got = refine(chain, burnin)
+        states_ref, logf_ref, history_ref = reference_refine(chain, burnin)
+        assert np.array_equal(got.states, states_ref)
+        assert np.array_equal(got.logf, logf_ref)
+        assert got.iac_history == history_ref
+        assert got.ess == weights[burnin:].sum() / history_ref[0]
+
+
 class TestEffectiveSampleSize:
     def test_white_noise(self):
         rng = np.random.default_rng(1)
         chain = make_chain(rng.normal(0, 1, 1000), np.ones(1000, dtype=int))
-        ess = effective_sample_size(chain, 0)
+        ess = refine(chain, 0).ess
         assert ess == pytest.approx(1000, rel=0.12)
 
     def test_ar1_half(self):
         series = ar1_series(0.5, 100_000, seed=9)
         chain = make_chain(series, np.ones(series.size, dtype=int))
-        ess = effective_sample_size(chain, 0)
+        ess = refine(chain, 0).ess
         assert ess == pytest.approx(100_000 / 3.0, rel=0.10)
 
     def test_constant_chain_degenerates_to_n(self):
         chain = make_chain([2.0, 2.0, 2.0], [5, 1, 2])
         # zero variance -> tau = 1 -> ESS equals the verbose length
-        assert effective_sample_size(chain, 0) == 8.0
+        assert refine(chain, 0).ess == 8.0
 
 
 def test_refined_sample_len():
