@@ -22,7 +22,6 @@ from .core import (
     TargetDensity,
     UsageError,
     build_target,
-    eval_builtin,
     mixture_target,
     mvn_target,
     rosenbrock_target,
@@ -49,6 +48,7 @@ from .sampler import (
     resume,
     run_sampler,
     step,
+    worker_attempt,
 )
 from .chainio import (
     CompactChain,
@@ -65,7 +65,6 @@ from .chainio import (
     read_sample,
     write_chain,
     write_report,
-    write_restart_checkpoint,
     write_sample,
 )
 from .refinement import (
@@ -85,7 +84,6 @@ from .parallel import (
     optimal_num_workers,
     predict_speedup,
     run_multi_chain,
-    worker_attempt,
 )
 
 __version__ = "0.1.0"

@@ -1,11 +1,14 @@
 """Readers and writers for the five output files, plus checkpoint records.
 
 Files per run prefix: chain (compact or verbose, ascii or binary),
-restart, sample, report, progress. Two definitions fix the record
+restart, sample, report, progress. Three tables fix the record
 layouts. ``chain_row_dtype`` is the chain row: the binary file row and
 the row of ``CompactChain``, the one in-memory row store, which the
 sampler appends to and the readers fill. ``CHECKPOINT_FIELDS`` lists the
-restart checkpoint fields in record order and drives both encodings.
+restart checkpoint fields in record order and drives both encodings;
+``REPORT_FIELDS`` lists the report's statistics. Every ``key = value``
+text (ascii restart, binary spec echo, report, CLI config) is read by
+``read_sections`` and its fields by one per-kind codec.
 ASCII reals carry 17 significant digits so every 64-bit float round-trips
 exactly; binary layouts are little-endian and versioned by a 4-byte
 magic. Readers tolerate a truncated final row or record, because
@@ -434,57 +437,160 @@ def _binary_records(path: str) -> tuple[np.ndarray, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Simulation spec echo (shared by the restart header and the report file)
+# key = value records: the restart and report files, the binary restart's
+# spec echo and the CLI config share one section reader and one field codec.
 
 
-def _floats_text(values) -> str:
-    return ",".join(fmt_float(v) for v in values)
+class Section(dict):
+    """The ``key = value`` pairs of one ``[name]`` block, and where each was read."""
+
+    def __init__(self, path: str, name: str, line: int):
+        super().__init__()
+        self.path = path
+        self.name = name
+        self.line = line
+        self.key_lines: dict[str, int] = {}
+
+    def where(self, key: str | None = None) -> str:
+        """``path:line`` of ``key``, or of the section's start without it."""
+        return f"{self.path}:{self.key_lines.get(key, self.line)}"
 
 
-def spec_value_to_text(spec: SimSpec, name: str, kind: str) -> str:
-    value = getattr(spec, name)
-    if kind == "point":
-        return _floats_text(value)
-    if kind == "window":
-        return "none" if value is None else _floats_text(value)
-    if kind == "float":
-        return fmt_float(value)
-    return str(value)
+def read_sections(path: str, lines: list[str], implicit: str | None = None) -> list[Section]:
+    """The ``[name]`` sections of ``key = value`` lines, in file order.
+
+    Blank lines and lines starting with ``#`` or ``;`` are skipped. Lines
+    before the first header form the ``implicit`` section; without one they
+    are an error. A value is everything after the first ``=``, stripped, so a
+    trailing ``# ...`` stays part of it. Errors name ``path:line``.
+    """
+    sections = [] if implicit is None else [Section(path, implicit, 1)]
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line[0] in "#;":
+            continue
+        if line[0] == "[":
+            if line[-1] != "]":
+                raise ParseError(f"{path}:{lineno}: malformed section header {line!r}")
+            sections.append(Section(path, line[1:-1], lineno))
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ParseError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        if not sections:
+            raise ParseError(f"{path}:{lineno}: key = value line outside any section")
+        key = key.strip()
+        sections[-1][key] = value.strip()
+        sections[-1].key_lines[key] = lineno
+    return sections
 
 
-def spec_text_to_value(kind: str, text: str):
-    if kind in ("int", "u64"):
-        return int(text)
-    if kind == "float":
-        return float(text)
-    if kind == "point":
-        return np.array([float(v) for v in text.split(",")], dtype=float)
-    if kind == "window":
-        if text == "none":
-            return None
-        lo, hi = text.split(",")
-        return (float(lo), float(hi))
-    return text
+# The text of each field kind. A field is one "key = value" line, except:
+#   section  the record's "[checkpoint N]" header
+#   sym      symmetric matrix as its upper triangle, row by row, on one
+#            "<key>_upper" line
+#   rngs     "rng_count = K", then "rng_i = state,stream,cache|none", i = 1..K
+#   series   one "<key>(i) = value" line per item, i = 1..N
+# Values: int, i32 and u64 in decimal; f64 at 17 significant digits; vector,
+# floats and window as comma-separated f64, where an empty floats list and a
+# window of None read "none"; str as is.
+def _floats(text: str) -> list[float]:
+    return [float(v) for v in text.split(",")]
+
+
+def _window(text: str) -> tuple[float, float] | None:
+    if text == "none":
+        return None
+    lo, hi = _floats(text)
+    return (lo, hi)
+
+
+def _rng_state(text: str) -> tuple[int, int, float | None]:
+    s, stream, cache = text.split(",")
+    return (int(s), int(stream), None if cache == "none" else float(cache))
+
+
+_TEXT_PARSE = {
+    "section": int, "int": int, "i32": int, "u64": int, "f64": float, "str": str,
+    "vector": lambda text: np.array(_floats(text)),
+    "floats": lambda text: [] if text == "none" else _floats(text),
+    "window": _window,
+}
+
+
+def _value_text(kind: str, value) -> str:
+    if kind in ("vector", "floats", "window"):
+        return "none" if value is None or len(value) == 0 else ",".join(map(fmt_float, value))
+    return fmt_float(value) if kind == "f64" else str(value)
+
+
+def _field_text(key: str, kind: str, value) -> list[str]:
+    """The lines of one field."""
+    if kind == "section":
+        return [f"[checkpoint {value}]"]
+    if kind == "rngs":
+        return [f"rng_count = {len(value)}"] + [
+            f"rng_{i} = {s},{stream},{'none' if cache is None else fmt_float(cache)}"
+            for i, (s, stream, cache) in enumerate(value, start=1)
+        ]
+    if kind == "series":
+        return [f"{key}({i}) = {fmt_float(v)}" for i, v in enumerate(value, start=1)]
+    if kind == "sym":
+        return [f"{key}_upper = {_value_text('vector', _triu_pack(value))}"]
+    return [f"{key} = {_value_text(kind, value)}"]
+
+
+def _fail(pairs, key: str | None, message: str) -> ParseError:
+    """A ParseError that names where ``key`` was read when ``pairs`` is a Section."""
+    if isinstance(pairs, Section):
+        message = f"{pairs.where(key)}: [{pairs.name}] {message}"
+    return ParseError(message)
+
+
+def _value(pairs, key: str, parse):
+    if key not in pairs:
+        raise _fail(pairs, key, f"missing key {key!r}")
+    try:
+        return parse(pairs[key])
+    except ValueError as exc:
+        raise _fail(pairs, key, f"{key} = {pairs[key]!r}: {exc}") from None
+
+
+def _field_parse(key: str, kind: str, pairs, ndim: int = 0):
+    """One field read from ``pairs`` (a Section, or a plain dict of texts).
+
+    A section field reads ``pairs[key]``, which the record's reader sets
+    from its header. A missing key or malformed value raises ParseError.
+    """
+    if kind == "rngs":
+        count = _value(pairs, "rng_count", int)
+        return [_value(pairs, f"rng_{i}", _rng_state) for i in range(1, count + 1)]
+    if kind == "series":
+        n = 0
+        while f"{key}({n + 1})" in pairs:
+            n += 1
+        return [_value(pairs, f"{key}({i})", float) for i in range(1, n + 1)]
+    if kind == "sym":
+        return _value(pairs, f"{key}_upper", lambda text: _triu_unpack(_floats(text), ndim))
+    return _value(pairs, key, _TEXT_PARSE[kind])
 
 
 def spec_echo_lines(spec: SimSpec, with_provenance: bool = False) -> list[str]:
-    lines = []
-    for name, kind in SIMSPEC_FIELDS:
-        text = spec_value_to_text(spec, name, kind)
-        if with_provenance:
-            lines.append(f"{name} = {text}  # {spec.provenance.get(name, 'user')}")
-        else:
-            lines.append(f"{name} = {text}")
+    lines = [line for name, kind in SIMSPEC_FIELDS
+             for line in _field_text(name, kind, getattr(spec, name))]
+    if with_provenance:
+        return [f"{line}  # {spec.provenance.get(name, 'user')}"
+                for line, (name, _) in zip(lines, SIMSPEC_FIELDS)]
     return lines
 
 
-def spec_from_echo(pairs: dict, provenance: dict | None = None) -> SimSpec:
-    kwargs = {}
-    for name, kind in SIMSPEC_FIELDS:
-        if name not in pairs:
-            raise ParseError(f"spec echo is missing field {name!r}")
-        kwargs[name] = spec_text_to_value(kind, pairs[name])
-    return SimSpec(provenance=dict(provenance or {}), **kwargs)
+def spec_from_echo(pairs, provenance: dict | None = None) -> SimSpec:
+    """The SimSpec of a spec echo's texts (a Section, or a plain dict)."""
+    kwargs = {name: _field_parse(name, kind, pairs) for name, kind in SIMSPEC_FIELDS}
+    try:
+        return SimSpec(provenance=dict(provenance or {}), **kwargs)
+    except UsageError as exc:
+        raise _fail(pairs, None, str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -492,15 +598,14 @@ def spec_from_echo(pairs: dict, provenance: dict | None = None) -> SimSpec:
 
 
 # (name, kind) of every checkpoint field, in record order; this one table
-# drives the ascii and binary codecs and RestartCheckpoint equality. Kinds:
-#   section  u32; in ascii it heads the record as "[checkpoint N]"
-#   i32, u64, f64  scalars (ascii reals at 17 significant digits)
-#   vector   ndim f64 values (ascii: comma-separated)
+# drives the ascii codec (the text kinds above) and the binary one, and
+# RestartCheckpoint equality. Binary kinds:
+#   section, i32, u64, f64  scalars; section is a u32
+#   vector   ndim f64 values
 #   sym      symmetric ndim x ndim matrix as its ndim*(ndim+1)/2 upper
-#            triangle values, row by row (ascii key "<name>_upper")
+#            triangle values, row by row
 #   rngs     u32 stream count, then per stream: u64 state, u64 stream id,
-#            u8 has-cache flag, f64 Box-Muller cache (0.0 when absent);
-#            ascii: "rng_count = K" then "rng_i = state,stream,cache|none"
+#            u8 has-cache flag, f64 Box-Muller cache (0.0 when absent)
 CHECKPOINT_FIELDS = (
     ("checkpoint_index", "section"),
     ("iteration", "u64"),
@@ -598,47 +703,6 @@ def _triu_unpack(flat: np.ndarray, ndim: int) -> np.ndarray:
     return mat
 
 
-def _rng_state_text(state: tuple[int, int, float | None]) -> str:
-    s, stream, cache = state
-    cache_text = "none" if cache is None else fmt_float(cache)
-    return f"{s},{stream},{cache_text}"
-
-
-def _rng_state_parse(text: str) -> tuple[int, int, float | None]:
-    s, stream, cache = text.split(",")
-    return (int(s), int(stream), None if cache == "none" else float(cache))
-
-
-def _field_text(name: str, kind: str, value) -> list[str]:
-    """The ascii lines of one checkpoint field."""
-    if kind == "section":
-        return [f"[checkpoint {value}]"]
-    if kind == "rngs":
-        return [f"rng_count = {len(value)}"] + [
-            f"rng_{i} = {_rng_state_text(st)}" for i, st in enumerate(value, start=1)
-        ]
-    if kind == "sym":
-        return [f"{name}_upper = {_floats_text(_triu_pack(value))}"]
-    if kind == "vector":
-        return [f"{name} = {_floats_text(value)}"]
-    return [f"{name} = {fmt_float(value) if kind == 'f64' else value}"]
-
-
-def _field_parse(name: str, kind: str, pairs: dict, ndim: int):
-    """One checkpoint field from the key/value pairs of an ascii record.
-
-    The record's section header supplies ``pairs[name]`` for the section.
-    """
-    if kind == "rngs":
-        count = int(pairs["rng_count"])
-        return [_rng_state_parse(pairs[f"rng_{i}"]) for i in range(1, count + 1)]
-    if kind == "sym":
-        return _triu_unpack(spec_text_to_value("point", pairs[f"{name}_upper"]), ndim)
-    if kind == "vector":
-        return spec_text_to_value("point", pairs[name])
-    return float(pairs[name]) if kind == "f64" else int(pairs[name])
-
-
 def _field_pack(kind: str, value) -> bytes:
     """The binary bytes of one checkpoint field."""
     if kind == "rngs":
@@ -720,15 +784,6 @@ class RestartWriter:
             self._fh.close()
 
 
-def write_restart_checkpoint(ck: RestartCheckpoint, path: str, spec: SimSpec) -> None:
-    """Append one checkpoint record, creating the file if needed."""
-    writer = RestartWriter(path, spec, append=os.path.exists(path))
-    try:
-        writer.append(ck)
-    finally:
-        writer.close()
-
-
 def read_restart(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
     """Read the spec echo and all complete checkpoint records."""
     with open(path, "rb") as fh:
@@ -746,42 +801,25 @@ def _read_restart_ascii(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
         # Partial final line from an interrupt; the block it belongs to
         # will be dropped below for missing keys.
         lines.pop()
-    blocks: list[tuple[str, dict]] = []
-    current: dict | None = None
-    name = ""
-    for lineno, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            if not line.endswith("]"):
-                raise ParseError(f"{path}:{lineno}: malformed section header")
-            name = line[1:-1]
-            current = {}
-            blocks.append((name, current))
-        elif current is not None and "=" in line:
-            key, _, value = line.partition("=")
-            current[key.strip()] = value.strip()
-        else:
-            raise ParseError(f"{path}:{lineno}: unexpected line {line!r}")
-    if not blocks or blocks[0][0] != "spec":
-        raise ParseError(f"{path}: missing [spec] section")
-    spec = spec_from_echo(blocks[0][1])
+    sections = read_sections(path, lines)
+    if not sections or sections[0].name != "spec":
+        raise ParseError(f"{path}:1: missing [spec] section")
+    spec = spec_from_echo(sections[0])
     checkpoints = []
-    for bi, (name, pairs) in enumerate(blocks[1:], start=1):
-        if not name.startswith("checkpoint "):
-            raise ParseError(f"{path}: unexpected section [{name}]")
-        pairs["checkpoint_index"] = name.partition(" ")[2]
+    for section in sections[1:]:
+        label, _, section["checkpoint_index"] = section.name.partition(" ")
+        if label != "checkpoint":
+            raise ParseError(f"{section.where()}: unexpected section [{section.name}]")
         try:
             checkpoints.append(RestartCheckpoint(**{
-                field: _field_parse(field, kind, pairs, spec.ndim)
-                for field, kind in CHECKPOINT_FIELDS
+                name: _field_parse(name, kind, section, spec.ndim)
+                for name, kind in CHECKPOINT_FIELDS
             }))
-        except (KeyError, ValueError, IndexError):
+        except ParseError:
             # A truncated trailing block is expected after an interrupt.
-            if bi == len(blocks) - 1:
+            if section is sections[-1]:
                 break
-            raise ParseError(f"{path}: malformed checkpoint block [{name}]") from None
+            raise
     return spec, checkpoints
 
 
@@ -794,14 +832,9 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
     if version != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported restart format version {version}")
     off = 16
-    echo = blob[off : off + echo_len].decode("utf-8")
+    echo = blob[off : off + echo_len].decode("utf-8").split("\n")
     off += echo_len
-    pairs = {}
-    for line in echo.split("\n"):
-        if "=" in line:
-            key, _, value = line.partition("=")
-            pairs[key.strip()] = value.strip()
-    spec = spec_from_echo(pairs)
+    spec = spec_from_echo(read_sections(path, echo, implicit="spec")[0])
     checkpoints = []
     while off + 4 <= len(blob):
         (length,) = struct.unpack_from("<I", blob, off)
@@ -849,17 +882,22 @@ def write_sample(refined, path: str) -> None:
 def read_sample(path: str) -> tuple[np.ndarray, np.ndarray]:
     """Returns (states, logf) from a sample file."""
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
-        lines = [ln for ln in fh.read().split("\n") if ln]
-    if not lines or not lines[0].startswith("logFunc"):
+        lines = fh.read().split("\n")
+    if not lines[0].startswith("logFunc"):
         raise ParseError(f"{path}:1: not a sample file")
     ndim = len(lines[0].split(",")) - 1
     logf, states = [], []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split(",")
-        if len(parts) != ndim + 1:
-            raise ParseError(f"{path}:{lineno}: wrong column count")
-        logf.append(float(parts[0]))
-        states.append([float(v) for v in parts[1:]])
+    try:
+        for lineno, line in enumerate(lines[1:], start=2):
+            if not line:
+                continue
+            parts = line.split(",")
+            if len(parts) != ndim + 1:
+                raise ParseError(f"{path}:{lineno}: wrong column count")
+            logf.append(float(parts[0]))
+            states.append([float(v) for v in parts[1:]])
+    except ValueError as exc:
+        raise ParseError(f"{path}:{lineno}: {exc}") from None
     return np.array(states, dtype=float).reshape(-1, ndim), np.array(logf, dtype=float)
 
 
@@ -890,88 +928,68 @@ class ReportStats:
     parallel: ParallelStats | None = None
 
 
+# The report's run statistics: per section, the (attribute, kind, key) of
+# each field in line order. [stats] holds ReportStats fields; [parallelism]
+# holds ReportStats.parallel and is written for fork-join runs only.
+REPORT_FIELDS = {
+    "stats": (
+        ("accepted_count", "int", "accepted_count"),
+        ("mean_accept_rate", "f64", "mean_accept_rate"),
+        ("burnin_loc", "int", "burnin_loc"),
+        ("iac_history", "floats", "iac_history"),
+        ("ess", "f64", "ess"),
+        ("compact_bytes", "int", "compact_bytes"),
+        ("verbose_bytes", "int", "verbose_bytes"),
+        ("size_ratio", "f64", "size_ratio"),
+    ),
+    "parallelism": (
+        ("mu", "f64", "MeanAcceptancePerCandidate"),
+        ("fitted_p", "f64", "FittedGeometricP"),
+        ("fit_distance", "f64", "FitDistanceTV"),
+        ("optimal_workers", "int", "PredictedOptimalWorkers"),
+        ("speedup", "series", "PredictedSpeedup"),
+    ),
+}
+
+
 def write_report(stats: ReportStats, path: str) -> None:
+    lines = ["# dramforge report v1", "[spec]"]
+    lines += spec_echo_lines(stats.spec, with_provenance=True)
+    for name, record in (("stats", stats), ("parallelism", stats.parallel)):
+        if record is not None:
+            lines.append(f"[{name}]")
+            lines += [line for attr, kind, key in REPORT_FIELDS[name]
+                      for line in _field_text(key, kind, getattr(record, attr))]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# dramforge report v1\n[spec]\n")
-        for line in spec_echo_lines(stats.spec, with_provenance=True):
-            fh.write(line + "\n")
-        fh.write("[stats]\n")
-        fh.write(f"accepted_count = {stats.accepted_count}\n")
-        fh.write(f"mean_accept_rate = {fmt_float(stats.mean_accept_rate)}\n")
-        fh.write(f"burnin_loc = {stats.burnin_loc}\n")
-        iac = ",".join(fmt_float(v) for v in stats.iac_history) or "none"
-        fh.write(f"iac_history = {iac}\n")
-        fh.write(f"ess = {fmt_float(stats.ess)}\n")
-        fh.write(f"compact_bytes = {stats.compact_bytes}\n")
-        fh.write(f"verbose_bytes = {stats.verbose_bytes}\n")
-        fh.write(f"size_ratio = {fmt_float(stats.size_ratio)}\n")
-        if stats.parallel is not None:
-            p = stats.parallel
-            fh.write("[parallelism]\n")
-            fh.write(f"MeanAcceptancePerCandidate = {fmt_float(p.mu)}\n")
-            fh.write(f"FittedGeometricP = {fmt_float(p.fitted_p)}\n")
-            fh.write(f"FitDistanceTV = {fmt_float(p.fit_distance)}\n")
-            fh.write(f"PredictedOptimalWorkers = {p.optimal_workers}\n")
-            for n, s in enumerate(p.speedup, start=1):
-                fh.write(f"PredictedSpeedup({n}) = {fmt_float(s)}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_report(path: str) -> ReportStats:
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         lines = fh.read().split("\n")
-    section = ""
-    spec_pairs: dict = {}
-    provenance: dict = {}
-    stats_pairs: dict = {}
-    par_pairs: dict = {}
-    speedup: dict[int, float] = {}
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("["):
-            section = line[1:-1]
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if section == "spec":
-            text, _, prov = value.partition("#")
-            spec_pairs[key] = text.strip()
-            provenance[key] = prov.strip() or "user"
-        elif section == "stats":
-            stats_pairs[key] = value
-        elif section == "parallelism":
-            if key.startswith("PredictedSpeedup("):
-                n = int(key[len("PredictedSpeedup(") : -1])
-                speedup[n] = float(value)
-            else:
-                par_pairs[key] = value
-        else:
-            raise ParseError(f"{path}:{lineno}: line outside any section")
-    spec = spec_from_echo(spec_pairs, provenance)
-    iac_text = stats_pairs.get("iac_history", "none")
-    iac = [] if iac_text == "none" else [float(v) for v in iac_text.split(",")]
-    parallel = None
-    if par_pairs:
-        parallel = ParallelStats(
-            mu=float(par_pairs["MeanAcceptancePerCandidate"]),
-            fitted_p=float(par_pairs["FittedGeometricP"]),
-            fit_distance=float(par_pairs["FitDistanceTV"]),
-            optimal_workers=int(par_pairs["PredictedOptimalWorkers"]),
-            speedup=[speedup[n] for n in sorted(speedup)],
-        )
+    sections = {}
+    for section in read_sections(path, lines):
+        if section.name not in ("spec", *REPORT_FIELDS) or section.name in sections:
+            raise ParseError(f"{section.where()}: unexpected section [{section.name}]")
+        sections[section.name] = section
+    # A section lost to truncation reads as empty, at the end of the file.
+    spec_pairs, stats_pairs = (sections.get(name, Section(path, name, len(lines)))
+                               for name in ("spec", "stats"))
+    provenance = {}
+    for key, value in spec_pairs.items():
+        text, _, prov = value.partition("#")
+        spec_pairs[key] = text.strip()
+        provenance[key] = prov.strip() or "user"
+
+    def fields(pairs: Section) -> dict:
+        return {attr: _field_parse(key, kind, pairs)
+                for attr, kind, key in REPORT_FIELDS[pairs.name]}
+
+    parallel = sections.get("parallelism")
     return ReportStats(
-        spec=spec,
-        accepted_count=int(stats_pairs["accepted_count"]),
-        mean_accept_rate=float(stats_pairs["mean_accept_rate"]),
-        burnin_loc=int(stats_pairs["burnin_loc"]),
-        iac_history=iac,
-        ess=float(stats_pairs["ess"]),
-        compact_bytes=int(stats_pairs["compact_bytes"]),
-        verbose_bytes=int(stats_pairs["verbose_bytes"]),
-        size_ratio=float(stats_pairs["size_ratio"]),
-        parallel=parallel,
+        spec=spec_from_echo(spec_pairs, provenance),
+        parallel=None if parallel is None else ParallelStats(**fields(parallel)),
+        **fields(stats_pairs),
     )
 
 

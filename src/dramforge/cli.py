@@ -18,13 +18,14 @@ import numpy as np
 
 from .chainio import (
     ParseError,
+    _field_parse,
     fmt_float,
     output_paths,
     read_chain,
     read_report,
     read_restart,
     read_sample,
-    spec_text_to_value,
+    read_sections,
 )
 from .core import (
     SIMSPEC_FIELDS,
@@ -54,38 +55,26 @@ def parse_config(path: str) -> tuple[dict, dict]:
     """Flat key=value config with a [target] section.
 
     Returns (spec_pairs, target_pairs) of raw strings. Unknown keys and
-    malformed lines are rejected with their line number.
+    sections and malformed lines are rejected with their line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().split("\n")
     except OSError as exc:
         raise UsageError(f"cannot read config {path!r}: {exc}") from None
-    spec_pairs: dict[str, str] = {}
+    spec, *rest = read_sections(path, lines, implicit="spec")
+    for key in spec:
+        if key not in _SPEC_KINDS:
+            raise ParseError(f"{spec.where(key)}: unknown simulation key {key!r}")
     target_pairs: dict[str, str] = {}
-    section = "spec"
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#") or line.startswith(";"):
-            continue
-        if line.startswith("["):
-            if line != "[target]":
-                raise ParseError(f"{path}:{lineno}: unknown section {line}")
-            section = "target"
-            continue
-        if "=" not in line:
-            raise ParseError(f"{path}:{lineno}: expected key = value")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if section == "spec":
-            if key not in _SPEC_KINDS:
-                raise ParseError(f"{path}:{lineno}: unknown simulation key {key!r}")
-            spec_pairs[key] = value
-        else:
+    for section in rest:
+        if section.name != "target":
+            raise ParseError(f"{section.where()}: unknown section [{section.name}]")
+        for key in section:
             if not _valid_target_key(key):
-                raise ParseError(f"{path}:{lineno}: unknown target key {key!r}")
-            target_pairs[key] = value
-    return spec_pairs, target_pairs
+                raise ParseError(f"{section.where(key)}: unknown target key {key!r}")
+        target_pairs.update(section)
+    return dict(spec), target_pairs
 
 
 def _valid_target_key(key: str) -> bool:
@@ -108,9 +97,7 @@ def _parse_matrix(text: str) -> np.ndarray:
 
 
 def build_spec(spec_pairs: dict) -> SimSpec:
-    kwargs = {}
-    for key, value in spec_pairs.items():
-        kwargs[key] = spec_text_to_value(_SPEC_KINDS[key], value)
+    kwargs = {key: _field_parse(key, _SPEC_KINDS[key], spec_pairs) for key in spec_pairs}
     if "ndim" not in kwargs:
         raise UsageError("config must set ndim")
     if "output_prefix" not in kwargs:
@@ -227,6 +214,9 @@ def cmd_run(args) -> int:
     except ResumeRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except (NumericalError, DramforgeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

@@ -387,27 +387,16 @@ def build_target(target: BuiltinTarget) -> TargetDensity:
     return mixture_target(p["weights"], p["means"], p["covs"])
 
 
-def eval_builtin(target: BuiltinTarget, point: np.ndarray) -> float:
-    """Evaluate a builtin target's log-density at one point."""
-    density = build_target(target)
-    point = np.asarray(point, dtype=float).reshape(-1)
-    if point.size != density.ndim:
-        raise UsageError(
-            f"point has {point.size} coordinates, target expects {density.ndim}"
-        )
-    return density(point)
-
-
 CHAIN_FORMATS = ("compact", "verbose")
 FILE_ENCODINGS = ("ascii", "binary")
 PARALLELISM_MODES = ("none", "single_chain", "multi_chain")
 
-# (name, kind) for every SimSpec field, in echo order. Kinds drive the
-# report/config serialization: int, u64, float, str, point, window.
+# (name, kind) for every SimSpec field, in echo order. The kinds are those
+# of the chainio text codec: int, u64, f64, str, vector, window.
 SIMSPEC_FIELDS = (
     ("ndim", "int"),
     ("chain_size", "int"),
-    ("start_point", "point"),
+    ("start_point", "vector"),
     ("seed", "u64"),
     ("output_prefix", "str"),
     ("chain_format", "str"),
@@ -415,9 +404,9 @@ SIMSPEC_FIELDS = (
     ("adaptation_period", "int"),
     ("greedy_adaptation_count", "int"),
     ("dr_stage_count", "int"),
-    ("dr_scale_factor", "float"),
-    ("proposal_scale", "float"),
-    ("cov_epsilon", "float"),
+    ("dr_scale_factor", "f64"),
+    ("proposal_scale", "f64"),
+    ("cov_epsilon", "f64"),
     ("parallelism", "str"),
     ("num_workers", "int"),
     ("target_acceptance_window", "window"),
@@ -447,8 +436,8 @@ _SIMSPEC_DEFAULTS = {
 _SIMSPEC_CASTS = {
     "int": int,
     "u64": int,
-    "float": float,
-    "point": lambda value: np.asarray(value, dtype=float).reshape(-1),
+    "f64": float,
+    "vector": lambda value: np.asarray(value, dtype=float).reshape(-1),
 }
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import SimSpec, TargetDensity, UsageError
-from .sampler import SimulationOutputs, _run_or_resume, fork_join_cycle, worker_attempt
+from .sampler import SimulationOutputs, _run_or_resume
 
 SPEEDUP_ASYMPTOTE_FRACTION = 0.99
 
@@ -26,13 +26,11 @@ __all__ = [
     "compare_refined_samples",
     "contribution_stats",
     "fit_geometric",
-    "fork_join_cycle",
     "ks_two_sample",
     "kolmogorov_sf",
     "optimal_num_workers",
     "predict_speedup",
     "run_multi_chain",
-    "worker_attempt",
 ]
 
 

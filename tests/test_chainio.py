@@ -17,7 +17,6 @@ from dramforge.chainio import (
     read_restart,
     spec_echo_lines,
     spec_from_echo,
-    write_restart_checkpoint,
 )
 from conftest import random_chain
 
@@ -300,8 +299,10 @@ class TestRestartFile:
         spec = SimSpec(ndim=3, output_prefix="p")
         path = str(tmp_path / "r.txt")
         a, b = make_checkpoint(rng, index=0), make_checkpoint(rng, index=1)
-        write_restart_checkpoint(a, path, spec)
-        write_restart_checkpoint(b, path, spec)
+        for ck in (a, b):
+            writer = RestartWriter(path, spec, append=os.path.exists(path))
+            writer.append(ck)
+            writer.close()
         _, back = read_restart(path)
         assert back == [a, b]
 
@@ -372,28 +373,129 @@ class TestSampleAndReport:
 
     def test_report_roundtrip(self, tmp_path):
         spec = SimSpec(ndim=2, output_prefix="x", seed=5, chain_size=777)
+        parallel = df.ParallelStats(
+            mu=0.41, fitted_p=0.43, fit_distance=0.01, optimal_workers=9,
+            speedup=[1.0, 1.59, 1.94],
+        )
+        # A fork-join report, a serial one, and one whose refinement made no
+        # pass (its iac_history is written as "none").
+        for iac_history, par in (([7.5, 1.2], parallel), ([7.5, 1.2], None), ([], None)):
+            stats = df.ReportStats(
+                spec=spec,
+                accepted_count=321,
+                mean_accept_rate=321 / 777,
+                burnin_loc=4,
+                iac_history=iac_history,
+                ess=103.25,
+                compact_bytes=1000,
+                verbose_bytes=4200,
+                size_ratio=4.2,
+                parallel=par,
+            )
+            path = str(tmp_path / "rep.txt")
+            df.write_report(stats, path)
+            back = df.read_report(path)
+            assert back == stats
+            assert back.spec.provenance == spec.provenance
+            assert back.accepted_count == 321
+            assert back.iac_history == iac_history
+            assert back.size_ratio == 4.2
+            if par is None:
+                assert back.parallel is None
+                assert "[parallelism]" not in open(path).read()
+            else:
+                assert back.parallel.speedup == [1.0, 1.59, 1.94]
+                assert back.parallel.optimal_workers == 9
+        assert "iac_history = none\n" in open(path).read()
+
+
+def _replace_line(path, old, new):
+    """Replace the first line equal to ``old``; return its 1-based number."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        lines = fh.read().split("\n")
+    lineno = lines.index(old) + 1
+    lines[lineno - 1] = new
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+    return lineno
+
+
+def _line_starting(path, start):
+    """The first line of ``path`` that starts with ``start``, and its number."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        for lineno, line in enumerate(fh.read().split("\n"), start=1):
+            if line.startswith(start):
+                return line, lineno
+    raise AssertionError(f"no line starts with {start!r}")
+
+
+class TestParseErrors:
+    """Each malformed input raises ParseError naming ``path:line``."""
+
+    @pytest.fixture
+    def restart(self, tmp_path):
+        rng = np.random.default_rng(12)
+        spec = SimSpec(ndim=2, output_prefix="p")
+        path = str(tmp_path / "r.txt")
+        writer = RestartWriter(path, spec)
+        for i in range(3):
+            writer.append(make_checkpoint(rng, ndim=2, index=i))
+        writer.close()
+        return path
+
+    @pytest.fixture
+    def report(self, tmp_path):
         stats = df.ReportStats(
-            spec=spec,
-            accepted_count=321,
-            mean_accept_rate=321 / 777,
-            burnin_loc=4,
-            iac_history=[7.5, 1.2],
-            ess=103.25,
-            compact_bytes=1000,
-            verbose_bytes=4200,
-            size_ratio=4.2,
-            parallel=df.ParallelStats(
-                mu=0.41, fitted_p=0.43, fit_distance=0.01, optimal_workers=9,
-                speedup=[1.0, 1.59, 1.94],
-            ),
+            spec=SimSpec(ndim=2, output_prefix="x"), accepted_count=1214,
+            mean_accept_rate=0.25, burnin_loc=3, iac_history=[2.5], ess=480.5,
+            compact_bytes=100, verbose_bytes=300, size_ratio=3.0,
         )
         path = str(tmp_path / "rep.txt")
         df.write_report(stats, path)
-        back = df.read_report(path)
-        assert back.spec == spec
-        assert back.spec.provenance == spec.provenance
-        assert back.accepted_count == 321
-        assert back.iac_history == [7.5, 1.2]
-        assert back.parallel.speedup == [1.0, 1.59, 1.94]
-        assert back.parallel.optimal_workers == 9
-        assert back.size_ratio == 4.2
+        return path
+
+    def test_restart_header_without_bracket(self, restart):
+        lineno = _replace_line(restart, "[checkpoint 1]", "[checkpoint 1")
+        with pytest.raises(ParseError, match=f"r.txt:{lineno}:"):
+            read_restart(restart)
+
+    def test_restart_key_before_spec_section(self, restart):
+        lineno = _replace_line(restart, "[spec]", "ndim = 2")
+        with pytest.raises(ParseError, match=f"r.txt:{lineno}:"):
+            read_restart(restart)
+
+    def test_restart_malformed_block_before_the_last(self, restart):
+        line, lineno = _line_starting(restart, "iteration = ")
+        _replace_line(restart, line, "iteration = x12")
+        with pytest.raises(ParseError, match=f"r.txt:{lineno}:"):
+            read_restart(restart)
+
+    def test_report_cut_before_a_key(self, report):
+        _, lineno = _line_starting(report, "ess = ")
+        blob = open(report, "rb").read()
+        open(report, "wb").write(blob[: blob.index(b"ess = ")])
+        _, header = _line_starting(report, "[stats]")
+        with pytest.raises(ParseError, match=f"rep.txt:{header}:.*ess"):
+            df.read_report(report)
+
+    def test_report_malformed_value(self, report):
+        lineno = _replace_line(report, "accepted_count = 1214", "accepted_count = x1214")
+        with pytest.raises(ParseError, match=f"rep.txt:{lineno}:.*accepted_count"):
+            df.read_report(report)
+
+    def test_report_key_outside_any_section(self, report):
+        lineno = _replace_line(report, "[spec]", "ndim = 2")
+        with pytest.raises(ParseError, match=f"rep.txt:{lineno}:"):
+            df.read_report(report)
+
+    def test_malformed_sample_cell(self, tmp_path):
+        refined = df.RefinedSample(
+            states=np.ones((5, 2)), logf=np.zeros(5), iac_history=[1.0], source_burnin=0,
+        )
+        path = str(tmp_path / "s.txt")
+        df.write_sample(refined, path)
+        lines = open(path).read().split("\n")
+        lines[3] = "0,abc,1"
+        open(path, "w").write("\n".join(lines))
+        with pytest.raises(ParseError, match="s.txt:4:"):
+            df.read_sample(path)

@@ -29,6 +29,17 @@ output_prefix = {prefix}
     return str(cfg)
 
 
+def _corrupt(path, old, new):
+    """Replace the first line of ``path`` that starts with ``old``; return its number."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        lines = fh.read().split("\n")
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(old))
+    lines[lineno - 1] = new
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines))
+    return lineno
+
+
 @pytest.fixture
 def run_dir(tmp_path):
     return tmp_path
@@ -86,6 +97,36 @@ class TestCmdRun:
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "bad.cfg:2" in err and "chaim_size" in err
+
+    def test_unknown_section_reports_line_number(self, run_dir, capsys):
+        cfg = run_dir / "bad.cfg"
+        cfg.write_text("ndim = 4\noutput_prefix = x\n[targets]\nkind = mvn\n")
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "bad.cfg:3" in err and "targets" in err
+
+    def test_line_without_equals_reports_line_number(self, run_dir, capsys):
+        cfg = run_dir / "bad.cfg"
+        cfg.write_text("; comment\nndim = 4\noutput_prefix = x\nseed 5\n[target]\nkind = mvn\n")
+        assert main(["run", str(cfg)]) == 2
+        assert "bad.cfg:4" in capsys.readouterr().err
+
+    def test_resume_with_malformed_restart_is_input_error(self, run_dir, mvn4, capsys):
+        prefix = str(run_dir / "out")
+        spec = df.SimSpec(ndim=4, output_prefix=prefix, chain_size=2000, seed=17)
+
+        class Stop(Exception):
+            pass
+
+        def hook(iteration):
+            if iteration >= 1200:
+                raise Stop
+
+        with pytest.raises(Stop):
+            df.run_sampler(spec, mvn4, on_checkpoint=hook)
+        _corrupt(prefix + "_restart.txt", "[checkpoint 0]", "[checkpoint 0")
+        assert main(["run", write_cfg(run_dir, prefix), "--resume"]) == 2
+        assert "out_restart.txt:" in capsys.readouterr().err
 
     def test_invalid_value_is_config_error(self, run_dir, capsys):
         cfg = write_cfg(run_dir, run_dir / "out", extra="dr_stage_count = 7")
@@ -182,3 +223,25 @@ class TestCmdPostproc:
         for what in ("stats", "acf", "covmat", "contrib"):
             assert main(["postproc", prefix, "--what", what]) == 0
             assert os.path.exists(f"{prefix}_{what}.csv")
+
+    def test_truncated_report_exit_2(self, finished, capsys):
+        path = finished + "_report.txt"
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob[: len(blob) // 2])
+        assert main(["postproc", finished, "--what", "stats"]) == 2
+        assert "out_report.txt:" in capsys.readouterr().err
+
+    def test_malformed_report_value_exit_2(self, finished, capsys):
+        lineno = _corrupt(finished + "_report.txt", "accepted_count = ", "accepted_count = x1214")
+        assert main(["postproc", finished, "--what", "stats"]) == 2
+        assert f"out_report.txt:{lineno}:" in capsys.readouterr().err
+
+    def test_malformed_sample_exit_2(self, finished, capsys):
+        lineno = _corrupt(finished + "_sample.txt", "-", "abc,0,0,0,0")
+        assert main(["postproc", finished, "--what", "acf"]) == 2
+        assert f"out_sample.txt:{lineno}:" in capsys.readouterr().err
+
+    def test_malformed_restart_exit_2(self, finished, capsys):
+        lineno = _corrupt(finished + "_restart.txt", "[checkpoint 1]", "[checkpoint 1")
+        assert main(["postproc", finished, "--what", "covmat"]) == 2
+        assert f"out_restart.txt:{lineno}:" in capsys.readouterr().err

@@ -19,8 +19,7 @@ from dramforge.parallel import (
     run_multi_chain,
 )
 from dramforge import sampler
-from dramforge.parallel import worker_attempt
-from dramforge.sampler import _apply_verdict, _attempt, fork_join_cycle, init_state
+from dramforge.sampler import _apply_verdict, _attempt, fork_join_cycle, init_state, worker_attempt
 
 
 def sha(path):
