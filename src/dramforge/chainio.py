@@ -845,8 +845,12 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
         try:
             for name, kind in CHECKPOINT_FIELDS:
                 values[name], pos = _field_unpack(kind, payload, pos, ndim)
+            if pos != length:
+                raise ValueError("bytes left over")
         except (struct.error, ValueError):
-            break
+            # Every byte of the record is there, so this is no cut write.
+            raise ParseError(f"{path}: restart record {len(checkpoints)} at byte {off} "
+                             f"is not a checkpoint of ndim {ndim}") from None
         checkpoints.append(RestartCheckpoint(**values))
         off += 4 + length
     return spec, checkpoints

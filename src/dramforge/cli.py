@@ -33,6 +33,7 @@ from .core import (
     DramforgeError,
     NumericalError,
     ResumeRefused,
+    RunAlreadyComplete,
     SimSpec,
     UsageError,
     build_target,
@@ -127,18 +128,23 @@ def build_cli_target(target_pairs: dict, ndim: int) -> BuiltinTarget:
             "rosenbrock",
             {"ndim": ndim, "scale": float(target_pairs.get("scale", "100.0"))},
         )
-    weights, means, covs = [], [], []
-    i = 1
-    while f"component{i}_weight" in target_pairs:
-        weights.append(float(target_pairs[f"component{i}_weight"]))
-        means.append(np.array([float(v) for v in target_pairs[f"component{i}_mean"].split(",")]))
-        if f"component{i}_cov" in target_pairs:
-            covs.append(_parse_matrix(target_pairs[f"component{i}_cov"]))
-        else:
-            covs.append(np.eye(ndim))
-        i += 1
-    if not weights:
+    present = {int(key[len("component"):].partition("_")[0])
+               for key in target_pairs if key.startswith("component")}
+    if not present:
         raise UsageError("gauss_mixture target needs component<i>_weight/_mean entries")
+    if 0 in present:
+        raise UsageError("gauss_mixture components are numbered from 1, got component0_*")
+    weights, means, covs = [], [], []
+    for i in range(1, max(present) + 1):
+        key = f"component{i}_"
+        for needed in ("weight", "mean"):
+            if key + needed not in target_pairs:
+                raise UsageError(f"gauss_mixture target has no {key + needed} "
+                                 f"(components 1..{max(present)} each need one)")
+        weights.append(float(target_pairs[key + "weight"]))
+        means.append(np.array([float(v) for v in target_pairs[key + "mean"].split(",")]))
+        cov = target_pairs.get(key + "cov")
+        covs.append(np.eye(ndim) if cov is None else _parse_matrix(cov))
     return BuiltinTarget("gauss_mixture", {"weights": weights, "means": means, "covs": covs})
 
 
@@ -168,6 +174,27 @@ def _delete_outputs(spec: SimSpec) -> None:
         os.remove(conv)
 
 
+def _run(spec: SimSpec, target) -> None:
+    if spec.parallelism == "multi_chain":
+        outputs, report = run_multi_chain(spec, target, spec.num_workers)
+        for rank, out in enumerate(outputs, start=1):
+            print(
+                f"chain {rank}: {out.chain.n_rows} rows, "
+                f"acceptance {out.report.mean_accept_rate:.4f}, "
+                f"ESS {out.report.ess:.1f}"
+            )
+        verdict = "flagged" if report.flagged else "no evidence of non-convergence"
+        print(f"multi-chain comparison: {verdict} (min p = {report.min_p:.4g})")
+    else:
+        out = run_sampler(spec, target)
+        print(
+            f"done: {out.chain.n_rows} rows over {spec.chain_size} iterations, "
+            f"acceptance {out.report.mean_accept_rate:.4f}, "
+            f"ESS {out.report.ess:.1f}, refined sample {len(out.refined)}"
+        )
+        print(f"outputs under prefix: {spec.output_prefix}")
+
+
 def cmd_run(args) -> int:
     try:
         spec_pairs, target_pairs = parse_config(args.config)
@@ -179,38 +206,23 @@ def cmd_run(args) -> int:
         return EXIT_CONFIG
 
     try:
-        status, _ = chainio.inspect_outputs(spec)
-        if status == "complete" and args.force:
-            _delete_outputs(spec)
-            status = "absent"
-        if status == "complete":
-            raise ResumeRefused(
-                f"prefix {spec.output_prefix!r} already holds a complete run "
-                "(use --force to overwrite)"
-            )
-        if status == "incomplete" and not args.resume:
+        # --resume goes straight to the run, which resumes an incomplete
+        # chain and raises RunAlreadyComplete on a complete one.
+        if not args.resume and chainio.inspect_outputs(spec)[0] == "incomplete":
             raise ResumeRefused(
                 f"prefix {spec.output_prefix!r} holds an incomplete run "
                 "(use --resume to continue it)"
             )
-        if spec.parallelism == "multi_chain":
-            outputs, report = run_multi_chain(spec, target, spec.num_workers)
-            for rank, out in enumerate(outputs, start=1):
-                print(
-                    f"chain {rank}: {out.chain.n_rows} rows, "
-                    f"acceptance {out.report.mean_accept_rate:.4f}, "
-                    f"ESS {out.report.ess:.1f}"
-                )
-            verdict = "flagged" if report.flagged else "no evidence of non-convergence"
-            print(f"multi-chain comparison: {verdict} (min p = {report.min_p:.4g})")
-        else:
-            out = run_sampler(spec, target)
-            print(
-                f"done: {out.chain.n_rows} rows over {spec.chain_size} iterations, "
-                f"acceptance {out.report.mean_accept_rate:.4f}, "
-                f"ESS {out.report.ess:.1f}, refined sample {len(out.refined)}"
-            )
-            print(f"outputs under prefix: {spec.output_prefix}")
+        try:
+            _run(spec, target)
+        except RunAlreadyComplete:
+            if not args.force:
+                raise ResumeRefused(
+                    f"prefix {spec.output_prefix!r} already holds a complete run "
+                    "(use --force to overwrite)"
+                ) from None
+            _delete_outputs(spec)
+            _run(spec, target)
     except ResumeRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -259,9 +271,11 @@ def _postproc_acf(prefix: str, chain, sample_states) -> str:
         weighted_acf(chain.states[:, dim], chain.weight, max_lag)
         for dim in range(chain.ndim)
     ]
-    ref_lag = min(max_lag, nref - 1)
+    # A refined sample of fewer than 2 points has no autocorrelation; its
+    # columns stay empty.
     refined_acf = [
-        autocorrelation(sample_states[:, dim], ref_lag) for dim in range(chain.ndim)
+        autocorrelation(sample_states[:, dim], max_lag) if nref >= 2 else ()
+        for dim in range(chain.ndim)
     ]
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
         cols = ["lag"]

@@ -40,21 +40,14 @@ class RunAlreadyComplete(ResumeRefused):
     """Output files for this prefix already hold a finished run."""
 
 
-_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX2 = np.uint64(0x94D049BB133111EB)
+_M1, _M2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 _GAMMA64 = np.uint64(GOLDEN_GAMMA)
-
-# Raw draws generated per block: the first block of a stream is small, so
-# short-lived streams (fork-join ranks, copies) stay cheap, and each refill
-# doubles the size up to the cap.
-_BLOCK_FIRST = 16
-_BLOCK_CAP = 1024
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
     """SplitMix64 output function over a uint64 array (wraps mod 2**64)."""
-    z = (z ^ (z >> np.uint64(30))) * _MIX1
-    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_M1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_M2)
     return z ^ (z >> np.uint64(31))
 
 
@@ -66,87 +59,51 @@ class SplitMix64:
     Box-Muller deviate is cached so Gaussian draws consume a fixed number
     of raw outputs; the cache is part of the serialized state.
 
-    Raw draws and uniforms are served from a block computed ahead in one
-    vectorized pass. The ``state += gamma`` recurrence is a counter, so a
-    block is a pure function of the position it starts at, and every draw
-    is bitwise the one the scalar recurrence gives. ``state`` is the
-    position of the last draw consumed; the block is never serialized.
+    The stream's position is ``state`` (the counter of the last raw draw)
+    and ``gauss_cache``, and nothing else. Scalar draws step the
+    ``state += gamma`` recurrence one raw at a time.
 
     A *slot* is what one delayed-rejection stage attempt draws: ``ndim``
-    ``gauss()`` deviates, then one ``uniform()``. ``peek_slots`` computes
-    the next slots in one pass without consuming them, and
-    ``advance_slots`` consumes them. ``tape`` is free for a consumer to
-    hang values derived from the slots it peeked; the stream drops it
-    whenever its next draws may no longer be those slots: on
-    ``setstate`` (so on ``copy``) and on any scalar draw.
+    ``gauss()`` deviates, then one ``uniform()``. The recurrence is a
+    counter, so ``peek_block`` computes the next slots, and the position
+    after each, in one vectorized pass without consuming them. ``tape``
+    is free for a consumer to hang values derived from peeked slots; it
+    then moves the stream itself, to the position after the slots it
+    used. The stream drops the tape on ``setstate`` (so on ``copy``) and
+    on any scalar draw, since its next draws may no longer be those slots.
     """
 
-    __slots__ = ("stream_id", "gauss_cache", "tape", "_base", "_pos", "_len", "_next",
-                 "_raw", "_u", "_plan", "_slot")
+    __slots__ = ("state", "stream_id", "gauss_cache", "tape")
 
     def __init__(self, seed: int, stream_id: int = 0):
         if not 0 <= seed <= MASK64:
             raise UsageError(f"seed must be a 64-bit unsigned integer, got {seed}")
         if not 0 <= stream_id <= MASK64:
             raise UsageError(f"stream_id must be a 64-bit unsigned integer, got {stream_id}")
-        self.state = (seed ^ ((stream_id * GOLDEN_GAMMA) & MASK64)) & MASK64
-        self.stream_id = stream_id
-        self.gauss_cache: float | None = None
+        self.setstate(((seed ^ ((stream_id * GOLDEN_GAMMA) & MASK64)) & MASK64, stream_id, None))
 
-    @property
-    def state(self) -> int:
-        return (self._base + self._pos * GOLDEN_GAMMA) & MASK64
-
-    @state.setter
-    def state(self, value: int) -> None:
-        self._base = value
-        self._pos = self._len = 0
-        self._next = _BLOCK_FIRST
-        self._raw = self._u = None
-        self._plan = self.tape = None
-
-    def _raws(self, base: int, size: int) -> np.ndarray:
-        """Raw draws 1..size after position ``base``."""
-        steps = np.arange(1, size + 1, dtype=np.uint64)
-        return _mix64(steps * _GAMMA64 + np.uint64(base))
-
-    def _refill(self) -> None:
-        """Start a new block of raw draws and their uniforms at the current state."""
-        base = self.state
-        size = self._next
-        self._next = min(2 * size, _BLOCK_CAP)
-        raw = self._raws(base, size)
-        self._base, self._pos, self._len = base, 0, size
-        self._raw = raw
-        # Exact: a 53-bit integer times a power of two.
-        self._u = ((raw >> np.uint64(11)).astype(float) * _INV_2POW53).tolist()
-        self._plan = self.tape = None
+    def _draw(self) -> int:
+        """The next raw draw: one step of the recurrence."""
+        self.tape = None
+        z = self.state = (self.state + GOLDEN_GAMMA) & MASK64
+        z = ((z ^ (z >> 30)) * _M1) & MASK64
+        z = ((z ^ (z >> 27)) * _M2) & MASK64
+        return z ^ (z >> 31)
 
     def next_uint64(self) -> int:
-        pos = self._pos
-        if pos >= self._len:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return int(self._raw[pos])
+        return self._draw()
 
     def uniform(self) -> float:
         """Next deviate in [0, 1), from the top 53 bits of the stream."""
         # Top-53-bit truncation keeps the result strictly below 1.0, which
         # a rounded 64-bit division would not.
-        pos = self._pos
-        if pos >= self._len:
-            self._refill()
-            pos = 0
-        self._pos = pos + 1
-        return self._u[pos]
+        return (self._draw() >> 11) * _INV_2POW53
 
     def gauss(self) -> float:
         """Next standard normal deviate (Box-Muller, no rejection loop)."""
         if self.gauss_cache is not None:
             g = self.gauss_cache
-            self.gauss_cache = None
-            self._plan = self.tape = None
+            self.gauss_cache = self.tape = None
             return g
         u1 = self.uniform()
         u2 = self.uniform()
@@ -160,14 +117,16 @@ class SplitMix64:
         gauss = self.gauss
         return np.array([gauss() for _ in range(n)], dtype=float)
 
-    def peek_slots(self, k: int, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-        """The next ``k`` slots, computed in one pass and not consumed.
+    def peek_block(self, k: int, ndim: int) -> tuple[np.ndarray, np.ndarray, list, list]:
+        """The next ``k`` slots and the position after each, not consumed.
 
         Returns ``z`` of shape ``(k, ndim)``, the Gaussians ``gauss()``
-        would give slot by slot, and ``logu`` of shape ``(k,)``, the log of
-        each slot's ``uniform()`` (``-inf`` for a uniform of 0). Every value
-        is bitwise the scalar one: the uniforms are exact, and ``log``,
-        ``cos`` and ``sin`` are libm's, called per value.
+        would give slot by slot, ``logu`` of shape ``(k,)``, the log of
+        each slot's ``uniform()`` (``-inf`` for a uniform of 0), and the
+        lists ``states`` and ``caches``: the ``state`` and ``gauss_cache``
+        after 0, 1, ..., ``k`` slots. Every value is bitwise the scalar
+        one: the uniforms and counters are exact in ``uint64``, and
+        ``log``, ``cos`` and ``sin`` are libm's, called per value.
         """
         base, cache = self.state, self.gauss_cache
         c0 = 0 if cache is None else 1
@@ -179,8 +138,9 @@ class SplitMix64:
         u1_at = first - c0 + first // ndim
         slots = np.arange(k + 1)
         after = 2 * ((slots * ndim - c0 + 1) // 2) + slots  # raws drawn by slot ends
-        raw = self._raws(base, int(after[-1]))
-        u = (raw >> np.uint64(11)).astype(float) * _INV_2POW53
+        # Raw j (from 1) mixes the counter base + j * gamma, exact in uint64.
+        counters = np.arange(1, after[-1] + 1, dtype=np.uint64) * _GAMMA64 + np.uint64(base)
+        u = (_mix64(counters) >> np.uint64(11)).astype(float) * _INV_2POW53  # exact
         r = np.sqrt(-2.0 * _libm(math.log, (1.0 - u[u1_at]).tolist()))
         theta = (TWO_PI * u[u1_at + 1]).tolist()
         g = np.empty(c0 + 2 * npairs)
@@ -195,32 +155,25 @@ class SplitMix64:
         odd = np.flatnonzero((slots[1:] * ndim - c0) & 1) + 1
         for s, value in zip(odd.tolist(), g[odd * ndim].tolist()):
             caches[s] = value
-        # Serve the draws from this plan: the raw block is dropped, so a
-        # scalar draw refills at the current state and ends the plan.
-        self._base, self._pos, self._len = base, 0, 0
-        self._raw = self._u = None
-        self._plan, self._slot = (ndim, after.tolist(), caches), 0
-        return g[: k * ndim].reshape(k, ndim), _logs(u[after[1:] - 1].tolist())
+        states = (after.astype(np.uint64) * _GAMMA64 + np.uint64(base)).tolist()
+        z = g[: k * ndim].reshape(k, ndim)
+        return z, _logs(u[after[1:] - 1].tolist()), states, caches
+
+    def peek_slots(self, k: int, ndim: int) -> tuple[np.ndarray, np.ndarray]:
+        """``z`` and ``logu`` of the next ``k`` slots (see ``peek_block``)."""
+        return self.peek_block(k, ndim)[:2]
 
     def advance_slots(self, n: int, ndim: int) -> None:
-        """Consume ``n`` slots: ``state`` and ``gauss_cache`` end where
-        ``n`` rounds of ``ndim`` ``gauss()`` calls and one ``uniform()``
-        leave them. Within the last ``peek_slots`` this is O(1).
-        """
-        plan = self._plan
-        if plan is None or plan[0] != ndim or self._slot + n >= len(plan[1]):
-            self.peek_slots(n, ndim)
-            plan = self._plan
-        j = self._slot + n
-        self._slot = j
-        self._pos = plan[1][j]
-        self.gauss_cache = plan[2][j]
+        """Consume ``n`` slots, as ``n`` rounds of ``ndim`` ``gauss()`` and one ``uniform()``."""
+        _, _, states, caches = self.peek_block(n, ndim)
+        self.setstate((states[-1], self.stream_id, caches[-1]))
 
     def getstate(self) -> tuple[int, int, float | None]:
         return (self.state, self.stream_id, self.gauss_cache)
 
     def setstate(self, state: tuple[int, int, float | None]) -> None:
         self.state, self.stream_id, self.gauss_cache = state
+        self.tape = None
 
     @classmethod
     def from_state(cls, state: tuple[int, int, float | None]) -> "SplitMix64":

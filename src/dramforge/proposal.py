@@ -256,7 +256,7 @@ class KernelTape:
     """The proposal side of a stream's next DR attempts, under one proposal.
 
     Row ``i`` belongs to the stream's ``i``-th next slot (see
-    ``SplitMix64.peek_slots``). An attempt that starts at slot ``i`` tries
+    ``SplitMix64.peek_block``). An attempt that starts at slot ``i`` tries
     stage ``j`` on slot ``i + j``: candidate ``x + delta[j][i + j]``,
     verdict ``logu[i + j] < log alpha``. The DR kernel terms depend only
     on differences of candidates, ``y1 - x = d1``, ``y1 - y2 = d1 - d2``,
@@ -264,20 +264,22 @@ class KernelTape:
     ``dj`` stage ``j - 1``'s step, so they are computed ahead too, one per
     attempt start. A row's values do not depend on the block it is in.
 
-    ``i`` is the next slot and ``n`` the number of attempt starts held;
-    ``stages`` more slots are held as look-ahead. ``size`` is the number
-    of slots the stream was last peeked for. The tape's owner advances
-    the stream by the slots each attempt consumed.
+    ``i`` is the next slot, the stream's only slot cursor, and ``n`` the
+    number of attempt starts held; ``stages`` more slots are held as
+    look-ahead. ``states[s]`` and ``caches[s]`` are the stream's position
+    after ``s`` held slots; the tape's owner moves the stream there after
+    each attempt. ``size`` is the attempt starts last peeked for.
     """
 
-    __slots__ = ("prop", "stages", "size", "ndim", "i", "n", "z", "logu", "delta",
-                 "k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")
+    __slots__ = ("prop", "stages", "size", "i", "n", "z", "logu", "states", "caches",
+                 "delta", "k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")
 
-    def __init__(self, prop: ProposalState, z: np.ndarray, logu: list, stages: int,
-                 size: int):
+    def __init__(self, prop: ProposalState, z: np.ndarray, logu: list, states: list,
+                 caches: list, stages: int, size: int):
         n = len(logu) - stages
-        self.prop, self.stages, self.size, self.ndim = prop, stages, size, prop.ndim
+        self.prop, self.stages, self.size = prop, stages, size
         self.i, self.n, self.z, self.logu = 0, n, z, logu
+        self.states, self.caches = states, caches
         step = _steps(prop, z, 0)
         lam = prop.dr_scale
         self.delta = [step] + [step * lam**j for j in range(1, stages + 1)]
@@ -294,10 +296,11 @@ class KernelTape:
     @classmethod
     def peek(cls, prop: ProposalState, rng: SplitMix64, stages: int, size: int) -> "KernelTape":
         """A tape of the stream's next ``size`` attempt starts."""
-        z, logu = rng.peek_slots(size + stages, prop.ndim)
-        return cls(prop, z, logu.tolist(), stages, size)
+        z, logu, states, caches = rng.peek_block(size + stages, prop.ndim)
+        return cls(prop, z, logu.tolist(), states, caches, stages, size)
 
     def rebased(self, prop: ProposalState) -> "KernelTape":
         """The slots not yet used, under another proposal."""
         i = self.i
-        return KernelTape(prop, self.z[i:], self.logu[i:], self.stages, self.size)
+        return KernelTape(prop, self.z[i:], self.logu[i:], self.states[i:], self.caches[i:],
+                          self.stages, self.size)

@@ -229,10 +229,11 @@ def _attempt(
     Tries stage 0, then up to ``spec.dr_stage_count`` delayed-rejection
     stages, stopping at the first acceptance. Consumes one slot (ndim
     Gaussian deviates plus one uniform) per stage actually attempted, and
-    nothing else. The steps, the log uniforms and the kernel terms come
-    from the stream's ``KernelTape``; a precomputed ``log 0 = -inf``
-    gives the verdict ``u < alpha`` would. A NaN or ``+inf`` target value
-    at any stage raises ``NumericalError``.
+    nothing else. The steps, the log uniforms, the kernel terms and the
+    stream's position after the slots used come from the stream's
+    ``KernelTape``; a precomputed ``log 0 = -inf`` gives the verdict
+    ``u < alpha`` would. A NaN or ``+inf`` target value at any stage
+    raises ``NumericalError``.
     """
     stages = spec.dr_stage_count
     tape = rng.tape
@@ -273,9 +274,10 @@ def _attempt(
                 verdict = _Verdict(True, y3, f3, 2, 3)
             else:
                 verdict = _Verdict(False, stages_attempted=3)
-    used = verdict.stages_attempted
-    tape.i = i + used
-    rng.advance_slots(used, tape.ndim)
+    i += verdict.stages_attempted
+    tape.i = i
+    rng.state = tape.states[i]
+    rng.gauss_cache = tape.caches[i]
     return verdict
 
 

@@ -499,3 +499,36 @@ class TestParseErrors:
         open(path, "w").write("\n".join(lines))
         with pytest.raises(ParseError, match="s.txt:4:"):
             df.read_sample(path)
+
+    @staticmethod
+    def binary_restart(tmp_path, count=5):
+        rng = np.random.default_rng(14)
+        path = str(tmp_path / "r.bin")
+        writer = RestartWriter(path, SimSpec(ndim=2, output_prefix="p", file_encoding="binary"))
+        for i in range(count):
+            writer.append(make_checkpoint(rng, ndim=2, index=i))
+        writer.close()
+        blob = open(path, "rb").read()
+        first = 16 + int.from_bytes(blob[12:16], "little")  # header, then the spec echo
+        return path, blob, first
+
+    def test_binary_restart_record_of_the_wrong_length(self, tmp_path):
+        # Every byte of the record is there, but 3 bytes are no checkpoint.
+        path, blob, first = self.binary_restart(tmp_path)
+        assert len(read_restart(path)[1]) == 5
+        open(path, "wb").write(blob[:first] + (3).to_bytes(4, "little") + blob[first + 4 :])
+        with pytest.raises(ParseError, match="r.bin: restart record 0 "):
+            read_restart(path)
+
+    def test_binary_restart_record_with_bytes_to_spare(self, tmp_path):
+        path, blob, first = self.binary_restart(tmp_path, count=1)
+        length = int.from_bytes(blob[first : first + 4], "little") + 8
+        open(path, "wb").write(blob[:first] + length.to_bytes(4, "little")
+                               + blob[first + 4 :] + bytes(8))
+        with pytest.raises(ParseError, match="r.bin: restart record 0 "):
+            read_restart(path)
+
+    def test_binary_restart_record_cut_by_the_end_of_file_is_dropped(self, tmp_path):
+        path, blob, _ = self.binary_restart(tmp_path)
+        open(path, "wb").write(blob[:-5])
+        assert [ck.checkpoint_index for ck in read_restart(path)[1]] == [0, 1, 2, 3]

@@ -163,6 +163,35 @@ class TestCmdRun:
         cfg = write_cfg(run_dir, run_dir / "mix", target=target)
         assert main(["run", cfg]) == 0
 
+    @pytest.mark.parametrize("components, missing", [
+        ((1, 3), "component2_weight"),  # a gap in the numbering
+        ((0, 1), "component0"),
+    ])
+    def test_mixture_component_numbering(self, run_dir, capsys, components, missing):
+        target = "kind = gauss_mixture\n" + "".join(
+            f"component{i}_weight = 0.5\ncomponent{i}_mean = {i},0,0,0\n" for i in components
+        )
+        cfg = write_cfg(run_dir, run_dir / "mix", target=target)
+        assert main(["run", cfg]) == 2
+        assert missing in capsys.readouterr().err
+        assert not (run_dir / "mix_chain.txt").exists()
+
+    def test_mixture_component_without_mean(self, run_dir, capsys):
+        target = "kind = gauss_mixture\ncomponent1_weight = 1.0\n"
+        cfg = write_cfg(run_dir, run_dir / "mix", target=target)
+        assert main(["run", cfg]) == 2
+        assert "component1_mean" in capsys.readouterr().err
+
+    def test_resume_onto_complete_run(self, run_dir, capsys):
+        cfg = write_cfg(run_dir, run_dir / "out")
+        assert main(["run", cfg]) == 0
+        first = sha(run_dir / "out_chain.txt")
+        assert main(["run", cfg, "--resume"]) == 4
+        assert "force" in capsys.readouterr().err
+        assert sha(run_dir / "out_chain.txt") == first
+        assert main(["run", cfg, "--resume", "--force", "--set", "seed=18"]) == 0
+        assert sha(run_dir / "out_chain.txt") != first
+
     def test_rosenbrock_target_config(self, run_dir):
         cfg = write_cfg(
             run_dir, run_dir / "rb",
@@ -223,6 +252,26 @@ class TestCmdPostproc:
         for what in ("stats", "acf", "covmat", "contrib"):
             assert main(["postproc", prefix, "--what", what]) == 0
             assert os.path.exists(f"{prefix}_{what}.csv")
+
+    def test_one_point_refined_sample(self, run_dir):
+        # Far from the mode, burn-in ends at the last row but one, and the
+        # refined sample keeps a single point: it has no autocorrelation.
+        cfg = write_cfg(run_dir, run_dir / "far")
+        far = ["--set", "ndim=2", "--set", "start_point=40,40", "--set", "chain_size=10",
+               "--set", "seed=0"]
+        assert main(["run", cfg] + far) == 0
+        prefix = str(run_dir / "far")
+        states, _ = df.read_sample(prefix + "_sample.txt")
+        assert states.shape == (1, 2)
+        for what in ("stats", "acf", "covmat", "contrib"):
+            assert main(["postproc", prefix, "--what", what]) == 0
+        lines = open(prefix + "_acf.csv").read().splitlines()
+        assert lines[0] == "lag,chain_var1,chain_var2,refined_var1,refined_var2"
+        assert len(lines) == 1 + 1 + 1  # header, lags 0 and 1
+        for lag, line in enumerate(lines[1:]):
+            cells = line.split(",")
+            assert cells[0] == str(lag) and cells[3:] == ["", ""]
+            assert all(cells[1:3])
 
     def test_truncated_report_exit_2(self, finished, capsys):
         path = finished + "_report.txt"
