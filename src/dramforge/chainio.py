@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from operator import mul, sub
 
 import numpy as np
 
@@ -211,20 +212,48 @@ def _ascii_format(ndim: int) -> str:
     return "%d,%d,%.17g,%.17g,%d,%d,%.17g" + ",%.17g" * ndim + "\n"
 
 
-def _ascii_line(fmt: str, fields: tuple, weight: int) -> str:
-    """The ascii chain line of one row, given as ``row.item()``, with the given weight."""
-    process_id, dr_stage, rate, measure, _, burnin_loc, _, logf, state = fields
-    return fmt % (process_id, dr_stage, rate, measure, burnin_loc, weight, logf,
-                  *state.tolist())
+# Rows formatted by one %-format; it bounds the text held at once when a
+# whole chain is written or sized.
+_FORMAT_ROWS = 4096
+
+
+def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[list[str], int, int]:
+    """The ascii lines of up to ``_FORMAT_ROWS`` rows, and their (compact, verbose) sizes.
+
+    A line carries the row's weight, or 1 with ``weight_one``: the compact
+    line, or the verbose line that is written weight times. The two differ
+    only in the weight column, so each size follows from the other's line
+    lengths. All rows go through one %-format, over the fields flattened
+    row by row from per-column ``tolist()``s. Row content is pure ASCII, so
+    string length equals byte length.
+    """
+    n = records.size
+    weights = records["weight"].tolist()
+    # The columns in line order: the fields before the weight, the weight,
+    # logf, then one column per state coordinate.
+    columns = [records[name].tolist() for name in _ROW_FIELDS[:5]]
+    columns += [[1] * n if weight_one else weights, records["logf"].tolist(),
+                *records["state"].T.tolist()]
+    flat = [None] * (n * len(columns))
+    for j, column in enumerate(columns):
+        flat[j :: len(columns)] = column
+    text = (_ascii_format(records.dtype["state"].shape[0]) * n) % tuple(flat)
+    lines = text.splitlines(keepends=True)
+    # The weight column's width beyond the verbose line's "1".
+    wider = [len(str(w)) - 1 for w in weights]
+    units = list(map(len, lines)) if weight_one else list(map(sub, map(len, lines), wider))
+    return lines, sum(units) + sum(wider), sum(map(mul, units, weights))
 
 
 class ChainWriter:
-    """Streaming chain writer; rows become durable only on flush().
+    """Chain writer; rows are formatted and written at each flush().
 
-    The sampler flushes right before each checkpoint so that everything a
-    checkpoint refers to is already on disk. The writer also keeps exact
-    byte tallies of what the chain occupies in BOTH formats so the report
-    can state the compact-versus-verbose ratio without re-serializing.
+    ``append`` marks a row to write, and ``flush`` writes every marked row
+    in one pass. The sampler flushes right before each checkpoint so that
+    everything a checkpoint refers to is already on disk; ``close``
+    flushes too. The writer also keeps exact byte tallies of what the
+    chain occupies in BOTH formats so the report can state the
+    compact-versus-verbose ratio without re-serializing.
     """
 
     def __init__(self, path: str, ndim: int, chain_format: str, encoding: str,
@@ -234,7 +263,8 @@ class ChainWriter:
         self.chain_format = chain_format
         self.encoding = encoding
         self._row_size = chain_row_dtype(ndim).itemsize
-        self._format = _ascii_format(ndim)
+        # Rows lo..hi-1 of chain are marked and not yet written.
+        self._chain, self._lo, self._hi = None, 0, 0
         if encoding == "ascii":
             header = ",".join(_chain_header(ndim)) + "\n"
             base = len(header.encode("utf-8"))
@@ -254,38 +284,43 @@ class ChainWriter:
         self.compact_bytes, self.verbose_bytes = initial_bytes or (base, base)
 
     def append(self, chain: CompactChain, i: int) -> None:
-        """Write row ``i`` of ``chain``: once if compact, weight times if verbose."""
-        records = chain.records
-        if self.encoding == "ascii":
-            fields = records[i].item()
-            w = fields[6]
-            # Row content is pure ASCII: len(str) == byte count.
-            if self.chain_format == "verbose":
-                line = _ascii_line(self._format, fields, 1)
-                self._fh.write(line * w)
-                unit = len(line)
-                self.verbose_bytes += unit * w
-                # The compact twin differs only in the weight column.
-                self.compact_bytes += unit - 1 + len(str(w))
+        """Mark row ``i`` of ``chain`` to write at the next flush.
+
+        The row is written once if compact, weight times if verbose, after
+        the rows marked before it. It must not change until then.
+        """
+        if chain is not self._chain or i != self._hi:
+            self._write_marked()
+            self._chain, self._lo = chain, i
+        self._hi = i + 1
+
+    def _write_marked(self) -> None:
+        if self._hi == self._lo:
+            return
+        records = self._chain.records
+        verbose = self.chain_format == "verbose"
+        for lo in range(self._lo, self._hi, _FORMAT_ROWS):
+            block = records[lo : min(lo + _FORMAT_ROWS, self._hi)]
+            if self.encoding == "ascii":
+                lines, compact, expanded = _ascii_block(block, verbose)
+                if verbose:
+                    self._fh.write("".join(map(mul, lines, block["weight"].tolist())))
+                else:
+                    self._fh.write("".join(lines))
             else:
-                line = _ascii_line(self._format, fields, w)
-                self._fh.write(line)
-                unit = len(line)
-                self.compact_bytes += unit
-                self.verbose_bytes += (unit - len(str(w)) + 1) * w
-        else:
-            row = records[i : i + 1]
-            w = int(row["weight"][0])
-            if self.chain_format == "verbose":
-                row = row.copy()
-                row["weight"] = 1
-                self._fh.write(row.tobytes() * w)
-            else:
-                self._fh.write(row.tobytes())
-            self.compact_bytes += self._row_size
-            self.verbose_bytes += self._row_size * w
+                weights = block["weight"]
+                compact = self._row_size * block.size
+                expanded = self._row_size * int(weights.sum())
+                if verbose:
+                    block = np.repeat(block, weights)
+                    block["weight"] = 1
+                self._fh.write(block.tobytes())
+            self.compact_bytes += compact
+            self.verbose_bytes += expanded
+        self._lo = self._hi
 
     def flush(self) -> None:
+        self._write_marked()
         self._fh.flush()
         if self.encoding == "binary":
             pos = self._fh.tell()
@@ -315,18 +350,16 @@ def write_chain(chain: CompactChain, path: str, chain_format: str = "compact",
 def chain_byte_sizes(chain: CompactChain, encoding: str) -> tuple[int, int]:
     """Byte sizes ``(compact, verbose)`` the chain would occupy on disk.
 
-    One pass over the rows: a verbose ascii line is the compact line with
-    its weight column set to 1, repeated weight times. Row content is pure
-    ASCII, so string length equals byte length.
+    The ascii sizes come from the rows' compact lines, formatted as the
+    writer formats them.
     """
     if encoding == "ascii":
-        fmt = _ascii_format(chain.ndim)
         compact = verbose = len(",".join(chain.header)) + 1
-        for fields in chain.records.tolist():
-            w = fields[6]
-            unit = len(_ascii_line(fmt, fields, w))
-            compact += unit
-            verbose += (unit - len(str(w)) + 1) * w
+        records = chain.records
+        for lo in range(0, records.size, _FORMAT_ROWS):
+            _, block_compact, block_verbose = _ascii_block(records[lo : lo + _FORMAT_ROWS], False)
+            compact += block_compact
+            verbose += block_verbose
         return compact, verbose
     header = len(CHAIN_MAGIC) + _CHAIN_HEADER.size
     row_size = chain_row_dtype(chain.ndim).itemsize
@@ -462,7 +495,8 @@ def read_sections(path: str, lines: list[str], implicit: str | None = None) -> l
     Blank lines and lines starting with ``#`` or ``;`` are skipped. Lines
     before the first header form the ``implicit`` section; without one they
     are an error. A value is everything after the first ``=``, stripped, so a
-    trailing ``# ...`` stays part of it. Errors name ``path:line``.
+    trailing ``# ...`` stays part of it. A key given twice in one section is
+    an error. Errors name ``path:line``.
     """
     sections = [] if implicit is None else [Section(path, implicit, 1)]
     for lineno, raw in enumerate(lines, start=1):
@@ -480,6 +514,9 @@ def read_sections(path: str, lines: list[str], implicit: str | None = None) -> l
         if not sections:
             raise ParseError(f"{path}:{lineno}: key = value line outside any section")
         key = key.strip()
+        if key in sections[-1]:
+            raise ParseError(f"{path}:{lineno}: [{sections[-1].name}] key {key!r} repeats "
+                             f"line {sections[-1].key_lines[key]}")
         sections[-1][key] = value.strip()
         sections[-1].key_lines[key] = lineno
     return sections

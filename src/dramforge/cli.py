@@ -56,7 +56,8 @@ def parse_config(path: str) -> tuple[dict, dict]:
     """Flat key=value config with a [target] section.
 
     Returns (spec_pairs, target_pairs) of raw strings. Unknown keys and
-    sections and malformed lines are rejected with their line number.
+    sections, keys given twice and malformed lines are rejected with their
+    line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -74,6 +75,8 @@ def parse_config(path: str) -> tuple[dict, dict]:
         for key in section:
             if not _valid_target_key(key):
                 raise ParseError(f"{section.where(key)}: unknown target key {key!r}")
+            if key in target_pairs:
+                raise ParseError(f"{section.where(key)}: [target] key {key!r} given twice")
         target_pairs.update(section)
     return dict(spec), target_pairs
 

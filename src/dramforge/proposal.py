@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -124,30 +125,43 @@ def factorize(state: ProposalState) -> ProposalState:
     )
 
 
-def update_mean_cov(state: ProposalState, batch) -> ProposalState:
+def update_mean_cov(state: ProposalState, points: np.ndarray, weights) -> ProposalState:
     """Absorb weighted chain states into the running mean/covariance.
 
-    ``batch`` is a sequence of ``(point, weight)`` pairs with integer
-    weights >= 1. The fold is per point, so absorbing a batch in halves
-    produces bitwise the same state as absorbing it at once. ``cov`` is
-    the weighted sample covariance (denominator ``count - 1``), zero when
-    only one unit of weight has been seen.
+    ``points`` holds one chain state per row and ``weights`` their integer
+    weights >= 1. The mean is folded point by point. Each point's scatter
+    term is summed in one ``np.add.accumulate``, which adds strictly in
+    point order, so the result is bitwise that of adding the terms one
+    point at a time, and absorbing a batch in halves produces bitwise the
+    same state as absorbing it at once. ``cov`` is the weighted sample
+    covariance (denominator ``count - 1``), zero when only one unit of
+    weight has been seen.
     """
-    if not batch:
+    weights = np.asarray(weights, dtype=np.int64).tolist()
+    if not weights:
         raise NumericalError("update_mean_cov requires a nonempty batch")
+    if len(points) != len(weights):
+        raise NumericalError("update_mean_cov requires one weight per point")
+    ndim = state.ndim
+    # counts[k] is the weight absorbed before point k, counts[k + 1] after it.
+    counts = list(accumulate(weights, initial=state.sample_count))
     mean = state.mean.copy()
-    scatter = state.scatter.copy()
-    count = state.sample_count
-    for point, weight in batch:
-        w = float(weight)
-        count += int(weight)
-        delta = point - mean
-        mean += (w / count) * delta
-        # w * (count_old / count) * outer(d, d) is exactly symmetric,
-        # unlike the outer(d_before, d_after) form.
-        coeff = w * (count - int(weight)) / count if count > int(weight) else 0.0
-        if coeff != 0.0:
-            scatter += coeff * (delta[:, None] * delta)
+    deltas = np.empty((len(weights), ndim))
+    for point, delta, w, count in zip(points, deltas, weights, counts[1:]):
+        np.subtract(point, mean, out=delta)
+        mean += (float(w) / count) * delta
+    # Point k adds w * (count_before / count) * outer(d, d): exactly
+    # symmetric, unlike the outer(d_before, d_after) form. A point
+    # absorbed into empty statistics adds zeros. The terms are laid out
+    # along the last axis, which accumulate walks contiguously.
+    coeffs = [float(w) * before / after for w, before, after in zip(weights, counts, counts[1:])]
+    d = deltas.T
+    terms = np.empty((ndim, ndim, len(weights) + 1))
+    terms[:, :, 0] = state.scatter
+    np.multiply(d[:, None, :], d[None, :, :], out=terms[:, :, 1:])
+    terms[:, :, 1:] *= coeffs
+    scatter = np.add.accumulate(terms, axis=2, out=terms)[:, :, -1].copy()
+    count = counts[-1]
     if count >= 2:
         cov = scatter / (count - 1)
     else:

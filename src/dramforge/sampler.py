@@ -390,10 +390,9 @@ def adapt_if_due(state: SamplerState, spec: SimSpec) -> SamplerState:
             fresh.mean = np.zeros(rows.ndim)
             fresh.scatter = np.zeros((rows.ndim, rows.ndim))
             fresh.sample_count = 0
-            new = update_mean_cov(fresh, [(x, 1) for x in new_states])
+            new = update_mean_cov(fresh, new_states, [1] * len(new_states))
         else:
-            new_weights = rows.weight[state.absorbed_rows :].tolist()
-            new = update_mean_cov(old, list(zip(new_states, new_weights)))
+            new = update_mean_cov(old, new_states, rows.weight[state.absorbed_rows :])
     if spec.target_acceptance_window is not None:
         lo, hi = spec.target_acceptance_window
         rate = state.accepted_count / state.iteration

@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from dramforge.chainio import (
     RestartCheckpoint,
     RestartWriter,
     chain_byte_size,
+    chain_byte_sizes,
     fmt_float,
     read_restart,
     spec_echo_lines,
@@ -207,6 +209,97 @@ class TestAsciiLineOracle:
             assert fh.read() == verbose
         assert chain_byte_size(small, "verbose", "ascii") == len(verbose)
         assert writer.verbose_bytes == len(verbose)
+
+
+class TestFlushedWriter:
+    """Rows marked by ``append`` and written by ``flush`` give the per-row file."""
+
+    @staticmethod
+    def _chain(rng, chain_format, n):
+        chain = random_chain(rng, 3, n)
+        if chain_format == "compact":
+            # Weights up to 10**12, with every width of the weight column.
+            chain.weight = np.where(rng.random(n) < 0.5, rng.integers(1, 10**12, n),
+                                    10 ** rng.integers(0, 13, n) - rng.integers(0, 2, n))
+            chain.weight = np.maximum(chain.weight, 1)
+        return chain
+
+    @staticmethod
+    def _expected(chain, chain_format, encoding):
+        """The chain file, row by row: ``_oracle_line`` text or the row's bytes."""
+        verbose = chain_format == "verbose"
+        if encoding == "ascii":
+            text = ",".join(chain.header) + "\n" + "".join(
+                _oracle_line(r, 1) * int(r.weight) if verbose else _oracle_line(r, int(r.weight))
+                for r in chain.records)
+            return text.encode("utf-8")
+        rows = []
+        for i in range(chain.n_rows):
+            row = chain.records[i : i + 1].copy()
+            w = int(row["weight"][0])
+            if verbose:
+                row["weight"] = 1
+            rows.append(row.tobytes() * (w if verbose else 1))
+        count = chain.total_weight if verbose else chain.n_rows
+        return b"DRMF" + struct.pack("<IIQ", 1, chain.ndim, count) + b"".join(rows)
+
+    @staticmethod
+    def _sizes(chain, encoding):
+        """``(compact, verbose)`` file sizes, row by row."""
+        if encoding == "ascii":
+            header = len(",".join(chain.header)) + 1
+            return (header + sum(len(_oracle_line(r, int(r.weight))) for r in chain.records),
+                    header + sum(len(_oracle_line(r, 1)) * int(r.weight) for r in chain.records))
+        row_size = chain.records.dtype.itemsize
+        return 20 + chain.n_rows * row_size, 20 + chain.total_weight * row_size
+
+    @staticmethod
+    def _write(writer, chain, rows, rng, share=0.1):
+        """Append ``rows`` of ``chain``, flushing after a random ``share`` of them."""
+        for i in rows:
+            writer.append(chain, i)
+            if rng.random() < share:
+                writer.flush()
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
+    def test_flushes_at_random_rows(self, tmp_path, chain_format, encoding):
+        rng = np.random.default_rng(31)
+        chain = self._chain(rng, chain_format, 6000)
+        path = str(tmp_path / "chain")
+        writer = ChainWriter(path, 3, chain_format, encoding)
+        self._write(writer, chain, range(1000), rng)
+        # The last 5000 rows, more than one formatting block, wait for close.
+        self._write(writer, chain, range(1000, chain.n_rows), rng, share=0.0)
+        writer.close()
+        with open(path, "rb") as fh:
+            assert fh.read() == self._expected(chain, chain_format, encoding)
+        sizes = self._sizes(chain, encoding)
+        assert (writer.compact_bytes, writer.verbose_bytes) == sizes
+        assert chain_byte_sizes(chain, encoding) == sizes
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
+    def test_appending_writer_resumes_after_a_cut(self, tmp_path, chain_format, encoding):
+        rng = np.random.default_rng(32)
+        chain = self._chain(rng, chain_format, 400)
+        path = str(tmp_path / "chain")
+        first = ChainWriter(path, 3, chain_format, encoding)
+        self._write(first, chain, range(250), rng)
+        first.close()  # rows marked since the last flush are written too
+        # As a resume does: cut the file back to the kept rows, then append.
+        kept = chain.sliced(150)
+        kept_sizes = chain_byte_sizes(kept, encoding)
+        os.truncate(path, kept_sizes[chain_format == "verbose"])
+        second = ChainWriter(path, 3, chain_format, encoding, append=True,
+                             initial_bytes=kept_sizes)
+        self._write(second, chain, range(150, chain.n_rows), rng)
+        second.close()
+        with open(path, "rb") as fh:
+            assert fh.read() == self._expected(chain, chain_format, encoding)
+        sizes = self._sizes(chain, encoding)
+        assert (second.compact_bytes, second.verbose_bytes) == sizes
+        assert chain_byte_sizes(chain, encoding) == sizes
 
 
 class TestRowStore:

@@ -132,12 +132,24 @@ class TestCmdRun:
         cfg = write_cfg(run_dir, run_dir / "out", extra="dr_stage_count = 7")
         assert main(["run", cfg]) == 2
 
+    @pytest.mark.parametrize("extra, target, lineno, key", [
+        ("seed = 2", "kind = mvn", 6, "seed"),
+        ("", "kind = mvn\nkind = rosenbrock", 9, "kind"),
+        ("", "kind = mvn\n[target]\nkind = rosenbrock", 10, "kind"),
+    ])
+    def test_repeated_config_key_exit_2(self, run_dir, capsys, extra, target, lineno, key):
+        cfg = write_cfg(run_dir, run_dir / "out", extra=extra, target=target)
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{lineno}:" in err and repr(key) in err
+        assert not (run_dir / "out_chain.txt").exists()
+
     def test_multi_chain_mode(self, run_dir, capsys):
         cfg = write_cfg(
             run_dir, run_dir / "mc",
-            extra="parallelism = multi_chain\nnum_workers = 2\nchain_size = 1500",
+            extra="parallelism = multi_chain\nnum_workers = 2",
         )
-        assert main(["run", cfg]) == 0
+        assert main(["run", cfg, "--set", "chain_size=1500"]) == 0
         out = capsys.readouterr().out
         assert "multi-chain comparison" in out
         assert (run_dir / "mc_c1_chain.txt").exists()
@@ -195,17 +207,16 @@ class TestCmdRun:
     def test_rosenbrock_target_config(self, run_dir):
         cfg = write_cfg(
             run_dir, run_dir / "rb",
-            extra="chain_size = 1200\nndim = 2",
             target="kind = rosenbrock\nscale = 20",
         )
-        assert main(["run", cfg]) == 0
+        assert main(["run", cfg, "--set", "chain_size=1200", "--set", "ndim=2"]) == 0
 
 
 class TestCmdPostproc:
     @pytest.fixture
     def finished(self, run_dir):
-        cfg = write_cfg(run_dir, run_dir / "out", extra="chain_size = 2500")
-        assert main(["run", cfg]) == 0
+        cfg = write_cfg(run_dir, run_dir / "out")
+        assert main(["run", cfg, "--set", "chain_size=2500"]) == 0
         return str(run_dir / "out")
 
     def test_acf_export_starts_at_lag_zero(self, finished):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.integrate import quad
 
 from dramforge import NumericalError, SplitMix64
 from dramforge.proposal import (
+    EPS_FLOOR,
     KernelTape,
     ProposalState,
     adaptation_measure,
@@ -22,6 +24,30 @@ from dramforge.proposal import (
 
 def fresh(ndim=2, scale=1.0, eps_rel=1e-12):
     return initial_proposal(ndim, scale, eps_rel)
+
+
+def per_point_update(state, batch):
+    """Reference absorption: the mean and the scatter folded one point at a time.
+
+    ``batch`` is a sequence of ``(point, weight)`` pairs. Each point adds
+    ``w * (count_old / count) * outer(d, d)`` to the scatter in place, in
+    point order; ``update_mean_cov`` must give these bits.
+    """
+    mean = state.mean.copy()
+    scatter = state.scatter.copy()
+    count = state.sample_count
+    for point, weight in batch:
+        w = float(weight)
+        count += int(weight)
+        delta = point - mean
+        mean += (w / count) * delta
+        coeff = w * (count - int(weight)) / count if count > int(weight) else 0.0
+        if coeff != 0.0:
+            scatter += coeff * (delta[:, None] * delta)
+    cov = scatter / (count - 1) if count >= 2 else np.zeros_like(scatter)
+    epsilon = max(state.eps_rel * np.trace(cov) / state.ndim, EPS_FLOOR)
+    return factorize(replace(state, mean=mean, scatter=scatter, cov=cov, epsilon=epsilon,
+                             sample_count=count))
 
 
 class _ZeroRng:
@@ -49,7 +75,7 @@ class TestUpdateMeanCov:
     def test_single_point_from_empty(self):
         state = fresh(3)
         x = np.array([1.0, -2.0, 0.5])
-        new = update_mean_cov(state, [(x, 1)])
+        new = update_mean_cov(state, x[None, :], [1])
         assert np.array_equal(new.mean, x)
         assert np.array_equal(new.cov, np.zeros((3, 3)))
         assert new.sample_count == 1
@@ -59,8 +85,7 @@ class TestUpdateMeanCov:
     def test_matches_two_pass_covariance(self):
         # 4 unit basis vectors, 2 copies each
         basis = [np.eye(4)[i] for i in range(4)]
-        batch = [(b, 2) for b in basis]
-        new = update_mean_cov(fresh(4), batch)
+        new = update_mean_cov(fresh(4), np.array(basis), [2] * 4)
         expanded = np.repeat(np.array(basis), 2, axis=0)
         assert np.allclose(new.mean, expanded.mean(axis=0), rtol=1e-13, atol=0)
         assert np.allclose(new.cov, np.cov(expanded.T, ddof=1), rtol=1e-12, atol=1e-15)
@@ -69,7 +94,7 @@ class TestUpdateMeanCov:
         rng = np.random.default_rng(5)
         points = rng.normal(0, 2, (12, 3))
         weights = rng.integers(1, 7, 12)
-        new = update_mean_cov(fresh(3), list(zip(points, weights)))
+        new = update_mean_cov(fresh(3), points, weights)
         assert np.allclose(
             new.cov, np.cov(points.T, fweights=weights, ddof=1), rtol=1e-12, atol=1e-14
         )
@@ -81,16 +106,50 @@ class TestUpdateMeanCov:
         rng = np.random.default_rng(11)
         points = rng.normal(0, 1, (10, 2))
         weights = rng.integers(1, 4, 10)
-        batch = list(zip(points, weights))
-        at_once = update_mean_cov(fresh(2), batch)
-        halves = update_mean_cov(update_mean_cov(fresh(2), batch[:5]), batch[5:])
+        at_once = update_mean_cov(fresh(2), points, weights)
+        halves = update_mean_cov(update_mean_cov(fresh(2), points[:5], weights[:5]),
+                                 points[5:], weights[5:])
         assert np.array_equal(at_once.mean, halves.mean)
         assert np.array_equal(at_once.cov, halves.cov)
         assert at_once.sample_count == halves.sample_count
 
     def test_empty_batch_rejected(self):
         with pytest.raises(NumericalError):
-            update_mean_cov(fresh(2), [])
+            update_mean_cov(fresh(2), np.empty((0, 2)), [])
+
+    def test_one_weight_per_point_required(self):
+        with pytest.raises(NumericalError):
+            update_mean_cov(fresh(2), np.zeros((3, 2)), [1, 1])
+
+    @staticmethod
+    def _assert_bitwise_equal(got, want):
+        for name in ("mean", "scatter", "cov", "chol_lower", "chol_inv"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        for name in ("chol_logdet", "epsilon", "sample_count"):
+            assert getattr(got, name) == getattr(want, name), name
+
+    @pytest.mark.parametrize("with_history", [False, True])
+    def test_bitwise_equal_to_per_point_fold(self, with_history):
+        rng = np.random.default_rng(2024 + with_history)
+        for trial in range(60):
+            ndim = int(rng.integers(1, 21))
+            n = int(rng.integers(1, 40))
+            top = [2, 50, 10**6][trial % 3]
+            state = fresh(ndim, scale=2.38 / math.sqrt(ndim))
+            if with_history:
+                past = rng.normal(0, 3, (int(rng.integers(1, 30)), ndim))
+                past_weights = rng.integers(1, top + 1, past.shape[0])
+                state = per_point_update(state, list(zip(past, past_weights)))
+            points = rng.normal(rng.normal(0, 5, ndim), rng.uniform(0.1, 4), (n, ndim))
+            weights = rng.integers(1, top + 1, n)
+            self._assert_bitwise_equal(update_mean_cov(state, points, weights),
+                                       per_point_update(state, list(zip(points, weights))))
+
+    def test_one_row_from_empty_matches_per_point_fold(self):
+        for ndim, weight in ((1, 1), (3, 7), (20, 10**6)):
+            x = np.random.default_rng(ndim).normal(0, 1, ndim)
+            self._assert_bitwise_equal(update_mean_cov(fresh(ndim), x[None, :], [weight]),
+                                       per_point_update(fresh(ndim), [(x, weight)]))
 
 
 class TestFactorize:
