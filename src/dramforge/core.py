@@ -207,19 +207,36 @@ class TargetDensity:
     ``log_density`` maps a length-``ndim`` float array to a real; ``-inf``
     means the point is outside the support and is always rejected. NaN and
     ``+inf`` are treated as caller bugs: the sampler aborts with
-    ``NumericalError`` at the start point or at any delayed-rejection stage.
+    ``NumericalError`` at the start point or at any delayed-rejection stage
+    the attempt reaches.
+
+    ``batch``, if given, is a native vectorized form: it maps an ``(m,
+    ndim)`` array to ``m`` values, and value ``j`` must be bit for bit
+    ``log_density(points[j])`` (any NaN for a NaN). Both forms must be
+    pure. The sampler then evaluates all of a delayed-rejection attempt's
+    candidates in one call, and its chain is the one the scalar form alone
+    would give.
     """
 
-    __slots__ = ("ndim", "log_density")
+    __slots__ = ("ndim", "log_density", "batch")
 
-    def __init__(self, ndim: int, log_density):
+    def __init__(self, ndim: int, log_density, batch=None):
         if ndim < 1:
             raise UsageError(f"ndim must be positive, got {ndim}")
         self.ndim = int(ndim)
         self.log_density = log_density
+        self.batch = batch
 
-    def __call__(self, point: np.ndarray) -> float:
-        return float(self.log_density(point))
+    def __call__(self, point):
+        """The log density at ``point``, or at each row of a 2-D array as a list."""
+        if getattr(point, "ndim", 1) != 2:
+            return float(self.log_density(point))
+        if self.batch is None:
+            return [float(self.log_density(row)) for row in point]
+        values = [float(v) for v in self.batch(point)]
+        if len(values) != len(point):
+            raise UsageError(f"target batch gave {len(values)} values for {len(point)} points")
+        return values
 
 
 @dataclass(frozen=True)
@@ -308,10 +325,14 @@ def mixture_target(weights, means, covs) -> TargetDensity:
         raise UsageError("mixture weights must sum to 1")
     ndim = means[0].size
     precs, lognorms = [], []
-    for m, c in zip(means, covs):
+    for k, (m, c) in enumerate(zip(means, covs), start=1):
         if m.size != ndim:
-            raise UsageError("mixture component dimensions disagree")
-        c = _check_spd(c, "mixture component")
+            raise UsageError(f"mixture component {k} mean has {m.size} coordinates, "
+                             f"component 1's has {ndim}")
+        c = _check_spd(c, f"mixture component {k}")
+        if c.shape[0] != ndim:
+            raise UsageError(f"mixture component {k} covariance is {c.shape[0]}x{c.shape[0]}, "
+                             f"its mean has {ndim} coordinates")
         precs.append(np.linalg.inv(c))
         sign, logdet = np.linalg.slogdet(c)
         lognorms.append(-0.5 * (ndim * math.log(TWO_PI) + logdet))
@@ -327,7 +348,24 @@ def mixture_target(weights, means, covs) -> TargetDensity:
             return -math.inf
         return float(peak + math.log(np.exp(terms - peak).sum()))
 
-    return TargetDensity(ndim, log_density)
+    def batch(points):
+        # log_density's operations over rows: per row, the same einsum
+        # summation order, max and pairwise sum, and libm's log (np.log
+        # can differ from it).
+        d = points[:, None, :] - means
+        terms = offsets - 0.5 * np.einsum("mki,kij,mkj->mk", d, precs, d)
+        peak = np.maximum.reduce(terms, axis=1)
+        peaks = peak.tolist()
+        if -math.inf in peaks:  # no shift for a row outside every component
+            peak[peak == -math.inf] = 0.0
+        sums = np.add.reduce(np.exp(terms - peak[:, None]), axis=1).tolist()
+        return [p if p == -math.inf else p + math.log(s) for p, s in zip(peaks, sums)]
+
+    # einsum picks its loop order from the operand shapes. With a single
+    # component the k axis drops out, and at ndim 2 the one-point and the
+    # three-point forms then sum the quadratic form in different orders;
+    # with two or more components they sum in the same one.
+    return TargetDensity(ndim, log_density, batch if len(means) > 1 else None)
 
 
 def build_target(target: BuiltinTarget) -> TargetDensity:

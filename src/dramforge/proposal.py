@@ -269,14 +269,16 @@ def adaptation_measure(old: ProposalState, new: ProposalState) -> float:
 class KernelTape:
     """The proposal side of a stream's next DR attempts, under one proposal.
 
-    Row ``i`` belongs to the stream's ``i``-th next slot (see
+    Slot ``s`` is the stream's ``s``-th next slot (see
     ``SplitMix64.peek_block``). An attempt that starts at slot ``i`` tries
-    stage ``j`` on slot ``i + j``: candidate ``x + delta[j][i + j]``,
-    verdict ``logu[i + j] < log alpha``. The DR kernel terms depend only
-    on differences of candidates, ``y1 - x = d1``, ``y1 - y2 = d1 - d2``,
-    ``y2 - y3 = d2 - d3``, ``y2 - x = d2`` and ``y1 - y3 = d1 - d3`` with
-    ``dj`` stage ``j - 1``'s step, so they are computed ahead too, one per
-    attempt start. A row's values do not depend on the block it is in.
+    stage ``j`` on slot ``i + j``: candidate ``x + ys[i][j]``, verdict
+    ``logu[i + j] < log alpha``. ``ys[i]`` stacks the attempt's steps
+    ``(d1, d2, d3)``, ``dj`` stage ``j - 1``'s step on its slot, so all
+    of its candidates are one add. The DR kernel terms depend only on
+    differences of candidates, ``y1 - x = d1``, ``y1 - y2 = d1 - d2``,
+    ``y2 - y3 = d2 - d3``, ``y2 - x = d2`` and ``y1 - y3 = d1 - d3``, so
+    they are computed ahead too, one per attempt start. A row's values do
+    not depend on the block it is in.
 
     ``i`` is the next slot, the stream's only slot cursor, and ``n`` the
     number of attempt starts held; ``stages`` more slots are held as
@@ -286,7 +288,7 @@ class KernelTape:
     """
 
     __slots__ = ("prop", "stages", "size", "i", "n", "z", "logu", "states", "caches",
-                 "delta", "k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")
+                 "ys", "k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")
 
     def __init__(self, prop: ProposalState, z: np.ndarray, logu: list, states: list,
                  caches: list, stages: int, size: int):
@@ -295,17 +297,20 @@ class KernelTape:
         self.i, self.n, self.z, self.logu = 0, n, z, logu
         self.states, self.caches = states, caches
         step = _steps(prop, z, 0)
-        lam = prop.dr_scale
-        self.delta = [step] + [step * lam**j for j in range(1, stages + 1)]
-        if stages >= 1:
-            d1, d2 = step[:n], self.delta[1][1 : n + 1]
-            self.k0_x_y1 = _kernel_log_densities(prop, d1, 0).tolist()
-            self.k0_y2_y1 = _kernel_log_densities(prop, d1 - d2, 0).tolist()
-        if stages >= 2:
-            d3 = self.delta[2][2 : n + 2]
-            self.k0_y3_y2 = _kernel_log_densities(prop, d2 - d3, 0).tolist()
-            self.k1_x_y2 = _kernel_log_densities(prop, d2, 1).tolist()
-            self.k1_y3_y1 = _kernel_log_densities(prop, d1 - d3, 1).tolist()
+        d = [step[:n]] + [step[j : n + j] * prop.dr_scale**j for j in range(1, stages + 1)]
+        self.ys = np.stack(d, axis=1)
+        # One kernel pass per kernel scale; the kernel is row-wise, so
+        # stacking the differences keeps each value's bits.
+        if stages == 1:
+            d1, d2 = d
+            k0 = _kernel_log_densities(prop, np.concatenate((d1, d1 - d2)), 0).tolist()
+            self.k0_x_y1, self.k0_y2_y1 = k0[:n], k0[n:]
+        elif stages == 2:
+            d1, d2, d3 = d
+            k0 = _kernel_log_densities(prop, np.concatenate((d1, d1 - d2, d2 - d3)), 0).tolist()
+            k1 = _kernel_log_densities(prop, np.concatenate((d2, d1 - d3)), 1).tolist()
+            self.k0_x_y1, self.k0_y2_y1, self.k0_y3_y2 = k0[:n], k0[n : 2 * n], k0[2 * n :]
+            self.k1_x_y2, self.k1_y3_y1 = k1[:n], k1[n:]
 
     @classmethod
     def peek(cls, prop: ProposalState, rng: SplitMix64, stages: int, size: int) -> "KernelTape":

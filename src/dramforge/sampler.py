@@ -232,8 +232,10 @@ def _attempt(
     nothing else. The steps, the log uniforms, the kernel terms and the
     stream's position after the slots used come from the stream's
     ``KernelTape``; a precomputed ``log 0 = -inf`` gives the verdict
-    ``u < alpha`` would. A NaN or ``+inf`` target value at any stage
-    raises ``NumericalError``.
+    ``u < alpha`` would. A target with a ``batch`` form is evaluated at
+    every stage's candidate in one call; otherwise each stage reached
+    makes one call. Either way the verdict is the same. A NaN or ``+inf``
+    target value at a stage the attempt reaches raises ``NumericalError``.
     """
     stages = spec.dr_stage_count
     tape = rng.tape
@@ -241,8 +243,16 @@ def _attempt(
         tape = _tape(rng, prop, stages)
     i = tape.i
     logu = tape.logu
-    y1 = current + tape.delta[0][i]
-    f1 = target(y1)
+    batch = stages and target.batch is not None
+    if batch:
+        ys = current + tape.ys[i]  # every stage's candidate in one add
+        fs = target(ys)
+        y1, f1 = ys[0], fs[0]
+    else:
+        # One add per stage reached: a 1-D add costs about a third of the
+        # broadcast add that forms every candidate.
+        y1 = current + tape.ys[i, 0]
+        f1 = target(y1)
     if not f1 < _INF:  # NaN or +inf, in one comparison
         raise _bad_value(f1, f"near iteration {iteration_hint}")
     if logu[i] < (f1 - current_logf if f1 < current_logf else 0.0):
@@ -250,8 +260,11 @@ def _attempt(
     elif stages < 1:
         verdict = _Verdict(False, stages_attempted=1)
     else:
-        y2 = current + tape.delta[1][i + 1]
-        f2 = target(y2)
+        if batch:
+            y2, f2 = ys[1], fs[1]
+        else:
+            y2 = current + tape.ys[i, 1]
+            f2 = target(y2)
         if not f2 < _INF:
             raise _bad_value(f2, f"near iteration {iteration_hint}")
         k0_x_y1 = tape.k0_x_y1[i]
@@ -262,8 +275,11 @@ def _attempt(
         elif stages < 2:
             verdict = _Verdict(False, stages_attempted=2)
         else:
-            y3 = current + tape.delta[2][i + 2]
-            f3 = target(y3)
+            if batch:
+                y3, f3 = ys[2], fs[2]
+            else:
+                y3 = current + tape.ys[i, 2]
+                f3 = target(y3)
             if not f3 < _INF:
                 raise _bad_value(f3, f"near iteration {iteration_hint}")
             la3 = _dr_log_alpha3(

@@ -188,6 +188,21 @@ class TestCmdRun:
         assert missing in capsys.readouterr().err
         assert not (run_dir / "mix_chain.txt").exists()
 
+    @pytest.mark.parametrize("small, named", [
+        ((1, 2), "component 1"),  # every covariance 2x2 at ndim 4
+        ((2,), "component 2"),  # one 2x2 among 4x4 ones
+    ])
+    def test_mixture_covariance_of_another_size(self, run_dir, capsys, small, named):
+        target = "kind = gauss_mixture\n" + "".join(
+            f"component{i}_weight = 0.5\ncomponent{i}_mean = {i},0,0,0\n"
+            + (f"component{i}_cov = 1,0;0,1\n" if i in small else "")
+            for i in (1, 2)
+        )
+        cfg = write_cfg(run_dir, run_dir / "mix", target=target)
+        assert main(["run", cfg]) == 2
+        assert f"{named} covariance is 2x2" in capsys.readouterr().err
+        assert not (run_dir / "mix_chain.txt").exists()
+
     def test_mixture_component_without_mean(self, run_dir, capsys):
         target = "kind = gauss_mixture\ncomponent1_weight = 1.0\n"
         cfg = write_cfg(run_dir, run_dir / "mix", target=target)

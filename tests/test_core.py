@@ -104,6 +104,69 @@ class TestEvalBuiltin:
         with pytest.raises(UsageError):
             BuiltinTarget("cauchy", {})
 
+    @pytest.mark.parametrize("sizes, named", [
+        ((2, 2, 2), "component 1"),  # every covariance 2x2 at ndim 4
+        ((4, 2, 4), "component 2"),  # one 2x2 among 4x4 ones
+    ])
+    def test_mixture_covariance_size_must_match_means(self, sizes, named):
+        covs = [np.eye(n) for n in sizes]
+        with pytest.raises(UsageError, match=f"{named} covariance is .* 4 coordinates"):
+            df.mixture_target([0.25, 0.25, 0.5], [np.zeros(4)] * 3, covs)
+
+    def test_mixture_mean_size_names_the_component(self):
+        with pytest.raises(UsageError, match="component 3 mean"):
+            df.mixture_target([0.5, 0.25, 0.25], [np.zeros(2), np.ones(2), np.ones(3)],
+                              [np.eye(2)] * 3)
+
+
+def _bits(values):
+    # Exact bits, but any NaN for a NaN: the sampler rejects them all alike.
+    return [v.hex() if v == v else "nan" for v in map(float, values)]
+
+
+class TestTargetBatch:
+    """A 2-D call gives each row's scalar value, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 3),
+        k=st.integers(1, 16),
+        ndim=st.integers(1, 6),
+        spd=st.booleans(),
+        scale=st.sampled_from([0.3, 3.0, 40.0, 1e200]),
+    )
+    def test_mixture_batch_rows_are_the_scalar_values(self, seed, m, k, ndim, spd, scale):
+        # scale 1e200 overflows every quadratic form: with identity
+        # covariances every component is -inf, with full ones inf - inf
+        # makes the value NaN in both forms.
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.2, 1.0, k)
+        means = rng.normal(0, 3, (k, ndim))
+        covs = []
+        for _ in range(k):
+            a = rng.normal(0, 1, (ndim, ndim))
+            covs.append(a @ a.T + 0.3 * np.eye(ndim) if spd else np.eye(ndim))
+        target = df.mixture_target(weights / weights.sum(), list(means), covs)
+        points = rng.normal(0, scale, (m, ndim))
+        scalar = [target(p) for p in points]
+        assert (target.batch is None) == (k == 1)
+        assert _bits(target(points)) == _bits(scalar)
+        if scale == 1e200 and not spd:
+            assert scalar == [-math.inf] * m
+
+    def test_scalar_only_target_loops_over_rows(self):
+        target = df.TargetDensity(2, lambda x: -float(sum(v * v for v in x)))
+        points = np.arange(6.0).reshape(3, 2)
+        assert target.batch is None
+        assert target(points) == [target(p) for p in points] == [-1.0, -13.0, -41.0]
+        assert target([1.0, 2.0]) == target((1.0, 2.0)) == -5.0
+
+    def test_batch_must_give_one_value_per_row(self):
+        target = df.TargetDensity(2, lambda x: 0.0, batch=lambda points: [0.0])
+        with pytest.raises(UsageError, match="1 values for 2 points"):
+            target(np.zeros((2, 2)))
+
 
 class TestSimSpec:
     def test_defaults(self):

@@ -229,6 +229,63 @@ class TestNonFiniteTarget:
         with pytest.raises(NumericalError):
             run_sampler(spec, spike)
 
+    @staticmethod
+    def scripted_batch(values):
+        # 0 at the start point; every attempt's batch gives ``values``.
+        return df.TargetDensity(2, lambda x: 0.0, batch=lambda points: values[: len(points)])
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("accepted", [0, 1])
+    def test_batch_value_at_an_unreached_stage_is_ignored(self, accepted, bad):
+        # 0.0 ties the start point, so stage 0 accepts; after a -inf at
+        # stage 0, 1000.0 gives stage 1 an acceptance probability of 1.
+        spec = SimSpec(ndim=2, output_prefix="x", seed=4, dr_stage_count=2)
+        good = [0.0] if accepted == 0 else [-math.inf, 1000.0]
+        target = self.scripted_batch(good + [bad] * (2 - accepted))
+        state = init_state(spec, target)
+        _, row = step(state, target, spec)
+        assert row is not None and state.accepted_count == 1
+        assert state.live_dr_stage == accepted and state.current_logf == good[-1]
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("stage", [0, 1, 2])
+    def test_batch_value_at_a_reached_stage_is_fatal(self, stage, bad):
+        spec = SimSpec(ndim=2, output_prefix="x", seed=4, dr_stage_count=2)
+        target = self.scripted_batch([-math.inf] * stage + [bad] + [0.0] * (2 - stage))
+        state = init_state(spec, target)
+        with pytest.raises(NumericalError, match="near iteration 2"):
+            step(state, target, spec)
+
+
+class TestBatchTarget:
+    """A target's batch form changes no chain byte."""
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("stages", [0, 1, 2])
+    def test_batch_and_scalar_only_targets_write_the_same_chain(self, tmp_path, stages,
+                                                                 workers, encoding):
+        rng = np.random.default_rng(40)
+        k, ndim = 6, 4
+        weights = rng.uniform(0.5, 2.0, k)
+        covs = []
+        for _ in range(k):
+            a = rng.normal(0, 0.6, (ndim, ndim))
+            covs.append(a @ a.T + 0.2 * np.eye(ndim))
+        batched = df.mixture_target(weights / weights.sum(), list(rng.normal(0, 2, (k, ndim))),
+                                    covs)
+        scalar = df.TargetDensity(batched.ndim, batched.log_density)
+        assert batched.batch is not None
+        files = []
+        for name, target in (("batch", batched), ("scalar", scalar)):
+            spec = SimSpec(ndim=ndim, output_prefix=str(tmp_path / name), chain_size=1500,
+                           seed=23, adaptation_period=100, dr_stage_count=stages,
+                           file_encoding=encoding, num_workers=workers,
+                           parallelism="single_chain" if workers > 1 else "none")
+            out = run_sampler(spec, target)
+            files.append(sha(out.paths["chain"]))
+        assert files[0] == files[1]
+
 
 class TestDetectBurnin:
     def test_flat_chain(self):
