@@ -909,6 +909,19 @@ def rewrite_restart(path: str, spec: SimSpec, checkpoints: list[RestartCheckpoin
 # Sample, report, and progress files
 
 
+def write_replacing(path: str, text: str) -> None:
+    """Write ``text`` to ``<path>.tmp``, then rename it onto ``path``.
+
+    ``path`` therefore holds either its old content or all of ``text``,
+    never part of it: the report and the convergence file mark a finished
+    run by existing.
+    """
+    tmp = path + ".tmp"
+    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    os.replace(tmp, path)
+
+
 def write_sample(refined, path: str) -> None:
     """Refined sample as `logFunc,var1..varD` rows."""
     states = np.asarray(refined.states, dtype=float)
@@ -1001,8 +1014,7 @@ def write_report(stats: ReportStats, path: str) -> None:
             lines.append(f"[{name}]")
             lines += [line for attr, kind, key in REPORT_FIELDS[name]
                       for line in _field_text(key, kind, getattr(record, attr))]
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_replacing(path, "\n".join(lines) + "\n")
 
 
 def read_report(path: str) -> ReportStats:
@@ -1035,9 +1047,25 @@ def read_report(path: str) -> ReportStats:
 
 
 class ProgressWriter:
-    def __init__(self, path: str, append: bool = False):
-        self._fh = open(path, "a" if append else "w", encoding="utf-8", newline="\n")
-        if not append:
+    """Appends one line per progress report to the progress file.
+
+    The file keeps its header and its lines of iterations up to
+    ``keep_through``, so a resumed run goes on with the lines of the run it
+    resumes; a fresh run keeps none. A missing file counts as empty, and a
+    torn last line is dropped.
+    """
+
+    def __init__(self, path: str, keep_through: int):
+        try:
+            with open(path, "rb") as fh:
+                lines = fh.read().split(b"\n")[:-1]
+        except FileNotFoundError:
+            lines = []
+        kept = lines[:1] + [line for line in lines[1:]
+                            if int(line.partition(b",")[0]) <= keep_through]
+        self._fh = open(path, "a", encoding="utf-8", newline="\n")
+        self._fh.truncate(sum(len(line) + 1 for line in kept))
+        if not kept:
             self._fh.write("iter,accepted,meanAccRate,adaptationMeasure,elapsed_seconds\n")
 
     def line(self, iteration: int, accepted: int, rate: float, measure: float,
@@ -1053,12 +1081,54 @@ class ProgressWriter:
             self._fh.close()
 
 
-def inspect_outputs(spec: SimSpec) -> tuple[str, CompactChain | None]:
-    """Classify existing output for a prefix: absent, incomplete, complete."""
-    path = output_paths(spec.output_prefix, spec.file_encoding)["chain"]
-    if not os.path.exists(path):
-        return "absent", None
-    chain = read_chain(path)
-    if chain.total_weight >= spec.chain_size:
-        return "complete", chain
-    return "incomplete", chain
+def convergence_path(prefix: str) -> str:
+    return f"{prefix}_convergence.txt"
+
+
+def chain_specs(spec: SimSpec, n_chains: int) -> list[SimSpec]:
+    """A multi-chain run's chains: chain k is serial, at prefix ``<prefix>_c<k>``."""
+    return [spec.with_updates(output_prefix=f"{spec.output_prefix}_c{k}",
+                              parallelism="none", num_workers=1)
+            for k in range(1, n_chains + 1)]
+
+
+def run_files(spec: SimSpec) -> list[str]:
+    """Every file a run of ``spec`` writes, its completion marker first.
+
+    A chain's marker is its report, written last; a multi-chain run's is
+    its convergence file, written after its chains' files, which follow
+    it. The temporary files of atomic writes are listed too.
+    """
+    if spec.parallelism == "multi_chain":
+        conv = convergence_path(spec.output_prefix)
+        return [conv, conv + ".tmp"] + [path for sub in chain_specs(spec, spec.num_workers)
+                                        for path in run_files(sub)]
+    paths = output_paths(spec.output_prefix, spec.file_encoding)
+    return [paths["report"], paths["chain"], paths["restart"], paths["progress"],
+            paths["sample"], paths["report"] + ".tmp", paths["restart"] + ".tmp"]
+
+
+def inspect_outputs(spec: SimSpec) -> str:
+    """How far a run of ``spec`` got, from which of its files exist.
+
+    ``"complete"`` when its completion marker exists (see ``run_files``),
+    ``"incomplete"`` when any other of its files does, ``"absent"`` when
+    none does. No file is read.
+    """
+    marker, *rest = run_files(spec)
+    if os.path.exists(marker):
+        return "complete"
+    return "incomplete" if any(map(os.path.exists, rest)) else "absent"
+
+
+def remove_outputs(spec: SimSpec) -> None:
+    """Delete every file of a run of ``spec``, completion markers first.
+
+    A removal cut short therefore leaves an unfinished run, never a
+    finished one with files missing.
+    """
+    for path in run_files(spec):
+        try:
+            os.remove(path)
+        except FileNotFoundError:
+            pass

@@ -168,15 +168,6 @@ def _apply_overrides(spec_pairs: dict, target_pairs: dict, overrides: list[str])
             raise UsageError(f"--set: unknown simulation key {key!r}")
 
 
-def _delete_outputs(spec: SimSpec) -> None:
-    for path in output_paths(spec.output_prefix, spec.file_encoding).values():
-        if os.path.exists(path):
-            os.remove(path)
-    conv = f"{spec.output_prefix}_convergence.txt"
-    if os.path.exists(conv):
-        os.remove(conv)
-
-
 def _run(spec: SimSpec, target) -> None:
     if spec.parallelism == "multi_chain":
         outputs, report = run_multi_chain(spec, target, spec.num_workers)
@@ -204,28 +195,24 @@ def cmd_run(args) -> int:
         _apply_overrides(spec_pairs, target_pairs, args.set or [])
         spec = build_spec(spec_pairs)
         target = build_target(build_cli_target(target_pairs, spec.ndim))
+        if target.ndim != spec.ndim:
+            raise UsageError(f"target has ndim {target.ndim}, simulation spec says {spec.ndim}")
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:
-        # --resume goes straight to the run, which resumes an incomplete
-        # chain and raises RunAlreadyComplete on a complete one.
-        if not args.resume and chainio.inspect_outputs(spec)[0] == "incomplete":
+        if args.force:
+            chainio.remove_outputs(spec)
+        if chainio.inspect_outputs(spec) == "incomplete" and not args.resume:
             raise ResumeRefused(
                 f"prefix {spec.output_prefix!r} holds an incomplete run "
-                "(use --resume to continue it)"
+                "(use --resume to continue it, or --force to start over)"
             )
-        try:
-            _run(spec, target)
-        except RunAlreadyComplete:
-            if not args.force:
-                raise ResumeRefused(
-                    f"prefix {spec.output_prefix!r} already holds a complete run "
-                    "(use --force to overwrite)"
-                ) from None
-            _delete_outputs(spec)
-            _run(spec, target)
+        _run(spec, target)
+    except RunAlreadyComplete as exc:
+        print(f"refused: {exc} (use --force to start over)", file=sys.stderr)
+        return EXIT_REFUSED
     except ResumeRefused as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_REFUSED
@@ -340,12 +327,8 @@ def cmd_postproc(args) -> int:
     out_dir = os.environ.get("DRAMFORGE_OUT")
     if out_dir:
         prefix = os.path.join(out_dir, os.path.basename(prefix))
-    report_path = f"{prefix}_report.txt"
-    if not os.path.exists(report_path):
-        print(f"error: missing report file {report_path!r}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        report = read_report(report_path)
+        report = read_report(f"{prefix}_report.txt")
         spec = report.spec
         paths = output_paths(prefix, spec.file_encoding)
         if args.what == "stats":
@@ -361,7 +344,7 @@ def cmd_postproc(args) -> int:
             chain = read_chain(paths["chain"])
             csv_path = _postproc_contrib(prefix, chain, spec.num_workers)
     except FileNotFoundError as exc:
-        print(f"error: missing output file: {exc}", file=sys.stderr)
+        print(f"error: missing output file {exc.filename!r}", file=sys.stderr)
         return EXIT_CONFIG
     except (UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -383,7 +366,8 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--resume", action="store_true",
                        help="continue an incomplete run for this prefix")
     run_p.add_argument("--force", action="store_true",
-                       help="overwrite a complete run for this prefix")
+                       help="delete this run's files (for this config's encoding and "
+                            "chain count) and start over")
     run_p.set_defaults(func=cmd_run)
     post_p = sub.add_parser("postproc", help="export plot-ready data from a finished run")
     post_p.add_argument("prefix", help="output prefix of the finished run")

@@ -286,7 +286,10 @@ def mvn_target(mean, cov=None) -> TargetDensity:
     else:
         def log_density(x):
             d = x - mean
-            return -0.5 * float(d @ (prec @ d))
+            q = float(d @ (prec @ d))
+            # Far out, products of both signs overflow and the form reads
+            # NaN or -inf: the density there is 0.
+            return -0.5 * q if q > -math.inf else -math.inf
 
     return TargetDensity(ndim, log_density)
 
@@ -311,7 +314,11 @@ def mixture_target(weights, means, covs) -> TargetDensity:
 
     Component means and precisions are stacked once, so a call is one
     vectorized quadratic form over all components plus a max-shifted
-    log-sum-exp.
+    log-sum-exp. Far out, a full precision's quadratic form sums products
+    of both signs that overflow, and its term reads NaN or ``+inf``; that
+    component's density there is 0, so the term becomes ``-inf``. The
+    guard runs only when a peak is NaN or ``+inf``, so finite values keep
+    their bits and their cost.
     """
     weights = np.asarray(weights, dtype=float).reshape(-1)
     means = [np.asarray(m, dtype=float).reshape(-1) for m in means]
@@ -344,6 +351,9 @@ def mixture_target(weights, means, covs) -> TargetDensity:
         d = x - means
         terms = offsets - 0.5 * np.einsum("ki,kij,kj->k", d, precs, d)
         peak = terms.max()
+        if not peak < math.inf:  # NaN or +inf: an overflowed quadratic form
+            terms = np.where(terms < math.inf, terms, -math.inf)
+            peak = terms.max()
         if peak == -math.inf:
             return -math.inf
         return float(peak + math.log(np.exp(terms - peak).sum()))
@@ -356,6 +366,10 @@ def mixture_target(weights, means, covs) -> TargetDensity:
         terms = offsets - 0.5 * np.einsum("mki,kij,mkj->mk", d, precs, d)
         peak = np.maximum.reduce(terms, axis=1)
         peaks = peak.tolist()
+        if not sum(peaks) < math.inf:  # a row's peak is NaN or +inf
+            terms = np.where(terms < math.inf, terms, -math.inf)
+            peak = np.maximum.reduce(terms, axis=1)
+            peaks = peak.tolist()
         if -math.inf in peaks:  # no shift for a row outside every component
             peak[peak == -math.inf] = 0.0
         sums = np.add.reduce(np.exp(terms - peak[:, None]), axis=1).tolist()

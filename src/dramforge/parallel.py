@@ -15,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SimSpec, TargetDensity, UsageError
-from .sampler import SimulationOutputs, _run_or_resume
+from .chainio import chain_specs, convergence_path, inspect_outputs, write_replacing
+from .core import RunAlreadyComplete, SimSpec, TargetDensity, UsageError
+from .sampler import SimulationOutputs, _finished_outputs, _run_or_resume
 
 SPEEDUP_ASYMPTOTE_FRACTION = 0.99
 
@@ -206,17 +207,18 @@ def compare_refined_samples(samples: list[np.ndarray], alpha: float = 0.05) -> M
 
 
 def write_convergence_report(report: MultiChainReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("# dramforge multi-chain convergence v1\n")
-        fh.write(f"n_tests = {report.n_tests}\n")
-        fh.write(f"alpha = {report.alpha}\n")
-        fh.write(f"flagged = {report.flagged}\n")
-        fh.write(f"degenerate = {report.degenerate}\n")
-        fh.write("chainA,chainB,dimension,D,p\n")
-        for t in report.tests:
-            fh.write(
-                f"{t.chain_a},{t.chain_b},{t.dimension},{t.statistic:.17g},{t.p_value:.17g}\n"
-            )
+    """Write the convergence file; it appears whole, marking a finished run."""
+    lines = [
+        "# dramforge multi-chain convergence v1",
+        f"n_tests = {report.n_tests}",
+        f"alpha = {report.alpha}",
+        f"flagged = {report.flagged}",
+        f"degenerate = {report.degenerate}",
+        "chainA,chainB,dimension,D,p",
+    ]
+    lines += [f"{t.chain_a},{t.chain_b},{t.dimension},{t.statistic:.17g},{t.p_value:.17g}"
+              for t in report.tests]
+    write_replacing(path, "\n".join(lines) + "\n")
 
 
 def run_multi_chain(
@@ -230,6 +232,9 @@ def run_multi_chain(
     Chain k runs serially on RNG stream ``stream_ids[k-1]`` (rank k by
     default) with output prefix ``<prefix>_c<k>``. Passing duplicated
     stream ids reproduces the degenerate-duplication misconfiguration.
+    An unfinished run continues: finished chains are read back, the others
+    resume or start. A finished one (its convergence file exists) raises
+    ``RunAlreadyComplete``.
     """
     if n_chains < 2:
         raise UsageError("run_multi_chain needs n_chains >= 2")
@@ -237,14 +242,17 @@ def run_multi_chain(
         stream_ids = list(range(1, n_chains + 1))
     if len(stream_ids) != n_chains:
         raise UsageError("stream_ids must provide one stream per chain")
-    outputs: list[SimulationOutputs] = []
-    for rank, stream in zip(range(1, n_chains + 1), stream_ids):
-        sub = spec.with_updates(
-            output_prefix=f"{spec.output_prefix}_c{rank}",
-            parallelism="none",
-            num_workers=1,
+    multi = spec.with_updates(parallelism="multi_chain", num_workers=n_chains)
+    if inspect_outputs(multi) == "complete":
+        raise RunAlreadyComplete(
+            f"outputs for prefix {spec.output_prefix!r} already hold a complete run"
         )
-        outputs.append(_run_or_resume(sub, target, stream=stream))
+    outputs: list[SimulationOutputs] = []
+    for sub, stream in zip(chain_specs(spec, n_chains), stream_ids):
+        if inspect_outputs(sub) == "complete":
+            outputs.append(_finished_outputs(sub))
+        else:
+            outputs.append(_run_or_resume(sub, target, stream=stream))
     report = compare_refined_samples([out.refined.states for out in outputs])
-    write_convergence_report(report, f"{spec.output_prefix}_convergence.txt")
+    write_convergence_report(report, convergence_path(spec.output_prefix))
     return outputs, report

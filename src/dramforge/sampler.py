@@ -27,9 +27,12 @@ from .chainio import (
     RestartWriter,
     checkpoint_proposal,
     chain_byte_sizes,
+    inspect_outputs,
     output_paths,
     read_chain,
+    read_report,
     read_restart,
+    read_sample,
     rewrite_restart,
     write_report,
     write_sample,
@@ -533,7 +536,11 @@ class _Run:
             append=append, initial_bytes=initial_bytes,
         )
         self.restart_writer = RestartWriter(self.paths["restart"], spec, append=append)
-        self.progress = ProgressWriter(self.paths["progress"], append=append)
+        # A resumed run keeps the progress lines up to the last multiple of
+        # PROGRESS_EVERY it has reached, and writes the later ones again.
+        self.progress = ProgressWriter(
+            self.paths["progress"], state.iteration // PROGRESS_EVERY * PROGRESS_EVERY
+        )
         self.t0 = time.perf_counter()
 
     def checkpoint(self) -> None:
@@ -590,13 +597,8 @@ class _Run:
         burnin = state.burnin_loc
         refined = refinement.refine(chain, burnin)
         write_sample(refined, self.paths["sample"])
-        disk_bytes = os.path.getsize(self.paths["chain"])
-        if spec.chain_format == "compact":
-            compact_bytes = disk_bytes
-            verbose_bytes = self.chain_writer.verbose_bytes
-        else:
-            verbose_bytes = disk_bytes
-            compact_bytes = self.chain_writer.compact_bytes
+        compact_bytes = self.chain_writer.compact_bytes
+        verbose_bytes = self.chain_writer.verbose_bytes
         parallel_stats = None
         if spec.parallelism == "single_chain" and state.accepted_count > 0:
             from .parallel import contribution_stats, optimal_num_workers, predict_speedup
@@ -624,6 +626,7 @@ class _Run:
             size_ratio=verbose_bytes / compact_bytes,
             parallel=parallel_stats,
         )
+        # Written last: the report marks the run finished.
         write_report(report, self.paths["report"])
         return SimulationOutputs(chain=chain, refined=refined, report=report,
                                  paths=dict(self.paths))
@@ -631,12 +634,12 @@ class _Run:
 
 def _run_or_resume(spec: SimSpec, target: TargetDensity, on_checkpoint=None,
                    stream: int | None = None) -> SimulationOutputs:
-    """Resume if the chain file exists, else start a fresh run.
+    """Start a fresh run if the prefix holds no output, else ``resume``.
 
     ``stream`` replaces the fresh run's streams with that single one; a
     resumed run takes its streams from the checkpoint.
     """
-    if os.path.exists(output_paths(spec.output_prefix, spec.file_encoding)["chain"]):
+    if inspect_outputs(spec) != "absent":
         return resume(spec, target, on_checkpoint=on_checkpoint)
     state = init_state(spec, target)
     if stream is not None:
@@ -649,8 +652,8 @@ def _run_or_resume(spec: SimSpec, target: TargetDensity, on_checkpoint=None,
 def run_sampler(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> SimulationOutputs:
     """Run one chain to ``chain_size`` iterations and write all outputs.
 
-    An existing chain file for the prefix enters the restart protocol:
-    a complete run raises ``RunAlreadyComplete``, an incomplete one is
+    Existing output for the prefix enters the restart protocol: a finished
+    run (one with a report) raises ``RunAlreadyComplete``, any other is
     resumed. ``on_checkpoint`` is called with the iteration number right
     after each checkpoint flush (used by progress displays and interrupt
     testing).
@@ -661,26 +664,26 @@ def run_sampler(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> 
 
 
 def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> SimulationOutputs:
-    """Continue an interrupted run exactly where its last checkpoint left it.
+    """Continue an unfinished run exactly where its last checkpoint left it.
 
-    The spec must match the one echoed into the restart file (same seed,
-    same prefix, same everything). The chain file is cut back to the
+    Any run without a report is unfinished, also one whose chain is
+    complete. The spec must match the one echoed into the restart file
+    (same seed, same prefix, same everything). The chain file is cut back to the
     checkpoint's rows in place and the restart file is replaced
     atomically, so an interrupt here loses no checkpoint; the rows past
     it are regenerated, and the finished chain file is identical to what
     the uninterrupted run would have written.
     """
-    paths = output_paths(spec.output_prefix, spec.file_encoding)
-    if not os.path.exists(paths["chain"]):
-        raise ResumeRefused(f"no chain file at {paths['chain']!r} to resume")
-    disk_chain = read_chain(paths["chain"])
-    if disk_chain.total_weight >= spec.chain_size:
+    if inspect_outputs(spec) == "complete":
         raise RunAlreadyComplete(
             f"outputs for prefix {spec.output_prefix!r} already hold a complete run"
         )
-    if not os.path.exists(paths["restart"]):
-        raise ResumeRefused(f"missing restart file {paths['restart']!r}")
-    file_spec, records = read_restart(paths["restart"])
+    paths = output_paths(spec.output_prefix, spec.file_encoding)
+    try:
+        disk_chain = read_chain(paths["chain"])
+        file_spec, records = read_restart(paths["restart"])
+    except FileNotFoundError as exc:
+        raise ResumeRefused(f"no file {exc.filename!r} to resume from") from None
     mismatched = spec.mismatched_fields(file_spec)
     if mismatched:
         raise ResumeRefused(
@@ -717,3 +720,20 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
     )
     run = _Run(spec, target, state, on_checkpoint=on_checkpoint, append=True)
     return run.drive()
+
+
+def _finished_outputs(spec: SimSpec) -> SimulationOutputs:
+    """The outputs of a finished run, read back from its files."""
+    paths = output_paths(spec.output_prefix, spec.file_encoding)
+    report = read_report(paths["report"])
+    mismatched = spec.mismatched_fields(report.spec)
+    if mismatched:
+        raise ResumeRefused(
+            f"finished run at {spec.output_prefix!r} has another simulation spec "
+            f"(differing fields: {', '.join(mismatched)})"
+        )
+    states, logf = read_sample(paths["sample"])
+    refined = refinement.RefinedSample(states, logf, report.iac_history,
+                                       report.burnin_loc, report.ess)
+    return SimulationOutputs(chain=read_chain(paths["chain"]), refined=refined,
+                             report=report, paths=paths)

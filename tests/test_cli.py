@@ -219,6 +219,72 @@ class TestCmdRun:
         assert main(["run", cfg, "--resume", "--force", "--set", "seed=18"]) == 0
         assert sha(run_dir / "out_chain.txt") != first
 
+    def test_target_of_another_ndim_is_config_error(self, run_dir, capsys):
+        cfg = write_cfg(run_dir, run_dir / "out", target="kind = mvn\nmean = 0,0")
+        assert main(["run", cfg]) == 2
+        assert "target has ndim 2, simulation spec says 4" in capsys.readouterr().err
+        assert not (run_dir / "out_chain.txt").exists()
+
+    def test_force_starts_a_complete_multi_chain_run_over(self, run_dir, capsys):
+        cfg = write_cfg(run_dir, run_dir / "mc", extra="parallelism = multi_chain\nnum_workers = 3")
+        assert main(["run", cfg]) == 0
+        first = [sha(run_dir / f"mc_c{k}_chain.txt") for k in (1, 2, 3)]
+        conv = sha(run_dir / "mc_convergence.txt")
+        assert main(["run", cfg]) == 4
+        assert main(["run", cfg, "--resume"]) == 4
+        assert "force" in capsys.readouterr().err
+        assert main(["run", cfg, "--force", "--set", "seed=18"]) == 0
+        again = [sha(run_dir / f"mc_c{k}_chain.txt") for k in (1, 2, 3)]
+        assert all(a != b for a, b in zip(first, again))
+        assert sha(run_dir / "mc_convergence.txt") != conv
+
+    def test_interrupted_multi_chain_run_resumes(self, run_dir, mvn4, monkeypatch, capsys):
+        prefix = str(run_dir / "mc")
+        cfg = write_cfg(run_dir, prefix, extra="parallelism = multi_chain\nnum_workers = 3")
+        spec = df.SimSpec(ndim=4, output_prefix=prefix, chain_size=2000, seed=17,
+                          parallelism="multi_chain", num_workers=3)
+
+        class Stop(Exception):
+            pass
+
+        append = df.chainio.RestartWriter.append
+
+        def stop_in_chain_2(writer, ck):
+            if "_c2_" in writer.path and ck.checkpoint_index == 2:
+                raise Stop
+            append(writer, ck)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(df.chainio.RestartWriter, "append", stop_in_chain_2)
+            with pytest.raises(Stop):
+                df.run_multi_chain(spec, mvn4, 3)
+        assert main(["run", cfg]) == 4
+        assert "resume" in capsys.readouterr().err
+        assert main(["run", cfg, "--resume"]) == 0
+        assert df.inspect_outputs(spec) == "complete"
+
+    @pytest.mark.parametrize("held, resume_exit", [("empty chain", 2), ("headers", 4)])
+    def test_run_killed_before_checkpoint_0_starts_over_with_force(self, run_dir, capsys,
+                                                                   held, resume_exit):
+        # What a kill leaves before checkpoint 0 reaches disk: an empty
+        # chain file, or the chain header and the restart file's spec echo.
+        clean = write_cfg(run_dir, run_dir / "clean", name="clean.cfg")
+        assert main(["run", clean]) == 0
+        chain = (run_dir / "clean_chain.txt").read_bytes()
+        restart = (run_dir / "clean_restart.txt").read_bytes()
+        if held == "empty chain":
+            (run_dir / "out_chain.txt").write_bytes(b"")
+        else:
+            (run_dir / "out_chain.txt").write_bytes(chain[: chain.index(b"\n") + 1])
+            (run_dir / "out_restart.txt").write_bytes(restart[: restart.index(b"[checkpoint 0]")])
+        cfg = write_cfg(run_dir, run_dir / "out")
+        assert main(["run", cfg]) == 4
+        assert main(["run", cfg, "--resume"]) == resume_exit
+        assert "force" in capsys.readouterr().err
+        assert main(["run", cfg, "--force"]) == 0
+        for name in ("chain", "sample"):
+            assert sha(run_dir / f"out_{name}.txt") == sha(run_dir / f"clean_{name}.txt")
+
     def test_rosenbrock_target_config(self, run_dir):
         cfg = write_cfg(
             run_dir, run_dir / "rb",

@@ -137,9 +137,9 @@ class TestTargetBatch:
         scale=st.sampled_from([0.3, 3.0, 40.0, 1e200]),
     )
     def test_mixture_batch_rows_are_the_scalar_values(self, seed, m, k, ndim, spd, scale):
-        # scale 1e200 overflows every quadratic form: with identity
-        # covariances every component is -inf, with full ones inf - inf
-        # makes the value NaN in both forms.
+        # scale 1e200 overflows every quadratic form, to +inf with identity
+        # covariances and to NaN or -inf with full ones: every component,
+        # so the value, is -inf in both forms.
         rng = np.random.default_rng(seed)
         weights = rng.uniform(0.2, 1.0, k)
         means = rng.normal(0, 3, (k, ndim))
@@ -152,7 +152,7 @@ class TestTargetBatch:
         scalar = [target(p) for p in points]
         assert (target.batch is None) == (k == 1)
         assert _bits(target(points)) == _bits(scalar)
-        if scale == 1e200 and not spd:
+        if scale == 1e200:
             assert scalar == [-math.inf] * m
 
     def test_scalar_only_target_loops_over_rows(self):
@@ -166,6 +166,42 @@ class TestTargetBatch:
         target = df.TargetDensity(2, lambda x: 0.0, batch=lambda points: [0.0])
         with pytest.raises(UsageError, match="1 values for 2 points"):
             target(np.zeros((2, 2)))
+
+
+class TestOverflowedQuadraticForm:
+    """Far out, a full covariance's quadratic form overflows to NaN or -inf;
+    the density there is 0."""
+
+    def test_far_points_have_log_density_minus_inf(self):
+        rng = np.random.default_rng(5)
+        a = rng.normal(0, 1, (2, 2))
+        cov = a @ a.T + 0.3 * np.eye(2)
+        points = rng.normal(0, 1e200, (400, 2))
+        mixture = df.mixture_target([0.5, 0.5], [np.zeros(2), np.ones(2)], [cov, np.eye(2)])
+        mvn = df.mvn_target(np.zeros(2), cov)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # The quadratic form overflows to NaN or -inf at some of them.
+            prec = np.linalg.inv(cov)
+            forms = [float(p @ (prec @ p)) for p in points]
+            assert sum(not q > -math.inf for q in forms) > 10
+            assert [mvn(p) for p in points] == [-math.inf] * 400
+            assert [mixture(p) for p in points] == [-math.inf] * 400
+            assert mixture(points) == [-math.inf] * 400
+
+    def test_finite_rows_keep_their_values(self):
+        # One overflowed row among finite ones: the batch takes the guarded
+        # path, and each finite row keeps the scalar form's bits.
+        rng = np.random.default_rng(6)
+        covs = []
+        for _ in range(3):
+            a = rng.normal(0, 1, (2, 2))
+            covs.append(a @ a.T + 0.3 * np.eye(2))
+        target = df.mixture_target([0.2, 0.3, 0.5], list(rng.normal(0, 2, (3, 2))), covs)
+        points = np.array([[0.5, -1.0], [3e200, -2e200], [2.0, 1.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = target(points)
+            assert _bits(values) == _bits([target(p) for p in points])
+        assert values[1] == -math.inf and all(math.isfinite(v) for v in values[::2])
 
 
 class TestSimSpec:

@@ -6,7 +6,8 @@ import pytest
 import scipy.stats as st
 
 import dramforge as df
-from dramforge import SimSpec, SplitMix64, UsageError
+from dramforge import RunAlreadyComplete, SimSpec, SplitMix64, UsageError
+from dramforge.chainio import RestartWriter, chain_specs
 from dramforge.parallel import (
     ContributionStats,
     compare_refined_samples,
@@ -406,3 +407,47 @@ class TestMultiChain:
         text = open(tmp_path / "mc_convergence.txt").read()
         assert f"n_tests = {report.n_tests}" in text
         assert "flagged = False" in text
+
+    def test_interrupted_run_resumes_to_uninterrupted_bytes(self, mvn4, tmp_path, monkeypatch):
+        # Chain 1 finished and chain 2 was cut at its fifth checkpoint: the
+        # next call reads chain 1 back, resumes chain 2 and runs chain 3.
+        spec = SimSpec(ndim=4, output_prefix="mc", chain_size=3000, seed=43,
+                       parallelism="multi_chain", num_workers=3)
+        subs = chain_specs(spec, 3)
+        files = ["mc_convergence.txt"] + [
+            path for sub in subs
+            for name, path in df.output_paths(sub.output_prefix, "ascii").items()
+            if name != "progress"
+        ]
+        assert len(files) == 13
+        (tmp_path / "ref").mkdir()
+        monkeypatch.chdir(tmp_path / "ref")
+        run_multi_chain(spec, mvn4, 3)
+        want = {path: sha(path) for path in files}
+
+        (tmp_path / "twin").mkdir()
+        monkeypatch.chdir(tmp_path / "twin")
+
+        class Interrupt(Exception):
+            pass
+
+        append = RestartWriter.append
+
+        def stop_in_chain_2(writer, ck):
+            if writer.path.startswith("mc_c2") and ck.checkpoint_index == 5:
+                raise Interrupt
+            append(writer, ck)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RestartWriter, "append", stop_in_chain_2)
+            with pytest.raises(Interrupt):
+                run_multi_chain(spec, mvn4, 3)
+        assert [df.inspect_outputs(sub) for sub in subs] == ["complete", "incomplete", "absent"]
+        assert df.inspect_outputs(spec) == "incomplete"
+
+        outputs, _ = run_multi_chain(spec, mvn4, 3)
+        assert {path: sha(path) for path in files} == want
+        assert [out.chain.total_weight for out in outputs] == [3000] * 3
+        assert df.inspect_outputs(spec) == "complete"
+        with pytest.raises(RunAlreadyComplete):
+            run_multi_chain(spec, mvn4, 3)

@@ -10,7 +10,8 @@ from hypothesis import strategies as hst
 
 import dramforge as df
 from dramforge import NumericalError, ResumeRefused, RunAlreadyComplete, SimSpec, UsageError
-from dramforge.chainio import ChainWriter, RestartWriter
+from dramforge import sampler
+from dramforge.chainio import ChainWriter, RestartWriter, spec_echo_lines
 from dramforge.sampler import (
     _emit_live,
     adapt_if_due,
@@ -813,12 +814,138 @@ class TestResumeAfterCut:
         # back to the last checkpoint both files still cover.
         spec, target, paths, saved, starts, want = cut_run
         cut = data.draw(hst.integers(starts[which], len(saved[which])), label="cut")
+        # The examples share one prefix: an interrupted run has no sample or
+        # report, so remove the ones the previous example's resume wrote.
+        for name in ("sample", "report"):
+            if os.path.exists(paths[name]):
+                os.remove(paths[name])
         for name, blob in saved.items():
             with open(paths[name], "wb") as fh:
                 fh.write(blob[:cut] if name == which else blob)
         df.resume(spec, target)
         for name, digest in want.items():
             assert sha(paths[name]) == digest, name
+
+
+OUTPUTS = ("chain", "restart", "sample", "report")
+
+
+def _finalize_spec(encoding, chain_format, workers):
+    # A relative prefix: the restart file and the report echo it, so runs
+    # compared byte for byte use one prefix in different directories. The
+    # fork-join run's last checkpoint is its last iteration; the serial
+    # run's is 200 iterations before it.
+    fork_join = dict(parallelism="single_chain", num_workers=workers) if workers > 1 else {}
+    return SimSpec(ndim=4, output_prefix="run", chain_size=3000 if workers == 1 else 3200,
+                   seed=61, file_encoding=encoding, chain_format=chain_format, **fork_join)
+
+
+def _progress_iterations(path):
+    with open(path, encoding="utf-8") as fh:
+        return [int(line.split(",")[0]) for line in fh.read().splitlines()[1:]]
+
+
+@pytest.fixture(scope="module")
+def uninterrupted(tmp_path_factory):
+    """Per spec, the sha256 of each output of an uninterrupted run, and the
+    iterations of its progress lines; each spec runs once."""
+    target = df.TargetDensity(4, lambda x: -0.5 * float(x @ x))
+    done = {}
+
+    def get(spec):
+        key = tuple(spec_echo_lines(spec))
+        if key not in done:
+            cwd = os.getcwd()
+            os.chdir(tmp_path_factory.mktemp("uninterrupted"))
+            try:
+                paths = run_sampler(spec, target).paths
+                done[key] = ({name: sha(paths[name]) for name in OUTPUTS},
+                             _progress_iterations(paths["progress"]))
+            finally:
+                os.chdir(cwd)
+        return done[key]
+
+    return get
+
+
+class TestUnfinishedRun:
+    """A run without a report is unfinished, and ``run_sampler`` resumes it."""
+
+    class Interrupt(Exception):
+        pass
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
+    @pytest.mark.parametrize("kill", ["in_sample", "in_report", "before_rename"])
+    def test_interrupted_finalize_resumes_to_uninterrupted_bytes(
+            self, mvn4, tmp_path, monkeypatch, uninterrupted, kill, chain_format, encoding,
+            workers):
+        # The chain file is complete; the sample is cut short, or the
+        # report's temporary file is cut short or never renamed.
+        spec = _finalize_spec(encoding, chain_format, workers)
+        want, want_progress = uninterrupted(spec)
+        monkeypatch.chdir(tmp_path)
+        interrupt = self.Interrupt
+        write_sample, replace = sampler.write_sample, os.replace
+
+        def torn_sample(refined, path):
+            write_sample(refined, path)
+            os.truncate(path, os.path.getsize(path) // 2)
+            raise interrupt
+
+        def torn_report(src, dst):
+            if not dst.endswith("_report.txt"):
+                return replace(src, dst)
+            if kill == "in_report":
+                os.truncate(src, os.path.getsize(src) // 2)
+            raise interrupt
+
+        with monkeypatch.context() as patch:
+            if kill == "in_sample":
+                patch.setattr(sampler, "write_sample", torn_sample)
+            else:
+                patch.setattr(os, "replace", torn_report)
+            with pytest.raises(interrupt):
+                run_sampler(spec, mvn4)
+        paths = df.output_paths(spec.output_prefix, encoding)
+        assert df.read_chain(paths["chain"]).total_weight == spec.chain_size
+        assert not os.path.exists(paths["report"])
+        assert df.inspect_outputs(spec) == "incomplete"
+
+        run_sampler(spec, mvn4)
+        assert {name: sha(paths[name]) for name in OUTPUTS} == want
+        assert _progress_iterations(paths["progress"]) == want_progress
+        assert not os.path.exists(paths["report"] + ".tmp")
+        assert df.inspect_outputs(spec) == "complete"
+
+    @pytest.mark.parametrize("progress", ["kept", "missing"])
+    def test_resume_cuts_progress_back_to_the_checkpoint(self, mvn4, tmp_path, monkeypatch,
+                                                         uninterrupted, progress):
+        # Killed after progress line 3000 and before checkpoint 3200 reached
+        # the restart file: the resume starts at checkpoint 2800.
+        spec = _finalize_spec("ascii", "compact", 1).with_updates(chain_size=6000)
+        want = uninterrupted(spec)[1]
+        monkeypatch.chdir(tmp_path)
+        interrupt, append = self.Interrupt, RestartWriter.append
+
+        def stop_at_3200(writer, ck):
+            if ck.iteration == 3200:
+                raise interrupt
+            append(writer, ck)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RestartWriter, "append", stop_at_3200)
+            with pytest.raises(interrupt):
+                run_sampler(spec, mvn4)
+        paths = df.output_paths(spec.output_prefix, "ascii")
+        assert _progress_iterations(paths["progress"]) == [1000, 2000, 3000]
+        if progress == "missing":  # counts as empty
+            os.remove(paths["progress"])
+            want = [it for it in want if it > 2000]
+        run_sampler(spec, mvn4)
+        assert _progress_iterations(paths["progress"]) == want
+        assert want[-3:] == [4000, 5000, 6000]
 
 
 class TestReportContents:
