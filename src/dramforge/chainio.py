@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import struct
+from collections import namedtuple
 from dataclasses import dataclass
 from operator import mul, sub
 
@@ -87,6 +88,10 @@ def chain_row_dtype(ndim: int) -> np.dtype:
 # The row fields that carry data, in ascii column order.
 _ROW_FIELDS = tuple(name for name in chain_row_dtype(1).names if name != "reserved")
 
+# One appended row, before it is packed into the row array: the row
+# fields as Python values, ``state`` a tuple of floats.
+ChainRow = namedtuple("ChainRow", _ROW_FIELDS)
+
 
 def _chain_header(ndim: int) -> list[str]:
     return list(CHAIN_COLUMNS) + [f"Var{i + 1}" for i in range(ndim)]
@@ -111,8 +116,12 @@ class CompactChain:
     """Weighted sequence of unique accepted states, stored columnar.
 
     The rows live in one array of ``chain_row_dtype(ndim)`` with spare
-    capacity at its end, so ``append`` is amortized O(1). Each column
-    attribute (``weight``, ``states``, ...) is a view of one row field.
+    capacity at its end. ``append`` keeps a row as a ``ChainRow`` in a
+    pending list; the first read of the rows (``records``, a column,
+    ``==``, ``sliced``) packs the pending rows into the array, one column
+    assignment per field, so the array grows once per batch of appends.
+    Each column attribute (``weight``, ``states``, ...) is a view of one
+    row field.
     """
 
     process_id = _Column("process_id")
@@ -159,24 +168,41 @@ class CompactChain:
         self.ndim = records.dtype["state"].shape[0]
         self._buf = records
         self._n = records.size
+        self._pending: list[ChainRow] = []
         self.truncated = truncated
 
     @property
     def records(self) -> np.ndarray:
         """The rows held, as one array of ``chain_row_dtype(ndim)``."""
+        if self._pending:
+            self._pack()
         return self._buf[: self._n]
 
     def append(self, process_id, dr_stage, mean_accept_rate, adaptation_measure,
-               burnin_loc, weight, logf, state) -> None:
-        """Add one row at the end; the spare capacity doubles when full."""
-        n = self._n
-        if n == self._buf.size:
-            grown = np.zeros(max(2 * n, 64), self._buf.dtype)
-            grown[:n] = self._buf
+               burnin_loc, weight, logf, state) -> ChainRow:
+        """Add one row at the end and return it.
+
+        The row keeps a copy of ``state``'s values, so the caller may
+        reuse its array.
+        """
+        row = ChainRow(process_id, dr_stage, mean_accept_rate, adaptation_measure,
+                       burnin_loc, weight, logf, tuple(state.tolist()))
+        self._pending.append(row)
+        return row
+
+    def _pack(self) -> None:
+        """Move the pending rows into the row array; its capacity doubles when full."""
+        pending, n = self._pending, self._n
+        end = n + len(pending)
+        if end > self._buf.size:
+            grown = np.zeros(max(2 * end, 64), self._buf.dtype)
+            grown[:n] = self._buf[:n]
             self._buf = grown
-        self._buf[n] = (process_id, dr_stage, mean_accept_rate, adaptation_measure, 0.0,
-                        burnin_loc, weight, logf, state)
-        self._n = n + 1
+        block = self._buf[n:end]
+        for name, column in zip(_ROW_FIELDS, zip(*pending)):
+            block[name] = column
+        self._n = end
+        self._pending = []
 
     @property
     def header(self) -> list[str]:
@@ -184,14 +210,14 @@ class CompactChain:
 
     @property
     def n_rows(self) -> int:
-        return self._n
+        return self._n + len(self._pending)
 
     @property
     def total_weight(self) -> int:
         return int(self.weight.sum())
 
     def __len__(self) -> int:
-        return self._n
+        return self.n_rows
 
     def __eq__(self, other):
         if not isinstance(other, CompactChain):
@@ -208,13 +234,31 @@ _CHAIN_HEADER = struct.Struct("<IIQ")  # format version, ndim, row count
 
 
 def _ascii_format(ndim: int) -> str:
-    """The %-format of one ascii chain line: ints as ``%d``, floats as fmt_float."""
-    return "%d,%d,%.17g,%.17g,%d,%d,%.17g" + ",%.17g" * ndim + "\n"
+    """The %-format of one ascii chain line: ints as ``%d``, floats as fmt_float.
+
+    The adaptation measure goes through ``%s``: ``_ascii_block`` formats
+    it once per distinct value.
+    """
+    return "%d,%d,%.17g,%s,%d,%d,%.17g" + ",%.17g" * ndim + "\n"
 
 
 # Rows formatted by one %-format; it bounds the text held at once when a
 # whole chain is written or sized.
 _FORMAT_ROWS = 4096
+
+
+def _measure_texts(measures: np.ndarray) -> list[str]:
+    """``fmt_float(m)`` for each measure ``m``, formatted once per distinct value.
+
+    A measure is the same for every row of an adaptation period. Values
+    are told apart by their bits, since -0.0 and 0.0 compare equal but
+    print differently.
+    """
+    bits = measures.view("<i8").tolist()
+    distinct = list(dict.fromkeys(bits))
+    values = np.array(distinct, "<i8").view("<f8").tolist()
+    texts = dict(zip(distinct, map(fmt_float, values)))
+    return list(map(texts.__getitem__, bits))
 
 
 def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[list[str], int, int]:
@@ -229,10 +273,11 @@ def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[list[str], int,
     """
     n = records.size
     weights = records["weight"].tolist()
-    # The columns in line order: the fields before the weight, the weight,
-    # logf, then one column per state coordinate.
-    columns = [records[name].tolist() for name in _ROW_FIELDS[:5]]
-    columns += [[1] * n if weight_one else weights, records["logf"].tolist(),
+    # The columns in line order: the fields before the weight (the measure
+    # as text), the weight, logf, then one column per state coordinate.
+    columns = [records[name].tolist() for name in _ROW_FIELDS[:3]]
+    columns += [_measure_texts(records["adaptation_measure"]), records["burnin_loc"].tolist(),
+                [1] * n if weight_one else weights, records["logf"].tolist(),
                 *records["state"].T.tolist()]
     flat = [None] * (n * len(columns))
     for j, column in enumerate(columns):
@@ -1052,7 +1097,9 @@ class ProgressWriter:
     The file keeps its header and its lines of iterations up to
     ``keep_through``, so a resumed run goes on with the lines of the run it
     resumes; a fresh run keeps none. A missing file counts as empty, and a
-    torn last line is dropped.
+    torn last line is dropped. ``elapsed`` is the elapsed time of the last
+    line kept (0.0 when none is), from which a resumed run's clock goes on.
+    A kept line that does not parse raises ParseError naming its line.
     """
 
     def __init__(self, path: str, keep_through: int):
@@ -1061,8 +1108,19 @@ class ProgressWriter:
                 lines = fh.read().split(b"\n")[:-1]
         except FileNotFoundError:
             lines = []
-        kept = lines[:1] + [line for line in lines[1:]
-                            if int(line.partition(b",")[0]) <= keep_through]
+        kept = lines[:1]
+        self.elapsed = 0.0
+        for lineno, line in enumerate(lines[1:], start=2):
+            fields = line.split(b",")
+            try:
+                if int(fields[0]) > keep_through:
+                    continue
+                if len(fields) != 5:
+                    raise ValueError(f"{len(fields)} fields, not 5")
+                self.elapsed = float(fields[4])
+            except ValueError as exc:
+                raise ParseError(f"{path}:{lineno}: malformed progress line ({exc})") from None
+            kept.append(line)
         self._fh = open(path, "a", encoding="utf-8", newline="\n")
         self._fh.truncate(sum(len(line) + 1 for line in kept))
         if not kept:

@@ -129,11 +129,14 @@ def update_mean_cov(state: ProposalState, points: np.ndarray, weights) -> Propos
     """Absorb weighted chain states into the running mean/covariance.
 
     ``points`` holds one chain state per row and ``weights`` their integer
-    weights >= 1. The mean is folded point by point. Each point's scatter
-    term is summed in one ``np.add.accumulate``, which adds strictly in
-    point order, so the result is bitwise that of adding the terms one
-    point at a time, and absorbing a batch in halves produces bitwise the
-    same state as absorbing it at once. ``cov`` is the weighted sample
+    weights >= 1. The mean is folded point by point, one coordinate at a
+    time, over Python floats: CPython float arithmetic is IEEE binary64
+    without fused multiply-add, so each subtract, multiply and add rounds
+    exactly as numpy's elementwise ops do. Each point's scatter term is
+    summed in one ``np.add.accumulate``, which adds strictly in point
+    order, so the result is bitwise that of adding the terms one point at
+    a time, and absorbing a batch in halves produces bitwise the same
+    state as absorbing it at once. ``cov`` is the weighted sample
     covariance (denominator ``count - 1``), zero when only one unit of
     weight has been seen.
     """
@@ -145,21 +148,31 @@ def update_mean_cov(state: ProposalState, points: np.ndarray, weights) -> Propos
     ndim = state.ndim
     # counts[k] is the weight absorbed before point k, counts[k + 1] after it.
     counts = list(accumulate(weights, initial=state.sample_count))
-    mean = state.mean.copy()
-    deltas = np.empty((len(weights), ndim))
-    for point, delta, w, count in zip(points, deltas, weights, counts[1:]):
-        np.subtract(point, mean, out=delta)
-        mean += (float(w) / count) * delta
+    steps = [float(w) / count for w, count in zip(weights, counts[1:])]
+    mean = state.mean.tolist()
+    deltas = []  # deltas[j][k]: point k's coordinate j minus the mean before it
+    for j, xs in enumerate(np.asarray(points, dtype=float).T.tolist()):
+        m = mean[j]
+        ds = []
+        for x, c in zip(xs, steps):
+            d = x - m
+            m += c * d
+            ds.append(d)
+        mean[j] = m
+        deltas.append(ds)
     # Point k adds w * (count_before / count) * outer(d, d): exactly
     # symmetric, unlike the outer(d_before, d_after) form. A point
-    # absorbed into empty statistics adds zeros. The terms are laid out
-    # along the last axis, which accumulate walks contiguously.
+    # absorbed into empty statistics adds zeros, also where outer(d, d)
+    # overflows (0 * inf would be nan). The terms are laid out along the
+    # last axis, which accumulate walks contiguously.
     coeffs = [float(w) * before / after for w, before, after in zip(weights, counts, counts[1:])]
-    d = deltas.T
+    d = np.array(deltas)
     terms = np.empty((ndim, ndim, len(weights) + 1))
     terms[:, :, 0] = state.scatter
     np.multiply(d[:, None, :], d[None, :, :], out=terms[:, :, 1:])
     terms[:, :, 1:] *= coeffs
+    if counts[0] == 0:
+        terms[:, :, 1] = 0.0
     scatter = np.add.accumulate(terms, axis=2, out=terms)[:, :, -1].copy()
     count = counts[-1]
     if count >= 2:
@@ -169,7 +182,7 @@ def update_mean_cov(state: ProposalState, points: np.ndarray, weights) -> Propos
     epsilon = max(state.eps_rel * np.trace(cov) / state.ndim, EPS_FLOOR)
     updated = replace(
         state,
-        mean=mean,
+        mean=np.array(mean),
         scatter=scatter,
         cov=cov,
         epsilon=epsilon,

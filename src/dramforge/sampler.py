@@ -12,12 +12,14 @@ from __future__ import annotations
 import math
 import os
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import refinement
 from .chainio import (
+    ChainRow,
     ChainWriter,
     CompactChain,
     ParallelStats,
@@ -125,6 +127,21 @@ def _log1mexp(a: float) -> float:
     return math.log(-math.expm1(a))
 
 
+def _log1m_alpha(logf_from: float, logf_to: float) -> float:
+    """log(1 - alpha) of the Metropolis move from ``logf_from`` to ``logf_to``.
+
+    Bitwise ``_log1mexp(metropolis_log_alpha(logf_from, logf_to))`` in one
+    call: a difference that is not negative (NaN and -0.0 included) gives
+    log alpha 0 there, so -inf here.
+    """
+    a = logf_to - logf_from
+    if not a < 0.0:
+        return -math.inf
+    if a < -_LN2:
+        return math.log1p(-math.exp(a))
+    return math.log(-math.expm1(a))
+
+
 def dr_log_alpha2(
     logf_x: float,
     logf_y1: float,
@@ -141,8 +158,8 @@ def dr_log_alpha2(
     """
     if logf_y2 == -math.inf:
         return -math.inf
-    num = logf_y2 + logq_y2_y1 + _log1mexp(metropolis_log_alpha(logf_y2, logf_y1))
-    den = logf_x + logq_x_y1 + _log1mexp(metropolis_log_alpha(logf_x, logf_y1))
+    num = logf_y2 + logq_y2_y1 + _log1m_alpha(logf_y2, logf_y1)
+    den = logf_x + logq_x_y1 + _log1m_alpha(logf_x, logf_y1)
     if num == -math.inf:
         return -math.inf
     if den == -math.inf:
@@ -154,7 +171,7 @@ def _dr2_half(logf_end: float, logf_mid: float, logq: float) -> float:
     # log[ pi(end) * q1(end, mid) * (1 - alpha1(end -> mid)) ]
     if logf_end == -math.inf:
         return -math.inf
-    return logf_end + logq + _log1mexp(metropolis_log_alpha(logf_end, logf_mid))
+    return logf_end + logq + _log1m_alpha(logf_end, logf_mid)
 
 
 def _dr_log_alpha3(
@@ -179,7 +196,7 @@ def _dr_log_alpha3(
         logf_y3
         + k0_y3_y2
         + k1_y3_y1
-        + _log1mexp(metropolis_log_alpha(logf_y3, logf_y2))
+        + _log1m_alpha(logf_y3, logf_y2)
         + _log1mexp(log_alpha2_rev)
     )
     if num == -math.inf:
@@ -188,7 +205,7 @@ def _dr_log_alpha3(
         logf_x
         + k0_x_y1
         + k1_x_y2
-        + _log1mexp(metropolis_log_alpha(logf_x, logf_y1))
+        + _log1m_alpha(logf_x, logf_y1)
         + _log1mexp(log_alpha2_fwd)
     )
     return min(0.0, num - den)
@@ -300,22 +317,24 @@ def _attempt(
     return verdict
 
 
-def _emit_live(state: SamplerState) -> np.record:
-    """Close the live row: append it to ``state.rows`` and return it."""
+def _emit_live(state: SamplerState) -> ChainRow:
+    """Close the live row: append it to ``state.rows`` and return it.
+
+    A new maximum of logf moves the burn-in first, so the row is appended
+    with its final ``burnin_loc``.
+    """
     rows = state.rows
     logf = state.current_logf
-    rows.append(
+    if logf > state.max_logf:
+        state.max_logf = logf
+        state.burnin_loc = detect_burnin(np.append(rows.logf, logf), rows.ndim)
+    return rows.append(
         state.live_process_id, state.live_dr_stage, state.accepted_count / state.iteration,
         state.last_measure, state.burnin_loc, state.pending_weight, logf, state.current,
     )
-    if logf > state.max_logf:
-        state.max_logf = logf
-        state.burnin_loc = detect_burnin(rows, rows.ndim)
-        rows.burnin_loc[-1] = state.burnin_loc
-    return rows.records[-1]
 
 
-def _apply_verdict(state: SamplerState, verdict: _Verdict, process_id: int) -> np.record | None:
+def _apply_verdict(state: SamplerState, verdict: _Verdict, process_id: int) -> ChainRow | None:
     """Bookkeeping for one consumed iteration; returns any emitted row."""
     if not verdict.accepted:
         state.pending_weight += 1
@@ -519,29 +538,36 @@ class _Run:
         parent = os.path.dirname(spec.output_prefix)
         if parent:
             os.makedirs(parent, exist_ok=True)
-        initial_bytes = None
-        if append:
-            initial_bytes = chain_byte_sizes(state.rows, spec.file_encoding)
-            # Each row has one serialization, so the kept rows' bytes on
-            # disk are exactly what rewriting them would produce.
-            cut = initial_bytes[spec.chain_format == "verbose"]
-            if spec.file_encoding == "ascii":
-                with open(self.paths["chain"], "rb") as fh:
-                    fh.seek(cut - 1)
-                    if fh.read(1) != b"\n":
-                        raise ResumeRefused("chain file rows were not written by this version")
-            os.truncate(self.paths["chain"], cut)
-        self.chain_writer = ChainWriter(
-            self.paths["chain"], spec.ndim, spec.chain_format, spec.file_encoding,
-            append=append, initial_bytes=initial_bytes,
-        )
-        self.restart_writer = RestartWriter(self.paths["restart"], spec, append=append)
-        # A resumed run keeps the progress lines up to the last multiple of
-        # PROGRESS_EVERY it has reached, and writes the later ones again.
-        self.progress = ProgressWriter(
-            self.paths["progress"], state.iteration // PROGRESS_EVERY * PROGRESS_EVERY
-        )
-        self.t0 = time.perf_counter()
+        # The files opened here are closed again if a later step fails.
+        with ExitStack() as opened:
+            # A resumed run keeps the progress lines up to the last multiple
+            # of PROGRESS_EVERY it has reached, and writes the later ones
+            # again; its clock starts the kept lines' elapsed time back.
+            self.progress = ProgressWriter(
+                self.paths["progress"], state.iteration // PROGRESS_EVERY * PROGRESS_EVERY
+            )
+            opened.callback(self.progress.close)
+            initial_bytes = None
+            if append:
+                initial_bytes = chain_byte_sizes(state.rows, spec.file_encoding)
+                # Each row has one serialization, so the kept rows' bytes on
+                # disk are exactly what rewriting them would produce.
+                cut = initial_bytes[spec.chain_format == "verbose"]
+                if spec.file_encoding == "ascii":
+                    with open(self.paths["chain"], "rb") as fh:
+                        fh.seek(cut - 1)
+                        if fh.read(1) != b"\n":
+                            raise ResumeRefused(
+                                "chain file rows were not written by this version")
+                os.truncate(self.paths["chain"], cut)
+            self.chain_writer = ChainWriter(
+                self.paths["chain"], spec.ndim, spec.chain_format, spec.file_encoding,
+                append=append, initial_bytes=initial_bytes,
+            )
+            opened.callback(self.chain_writer.close)
+            self.restart_writer = RestartWriter(self.paths["restart"], spec, append=append)
+            opened.pop_all()
+        self.t0 = time.perf_counter() - self.progress.elapsed
 
     def checkpoint(self) -> None:
         # Rows first, checkpoint second: anything a flushed checkpoint
@@ -556,16 +582,23 @@ class _Run:
         period = spec.adaptation_period
         serial = len(state.rngs) == 1
         next_progress = (state.iteration // PROGRESS_EVERY + 1) * PROGRESS_EVERY
+        rows, writer = state.rows, self.chain_writer
         try:
             while state.iteration < spec.chain_size:
+                boundary = (state.iteration // period + 1) * period
                 if serial:
-                    _, row = step(state, self.target, spec)
+                    # Serial iterations up to the next progress line or
+                    # period end, whichever comes first.
+                    stop = min(spec.chain_size, boundary, next_progress)
+                    while state.iteration < stop:
+                        _, row = step(state, self.target, spec)
+                        if row is not None:
+                            writer.append(rows, rows.n_rows - 1)
                 else:
-                    boundary = (state.iteration // period + 1) * period
                     max_steps = min(spec.chain_size, boundary) - state.iteration
                     _, _, row = fork_join_cycle(state, self.target, spec, max_steps)
-                if row is not None:
-                    self.chain_writer.append(state.rows, state.rows.n_rows - 1)
+                    if row is not None:
+                        writer.append(rows, rows.n_rows - 1)
                 while next_progress <= state.iteration:
                     self.progress.line(
                         next_progress, state.accepted_count,
@@ -577,8 +610,8 @@ class _Run:
                     adapt_if_due(state, spec)
                     self.checkpoint()
             _emit_live(state)
-            self.chain_writer.append(state.rows, state.rows.n_rows - 1)
-            self.chain_writer.close()
+            writer.append(rows, rows.n_rows - 1)
+            writer.close()
             if state.iteration % PROGRESS_EVERY != 0:
                 self.progress.line(
                     state.iteration, state.accepted_count,

@@ -211,6 +211,24 @@ class TestAsciiLineOracle:
         assert writer.verbose_bytes == len(verbose)
 
 
+    def test_measure_column_of_repeated_values_matches_oracle(self, tmp_path):
+        # One text per distinct measure: -0.0 and 0.0 are told apart, and
+        # NaN of either sign prints "nan".
+        measures = [0.0, 0.0, -0.0, 0.0, -0.0, 1e-5, 1e-5, math.nan, -math.nan, 0.0, 5e-324]
+        n = len(measures)
+        chain = CompactChain(2, [1] * n, [0] * n, [0.5] * n, measures, [0] * n,
+                             list(range(1, n + 1)), [-float(i) for i in range(n)],
+                             np.arange(2.0 * n).reshape(n, 2))
+        header = ",".join(chain.header) + "\n"
+        expected = header + "".join(_oracle_line(r, int(r.weight)) for r in chain.records)
+        path = str(tmp_path / "measures.txt")
+        df.write_chain(chain, path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.read() == expected
+        assert ",-0," in expected and ",nan," in expected
+        assert chain_byte_size(chain, "compact", "ascii") == len(expected)
+
+
 class TestFlushedWriter:
     """Rows marked by ``append`` and written by ``flush`` give the per-row file."""
 
@@ -303,6 +321,12 @@ class TestFlushedWriter:
 
 
 class TestRowStore:
+    @staticmethod
+    def _row_args(chain, i):
+        return (chain.process_id[i], chain.dr_stage[i], chain.mean_accept_rate[i],
+                chain.adaptation_measure[i], chain.burnin_loc[i], chain.weight[i],
+                chain.logf[i], chain.states[i])
+
     def test_appending_rows_one_at_a_time_matches_the_constructor(self):
         rng = np.random.default_rng(12)
         expected = random_chain(rng, 3, 10_000)
@@ -315,6 +339,53 @@ class TestRowStore:
             )
         assert chain.n_rows == 10_000
         assert chain == expected
+
+    def test_interleaved_appends_and_reads_match_the_constructor(self):
+        # Appends interleaved at random with every kind of read, and with
+        # writes to the last row's burn-in, starting empty or from rows
+        # already held.
+        rng = np.random.default_rng(31)
+        columns = ("process_id", "dr_stage", "mean_accept_rate", "adaptation_measure",
+                   "burnin_loc", "weight", "logf", "states")
+        for trial in range(40):
+            ndim = int(rng.integers(1, 6))
+            expected = random_chain(rng, ndim, int(rng.integers(1, 400)))
+            start = int(rng.integers(0, expected.n_rows)) if trial % 2 else 0
+            chain = expected.sliced(start) if start else CompactChain(ndim)
+            for i in range(start, expected.n_rows):
+                row = chain.append(*self._row_args(expected, i))
+                assert row.weight == expected.weight[i]
+                n = i + 1
+                read = int(rng.integers(0, 16))
+                if read == 0:
+                    assert chain.records.tobytes() == expected.records[:n].tobytes()
+                elif read == 1:
+                    name = columns[int(rng.integers(0, len(columns)))]
+                    assert np.array_equal(getattr(chain, name), getattr(expected, name)[:n])
+                elif read == 2:
+                    assert chain.n_rows == len(chain) == n
+                elif read == 3:
+                    assert chain == expected.sliced(n)
+                elif read == 4:
+                    k = int(rng.integers(0, n + 1))
+                    assert chain.sliced(k) == expected.sliced(k)
+                elif read == 5:
+                    loc = int(rng.integers(0, n))
+                    chain.burnin_loc[-1] = loc
+                    expected.burnin_loc[i] = loc
+            assert chain.n_rows == len(chain) == expected.n_rows
+            assert chain == expected
+            assert chain.records.tobytes() == expected.records.tobytes()
+
+    def test_append_keeps_a_copy_of_the_state(self):
+        chain = CompactChain(2)
+        state = np.array([1.5, -2.0])
+        row = chain.append(3, 1, 0.25, 0.0, 0, 4, -1.0, state)
+        state[:] = 9.0
+        assert row.state == (1.5, -2.0) and row.weight == 4
+        chain.append(3, 1, 0.25, 0.0, 0, 1, -2.0, state)
+        state[:] = 7.0
+        assert chain.states.tolist() == [[1.5, -2.0], [9.0, 9.0]]
 
     @pytest.mark.parametrize("encoding", ["ascii", "binary"])
     def test_verbose_read_merges_only_rows_equal_in_logf_and_state(self, tmp_path, encoding):

@@ -128,6 +128,24 @@ class TestCmdRun:
         assert main(["run", write_cfg(run_dir, prefix), "--resume"]) == 2
         assert "out_restart.txt:" in capsys.readouterr().err
 
+    def test_resume_with_malformed_progress_line_is_input_error(self, run_dir, mvn4, capsys):
+        prefix = str(run_dir / "out")
+        spec = df.SimSpec(ndim=4, output_prefix=prefix, chain_size=3000, seed=17)
+
+        class Stop(Exception):
+            pass
+
+        def hook(iteration):
+            if iteration >= 2400:
+                raise Stop
+
+        with pytest.raises(Stop):
+            df.run_sampler(spec, mvn4, on_checkpoint=hook)
+        lineno = _corrupt(prefix + "_progress.txt", "1000,", "x1000,1,0.5,0,0.010")
+        cfg = write_cfg(run_dir, prefix)
+        assert main(["run", cfg, "--resume", "--set", "chain_size=3000"]) == 2
+        assert f"out_progress.txt:{lineno}:" in capsys.readouterr().err
+
     def test_invalid_value_is_config_error(self, run_dir, capsys):
         cfg = write_cfg(run_dir, run_dir / "out", extra="dr_stage_count = 7")
         assert main(["run", cfg]) == 2

@@ -145,3 +145,44 @@ def test_serial_mixture16_decisions(tmp_path):
     spec = df.SimSpec(ndim=4, output_prefix=str(tmp_path / "mix"), chain_size=5000, seed=11)
     out = df.run_sampler(spec, corner_mixture16())
     assert decisions_sha(out.paths["chain"]) == SERIAL_MIXTURE16_DECISIONS
+
+
+# Other dimensions than 4, each run once for its chain, restart and decision
+# pins (output prefix "run"). At ndim 1 the proposal adapts every 100
+# iterations; at ndim 20 every 2,000, so the DR2 run adapts four times, the
+# first time greedily.
+OTHER_DIMENSIONS = {
+    "ndim1-dr1": (
+        "7d106f219b31768a5f35dd5ba49dd03e408f524afb20f59abc0e3929fa71f441",
+        "a727fe851c08ee567372c396b9fbb130c7d4d394807db896878d683dfda35e66",
+        "6c2c9411c98e33416b5c5cf2991f1924951f816abec6602e7579d6bab3dfd0d8",
+    ),
+    "ndim20-dr2": (
+        "ec132f440300f54b27e702bbbd2f1271597542feffd6f0d8bf6490a3f631d0ec",
+        "f32f73a0429cbf75e1ed3488789ad175d5b7ad84019321b85b202cca0b63f0d2",
+        "7df2b3b4156fe98c4505036b10dd873be0982436b3ea39128ddacc5734207ad2",
+    ),
+}
+
+
+def other_dimension_run(case):
+    if case == "ndim1-dr1":
+        spec = df.SimSpec(ndim=1, output_prefix="run", chain_size=5000, seed=5,
+                          start_point=[3.0])
+        return spec, df.mvn_target([1.0], [[2.5]])
+    idx = np.arange(20)
+    cov = 0.6 ** np.abs(idx[:, None] - idx[None, :]) * np.sqrt(np.outer(idx + 1, idx + 1)) / 4
+    spec = df.SimSpec(ndim=20, output_prefix="run", chain_size=8000, seed=17,
+                      dr_stage_count=2, greedy_adaptation_count=1)
+    return spec, df.mvn_target(np.linspace(-1.0, 1.0, 20), cov)
+
+
+@pytest.mark.parametrize("case", sorted(OTHER_DIMENSIONS))
+def test_other_dimension_bytes_and_decisions(tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    out = df.run_sampler(*other_dimension_run(case))
+    # The initial checkpoint, then one per adaptation.
+    assert len(df.read_restart(out.paths["restart"])[1]) >= 4
+    got = (sha(out.paths["chain"]), sha(out.paths["restart"]),
+           decisions_sha(out.paths["chain"]))
+    assert got == OTHER_DIMENSIONS[case]

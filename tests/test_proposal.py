@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dramforge import NumericalError, SplitMix64
+from dramforge import NumericalError, SplitMix64, proposal
 from dramforge.proposal import (
     EPS_FLOOR,
     KernelTape,
@@ -27,7 +27,12 @@ def fresh(ndim=2, scale=1.0, eps_rel=1e-12):
 
 
 def per_point_update(state, batch):
-    """Reference absorption: the mean and the scatter folded one point at a time.
+    """Reference absorption: ``per_point_stats``, factorized."""
+    return factorize(per_point_stats(state, batch))
+
+
+def per_point_stats(state, batch):
+    """Reference statistics: the mean and the scatter folded one point at a time.
 
     ``batch`` is a sequence of ``(point, weight)`` pairs. Each point adds
     ``w * (count_old / count) * outer(d, d)`` to the scatter in place, in
@@ -46,8 +51,8 @@ def per_point_update(state, batch):
             scatter += coeff * (delta[:, None] * delta)
     cov = scatter / (count - 1) if count >= 2 else np.zeros_like(scatter)
     epsilon = max(state.eps_rel * np.trace(cov) / state.ndim, EPS_FLOOR)
-    return factorize(replace(state, mean=mean, scatter=scatter, cov=cov, epsilon=epsilon,
-                             sample_count=count))
+    return replace(state, mean=mean, scatter=scatter, cov=cov, epsilon=epsilon,
+                   sample_count=count)
 
 
 class _ZeroRng:
@@ -144,6 +149,36 @@ class TestUpdateMeanCov:
             weights = rng.integers(1, top + 1, n)
             self._assert_bitwise_equal(update_mean_cov(state, points, weights),
                                        per_point_update(state, list(zip(points, weights))))
+
+    @pytest.mark.parametrize("kind", ["signed_zeros", "subnormal", "huge"])
+    def test_extreme_points_bitwise_equal_to_per_point_fold(self, kind, monkeypatch):
+        # Signed zeros, subnormals and points at the 1e300 scale, whose
+        # scatter overflows to inf and nan. The statistics are compared
+        # before factorization, which fails on a non-finite covariance.
+        monkeypatch.setattr(proposal, "factorize", lambda state: state)
+        rng = np.random.default_rng(77)
+        tiny = np.array([0.0, 5e-324, -5e-324, 2.0**-1074 * 3, 2.0**-1022, -2.0**-1023])
+        for trial in range(30):
+            ndim = int(rng.integers(1, 6))
+            n = int(rng.integers(1, 30))
+            if kind == "signed_zeros":
+                points = rng.choice([0.0, -0.0], (n, ndim))
+                points[rng.random((n, ndim)) < 0.2] = 1.0
+            elif kind == "subnormal":
+                points = rng.choice(tiny, (n, ndim)) * rng.integers(1, 5, (n, ndim))
+            else:
+                points = rng.normal(0, 1, (n, ndim)) * 1e300
+            weights = rng.integers(1, [2, 50, 10**6][trial % 3] + 1, n)
+            state = fresh(ndim)
+            with np.errstate(over="ignore", invalid="ignore"):
+                if trial % 2:
+                    state = per_point_stats(state, list(zip(points[::-1], weights[::-1])))
+                got = update_mean_cov(state, points, weights)
+                want = per_point_stats(state, list(zip(points, weights)))
+            for name in ("mean", "scatter", "cov"):
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+            assert np.float64(got.epsilon).tobytes() == np.float64(want.epsilon).tobytes()
+            assert got.sample_count == want.sample_count
 
     def test_one_row_from_empty_matches_per_point_fold(self):
         for ndim, weight in ((1, 1), (3, 7), (20, 10**6)):

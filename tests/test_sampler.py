@@ -1,6 +1,8 @@
 import hashlib
+import itertools
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -11,9 +13,11 @@ from hypothesis import strategies as hst
 import dramforge as df
 from dramforge import NumericalError, ResumeRefused, RunAlreadyComplete, SimSpec, UsageError
 from dramforge import sampler
-from dramforge.chainio import ChainWriter, RestartWriter, spec_echo_lines
+from dramforge.chainio import ChainWriter, ProgressWriter, RestartWriter, spec_echo_lines
 from dramforge.sampler import (
     _emit_live,
+    _log1m_alpha,
+    _log1mexp,
     adapt_if_due,
     detect_burnin,
     dr_log_alpha2,
@@ -38,6 +42,22 @@ class TestMetropolisLogAlpha:
 
     def test_uphill_always_accepts(self):
         assert metropolis_log_alpha(-3.0, -1.0) == 0.0
+
+
+class TestLog1mAlpha:
+    LN2 = math.log(2.0)
+    VALUES = [-math.inf, -1e308, -745.2, -40.0, -1.0, -math.nextafter(LN2, 1.0), -LN2,
+              -math.nextafter(LN2, 0.0), -1e-300, -5e-324, -0.0, 0.0, 5e-324, 1.0, 1e308,
+              math.inf, math.nan]
+
+    def test_bitwise_the_composed_form(self):
+        rng = np.random.default_rng(8)
+        pairs = list(itertools.product(self.VALUES, repeat=2))
+        pairs += [tuple(p) for p in rng.normal(-3.0, 4.0, (2000, 2)).tolist()]
+        for f_from, f_to in pairs:
+            got = _log1m_alpha(f_from, f_to)
+            want = _log1mexp(metropolis_log_alpha(f_from, f_to))
+            assert struct.pack("<d", got) == struct.pack("<d", want), (f_from, f_to)
 
 
 class TestDrLogAlpha2:
@@ -946,6 +966,67 @@ class TestUnfinishedRun:
         run_sampler(spec, mvn4)
         assert _progress_iterations(paths["progress"]) == want
         assert want[-3:] == [4000, 5000, 6000]
+
+
+    def test_resumed_progress_goes_on_with_the_elapsed_time(self, mvn4, tmp_path,
+                                                            monkeypatch, uninterrupted):
+        # Interrupted before checkpoint 3200: the resume keeps the lines up
+        # to 2000, and its elapsed column goes on from line 2000's.
+        spec = _finalize_spec("ascii", "compact", 1).with_updates(chain_size=6000)
+        want = uninterrupted(spec)[1]
+        monkeypatch.chdir(tmp_path)
+        interrupt, append = self.Interrupt, RestartWriter.append
+
+        def stop_at_3200(writer, ck):
+            if ck.iteration == 3200:
+                raise interrupt
+            append(writer, ck)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RestartWriter, "append", stop_at_3200)
+            with pytest.raises(interrupt):
+                run_sampler(spec, mvn4)
+        paths = df.output_paths(spec.output_prefix, "ascii")
+        with open(paths["progress"], encoding="utf-8") as fh:
+            kept = fh.read().splitlines()[1:3]
+        run_sampler(spec, mvn4)
+        with open(paths["progress"], encoding="utf-8") as fh:
+            lines = fh.read().splitlines()[1:]
+        assert lines[:2] == kept
+        assert [int(line.split(",")[0]) for line in lines] == want
+        elapsed = [float(line.split(",")[4]) for line in lines]
+        assert elapsed == sorted(elapsed)
+
+
+    def test_refused_resume_closes_the_progress_file(self, mvn4, tmp_path, monkeypatch):
+        # The progress file is opened before the chain file is checked; a
+        # resume refused by that check closes it again.
+        spec = _finalize_spec("ascii", "compact", 1)
+        monkeypatch.chdir(tmp_path)
+        interrupt = self.Interrupt
+
+        def stop_at_1200(iteration):
+            if iteration >= 1200:
+                raise interrupt
+
+        with pytest.raises(interrupt):
+            run_sampler(spec, mvn4, on_checkpoint=stop_at_1200)
+        path = df.output_paths(spec.output_prefix, "ascii")["chain"]
+        with open(path, "rb") as fh:
+            lines = fh.read().split(b"\n")
+        lines[1] += b"0"  # the kept rows no longer end on a line break
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join(lines))
+        closed, close = [], ProgressWriter.close
+
+        def recording_close(writer):
+            closed.append(writer)
+            close(writer)
+
+        monkeypatch.setattr(ProgressWriter, "close", recording_close)
+        with pytest.raises(ResumeRefused, match="not written by this version"):
+            run_sampler(spec, mvn4)
+        assert len(closed) == 1 and closed[0]._fh.closed
 
 
 class TestReportContents:
