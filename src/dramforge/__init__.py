@@ -36,7 +36,6 @@ from .proposal import (
     update_mean_cov,
 )
 from .sampler import (
-    AdaptationRecord,
     SamplerState,
     SimulationOutputs,
     adapt_if_due,

@@ -5,8 +5,9 @@ restart, sample, report, progress. Three tables fix the record
 layouts. ``chain_row_dtype`` is the chain row: the binary file row and
 the row of ``CompactChain``, the one in-memory row store, which the
 sampler appends to and the readers fill. ``CHECKPOINT_FIELDS`` lists the
-restart checkpoint fields in record order and drives both encodings;
-``REPORT_FIELDS`` lists the report's statistics. Every ``key = value``
+restart checkpoint fields in record order; it drives the ascii codec and
+``checkpoint_dtype``, the binary record. ``REPORT_FIELDS`` lists the
+report's statistics. Every ``key = value``
 text (ascii restart, binary spec echo, report, CLI config) is read by
 ``read_sections`` and its fields by one per-kind codec.
 ASCII reals carry 17 significant digits so every 64-bit float round-trips
@@ -18,19 +19,23 @@ interrupts happen mid-write, and re-compact verbose chains on read.
 from __future__ import annotations
 
 import os
-import struct
 from collections import namedtuple
 from dataclasses import dataclass
 from operator import mul, sub
 
 import numpy as np
 
-from .core import SIMSPEC_FIELDS, SimSpec, UsageError
-from .proposal import ProposalState, factorize
+from .core import SIMSPEC_FIELDS, ResumeRefused, SimSpec, UsageError
 
 CHAIN_MAGIC = b"DRMF"
 RESTART_MAGIC = b"DRRS"
 FORMAT_VERSION = 1
+
+# The binary files' headers. The chain's rows follow its header; the
+# restart's spec echo, of echo_bytes bytes, and its records follow its own.
+_CHAIN_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("ndim", "<u4"), ("rows", "<u8")])
+_RESTART_HEADER = np.dtype([("magic", "S4"), ("version", "<u4"), ("ndim", "<u4"),
+                            ("echo_bytes", "<u4")])
 
 CHAIN_COLUMNS = (
     "ProcessID",
@@ -50,6 +55,16 @@ class ParseError(UsageError):
 def fmt_float(x: float) -> str:
     """17 significant digits: the minimum that round-trips binary64."""
     return format(x, ".17g")
+
+
+def _read_header(path: str, blob: bytes, header: np.dtype, what: str) -> np.void:
+    """The header that starts ``blob``; ParseError if it is cut or of another version."""
+    if len(blob) < header.itemsize:
+        raise ParseError(f"{path}: truncated {what} header")
+    head = np.frombuffer(blob, header, 1)[0]
+    if head["version"] != FORMAT_VERSION:
+        raise ParseError(f"{path}: unsupported {what} format version {head['version']}")
+    return head
 
 
 def output_paths(prefix: str, encoding: str) -> dict:
@@ -230,9 +245,6 @@ class CompactChain:
         return CompactChain._of_records(self.records[:n_rows].copy())
 
 
-_CHAIN_HEADER = struct.Struct("<IIQ")  # format version, ndim, row count
-
-
 def _ascii_format(ndim: int) -> str:
     """The %-format of one ascii chain line: ints as ``%d``, floats as fmt_float.
 
@@ -318,14 +330,14 @@ class ChainWriter:
             if not append:
                 self._fh.write(header)
         else:
-            base = len(CHAIN_MAGIC) + _CHAIN_HEADER.size
+            base = _CHAIN_HEADER.itemsize
             if append:
                 self._fh = open(path, "r+b")
                 self._fh.seek(0, os.SEEK_END)
             else:
                 self._fh = open(path, "wb")
-                self._fh.write(CHAIN_MAGIC)
-                self._fh.write(_CHAIN_HEADER.pack(FORMAT_VERSION, ndim, 0))
+                head = np.array((CHAIN_MAGIC, FORMAT_VERSION, ndim, 0), _CHAIN_HEADER)
+                self._fh.write(head.tobytes())
         self.compact_bytes, self.verbose_bytes = initial_bytes or (base, base)
 
     def append(self, chain: CompactChain, i: int) -> None:
@@ -369,9 +381,9 @@ class ChainWriter:
         self._fh.flush()
         if self.encoding == "binary":
             pos = self._fh.tell()
-            rows = (pos - len(CHAIN_MAGIC) - _CHAIN_HEADER.size) // self._row_size
-            self._fh.seek(len(CHAIN_MAGIC) + 8)
-            self._fh.write(struct.pack("<Q", rows))
+            rows = (pos - _CHAIN_HEADER.itemsize) // self._row_size
+            self._fh.seek(_CHAIN_HEADER.fields["rows"][1])
+            self._fh.write(np.array(rows, "<u8").tobytes())
             self._fh.seek(pos)
             self._fh.flush()
 
@@ -406,7 +418,7 @@ def chain_byte_sizes(chain: CompactChain, encoding: str) -> tuple[int, int]:
             compact += block_compact
             verbose += block_verbose
         return compact, verbose
-    header = len(CHAIN_MAGIC) + _CHAIN_HEADER.size
+    header = _CHAIN_HEADER.itemsize
     row_size = chain_row_dtype(chain.ndim).itemsize
     return header + chain.n_rows * row_size, header + chain.total_weight * row_size
 
@@ -414,6 +426,26 @@ def chain_byte_sizes(chain: CompactChain, encoding: str) -> tuple[int, int]:
 def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> int:
     """Byte size the chain would occupy on disk in the given format."""
     return chain_byte_sizes(chain, encoding)[chain_format == "verbose"]
+
+
+def cut_chain(path: str, rows: CompactChain, chain_format: str,
+              encoding: str) -> tuple[int, int]:
+    """Cut the chain file at ``path`` back to ``rows``, its first rows.
+
+    Returns the kept rows' byte sizes ``(compact, verbose)``. Each row has
+    one serialization, so the kept rows' bytes on disk are exactly what
+    rewriting them would produce. An ascii file whose kept bytes do not end
+    a line was not written by this version: ``ResumeRefused``.
+    """
+    sizes = chain_byte_sizes(rows, encoding)
+    cut = sizes[chain_format == "verbose"]
+    if encoding == "ascii":
+        with open(path, "rb") as fh:
+            fh.seek(cut - 1)
+            if fh.read(1) != b"\n":
+                raise ResumeRefused("chain file rows were not written by this version")
+    os.truncate(path, cut)
+    return sizes
 
 
 def read_chain(path: str) -> CompactChain:
@@ -503,13 +535,8 @@ def _parse_ascii_lines(lines: list[str], ndim: int) -> np.ndarray:
 def _binary_records(path: str) -> tuple[np.ndarray, bool]:
     with open(path, "rb") as fh:
         blob = fh.read()
-    header_len = len(CHAIN_MAGIC) + _CHAIN_HEADER.size
-    if len(blob) < header_len:
-        raise ParseError(f"{path}: truncated binary header")
-    version, ndim, _count = _CHAIN_HEADER.unpack_from(blob, len(CHAIN_MAGIC))
-    if version != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported chain format version {version}")
-    dtype = chain_row_dtype(ndim)
+    header_len = _CHAIN_HEADER.itemsize
+    dtype = chain_row_dtype(int(_read_header(path, blob, _CHAIN_HEADER, "chain")["ndim"]))
     n_complete, remainder = divmod(len(blob) - header_len, dtype.itemsize)
     return np.frombuffer(blob, dtype, n_complete, header_len), remainder != 0
 
@@ -680,14 +707,8 @@ def spec_from_echo(pairs, provenance: dict | None = None) -> SimSpec:
 
 
 # (name, kind) of every checkpoint field, in record order; this one table
-# drives the ascii codec (the text kinds above) and the binary one, and
-# RestartCheckpoint equality. Binary kinds:
-#   section, i32, u64, f64  scalars; section is a u32
-#   vector   ndim f64 values
-#   sym      symmetric ndim x ndim matrix as its ndim*(ndim+1)/2 upper
-#            triangle values, row by row
-#   rngs     u32 stream count, then per stream: u64 state, u64 stream id,
-#            u8 has-cache flag, f64 Box-Muller cache (0.0 when absent)
+# drives the ascii codec (the text kinds above), the binary record
+# (``checkpoint_dtype``) and RestartCheckpoint equality.
 CHECKPOINT_FIELDS = (
     ("checkpoint_index", "section"),
     ("iteration", "u64"),
@@ -710,10 +731,32 @@ CHECKPOINT_FIELDS = (
     ("scatter", "sym"),
 )
 
-_SCALARS = {kind: struct.Struct(fmt) for kind, fmt in
-            (("section", "<I"), ("i32", "<i"), ("u64", "<Q"), ("f64", "<d"))}
 _ARRAY_KINDS = ("vector", "sym")
-_RNG_RECORD = struct.Struct("<QQBd")
+
+# One stream of a binary checkpoint; ``cache`` is 0.0 when ``has_cache`` is 0.
+_RNG_DTYPE = np.dtype([("state", "<u8"), ("stream", "<u8"), ("has_cache", "u1"),
+                       ("cache", "<f8")])
+
+
+def checkpoint_dtype(ndim: int, n_streams: int) -> np.dtype:
+    """Layout of one binary restart record, the one definition of its bytes.
+
+    Packed little-endian fields: the u32 ``length`` of the rest of the
+    record, then the ``CHECKPOINT_FIELDS`` in order. Scalars take their
+    kind's type (``section`` a u32, ``i32``, ``u64``, ``f64``), a ``vector``
+    ndim f64 values, and a ``sym`` matrix the ndim*(ndim+1)/2 f64 values of
+    its upper triangle, row by row. ``rng_states`` is the u32 ``rng_count``,
+    then ``n_streams`` records of ``_RNG_DTYPE``.
+    """
+    kinds = {"section": ("<u4",), "i32": ("<i4",), "u64": ("<u8",), "f64": ("<f8",),
+             "vector": ("<f8", (ndim,)), "sym": ("<f8", (ndim * (ndim + 1) // 2,))}
+    fields = [("length", "<u4")]
+    for name, kind in CHECKPOINT_FIELDS:
+        if kind == "rngs":
+            fields += [("rng_count", "<u4"), (name, _RNG_DTYPE, (n_streams,))]
+        else:
+            fields.append((name, *kinds[kind]))
+    return np.dtype(fields)
 
 
 @dataclass
@@ -750,28 +793,6 @@ class RestartCheckpoint:
         return True
 
 
-def checkpoint_proposal(ck: RestartCheckpoint) -> ProposalState:
-    """Rebuild the proposal from a checkpoint, bit-identical to the run's.
-
-    The checkpointed epsilon already factorized, so ``factorize`` succeeds
-    on its first try and keeps it.
-    """
-    return factorize(ProposalState(
-        mean=ck.mean.copy(),
-        scatter=ck.scatter.copy(),
-        cov=ck.cov.copy(),
-        chol_lower=None,
-        chol_inv=None,
-        chol_logdet=0.0,
-        scale=ck.scale,
-        epsilon=ck.epsilon,
-        eps_rel=ck.eps_rel,
-        dr_scale=ck.dr_scale,
-        sample_count=ck.sample_count,
-        adaptation_count=ck.adaptation_count,
-    ))
-
-
 def _triu_pack(mat: np.ndarray) -> np.ndarray:
     i, j = np.triu_indices(mat.shape[0])
     return mat[i, j]
@@ -785,39 +806,6 @@ def _triu_unpack(flat: np.ndarray, ndim: int) -> np.ndarray:
     return mat
 
 
-def _field_pack(kind: str, value) -> bytes:
-    """The binary bytes of one checkpoint field."""
-    if kind == "rngs":
-        return struct.pack("<I", len(value)) + b"".join(
-            _RNG_RECORD.pack(s, stream, cache is not None, cache or 0.0)
-            for s, stream, cache in value
-        )
-    if kind in _ARRAY_KINDS:
-        flat = _triu_pack(value) if kind == "sym" else value
-        return np.asarray(flat, dtype="<f8").tobytes()
-    return _SCALARS[kind].pack(value)
-
-
-def _field_unpack(kind: str, payload: bytes, off: int, ndim: int):
-    """One checkpoint field read from ``payload`` at ``off``: (value, next off)."""
-    if kind == "rngs":
-        (count,) = struct.unpack_from("<I", payload, off)
-        off += 4
-        states = []
-        for _ in range(count):
-            s, stream, has_cache, cache = _RNG_RECORD.unpack_from(payload, off)
-            states.append((s, stream, cache if has_cache else None))
-            off += _RNG_RECORD.size
-        return states, off
-    if kind in _ARRAY_KINDS:
-        size = ndim if kind == "vector" else ndim * (ndim + 1) // 2
-        flat = np.frombuffer(payload, "<f8", size, off).astype(float)
-        value = _triu_unpack(flat, ndim) if kind == "sym" else flat
-        return value, off + 8 * size
-    scalar = _SCALARS[kind]
-    return scalar.unpack_from(payload, off)[0], off + scalar.size
-
-
 class RestartWriter:
     """Appends checkpoint records; each record is flushed immediately.
 
@@ -827,6 +815,7 @@ class RestartWriter:
 
     def __init__(self, path: str, spec: SimSpec, append: bool = False):
         self.path = path
+        self.ndim = spec.ndim
         self.encoding = spec.file_encoding
         if self.encoding == "ascii":
             mode = "a" if append else "w"
@@ -836,14 +825,11 @@ class RestartWriter:
                 for line in spec_echo_lines(spec):
                     self._fh.write(line + "\n")
         else:
-            if append:
-                self._fh = open(path, "r+b")
-                self._fh.seek(0, os.SEEK_END)
-            else:
-                self._fh = open(path, "wb")
+            self._fh = open(path, "ab" if append else "wb")
+            if not append:
                 echo = "\n".join(spec_echo_lines(spec)).encode("utf-8")
-                self._fh.write(RESTART_MAGIC)
-                self._fh.write(struct.pack("<III", FORMAT_VERSION, spec.ndim, len(echo)))
+                self._fh.write(np.array((RESTART_MAGIC, FORMAT_VERSION, spec.ndim, len(echo)),
+                                        _RESTART_HEADER).tobytes())
                 self._fh.write(echo)
 
     def append(self, ck: RestartCheckpoint) -> None:
@@ -855,10 +841,16 @@ class RestartWriter:
             ]
             self._fh.write("\n".join(lines) + "\n")
         else:
-            payload = b"".join(
-                _field_pack(kind, getattr(ck, name)) for name, kind in CHECKPOINT_FIELDS
-            )
-            self._fh.write(struct.pack("<I", len(payload)) + payload)
+            record = np.zeros((), checkpoint_dtype(self.ndim, len(ck.rng_states)))
+            record["length"] = record.itemsize - 4
+            record["rng_count"] = len(ck.rng_states)
+            for name, kind in CHECKPOINT_FIELDS:
+                value = getattr(ck, name)
+                if kind == "rngs":
+                    value = [(s, stream, cache is not None, 0.0 if cache is None else cache)
+                             for s, stream, cache in value]
+                record[name] = _triu_pack(value) if kind == "sym" else value
+            self._fh.write(record.tobytes())
         self._fh.flush()
 
     def close(self) -> None:
@@ -906,36 +898,51 @@ def _read_restart_ascii(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
 
 
 def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
+    """The spec echo and checkpoints of a binary restart file.
+
+    Every record has the stream count of the first. A complete record
+    whose length or stream count disagrees is a ParseError naming it; a
+    record cut by the end of the file is dropped.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if len(blob) < 16:
-        raise ParseError(f"{path}: truncated restart header")
-    version, ndim, echo_len = struct.unpack_from("<III", blob, 4)
-    if version != FORMAT_VERSION:
-        raise ParseError(f"{path}: unsupported restart format version {version}")
-    off = 16
-    echo = blob[off : off + echo_len].decode("utf-8").split("\n")
-    off += echo_len
+    head = _read_header(path, blob, _RESTART_HEADER, "restart")
+    ndim = int(head["ndim"])
+    off = _RESTART_HEADER.itemsize + int(head["echo_bytes"])
+    echo = blob[_RESTART_HEADER.itemsize : off].decode("utf-8").split("\n")
     spec = spec_from_echo(read_sections(path, echo, implicit="spec")[0])
-    checkpoints = []
-    while off + 4 <= len(blob):
-        (length,) = struct.unpack_from("<I", blob, off)
-        if off + 4 + length > len(blob):
-            break  # truncated trailing record
-        payload = blob[off + 4 : off + 4 + length]
-        values, pos = {}, 0
-        try:
-            for name, kind in CHECKPOINT_FIELDS:
-                values[name], pos = _field_unpack(kind, payload, pos, ndim)
-            if pos != length:
-                raise ValueError("bytes left over")
-        except (struct.error, ValueError):
-            # Every byte of the record is there, so this is no cut write.
-            raise ParseError(f"{path}: restart record {len(checkpoints)} at byte {off} "
-                             f"is not a checkpoint of ndim {ndim}") from None
-        checkpoints.append(RestartCheckpoint(**values))
-        off += 4 + length
-    return spec, checkpoints
+    fixed = checkpoint_dtype(ndim, 0)
+    count_at = off + fixed.fields["rng_count"][1]
+    n_streams = int.from_bytes(blob[count_at : count_at + 4], "little")
+    size = fixed.itemsize + n_streams * _RNG_DTYPE.itemsize
+    n_records, rest = divmod(len(blob) - off, size)
+    # No record fits when the stream count is too large for the file.
+    dtype = checkpoint_dtype(ndim, n_streams) if n_records else fixed
+    records = np.frombuffer(blob, dtype, n_records, off)
+    bad = np.flatnonzero((records["length"] != size - 4)
+                         | (records["rng_count"] != n_streams)).tolist()
+    # The bytes past the last record are a record cut by the end of the
+    # file, unless they hold all the bytes its length says it has.
+    tail = off + n_records * size
+    if rest >= 4 and 4 + int.from_bytes(blob[tail : tail + 4], "little") <= rest:
+        bad.append(n_records)
+    if bad:
+        i = bad[0]
+        # Every byte of the record is there, so this is no cut write.
+        raise ParseError(f"{path}: restart record {i} at byte {off + i * size} is not a "
+                         f"checkpoint of ndim {ndim} with {n_streams} streams")
+    return spec, [_checkpoint_of(record, ndim) for record in records]
+
+
+def _checkpoint_of(record: np.void, ndim: int) -> RestartCheckpoint:
+    read = {
+        "rngs": lambda v: [(s, stream, cache if has_cache else None)
+                           for s, stream, has_cache, cache in v.tolist()],
+        "sym": lambda v: _triu_unpack(v, ndim),
+        "vector": lambda v: v.astype(float),
+    }
+    return RestartCheckpoint(**{name: read.get(kind, np.generic.item)(record[name])
+                                for name, kind in CHECKPOINT_FIELDS})
 
 
 def rewrite_restart(path: str, spec: SimSpec, checkpoints: list[RestartCheckpoint]) -> None:

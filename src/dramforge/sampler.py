@@ -27,8 +27,7 @@ from .chainio import (
     ReportStats,
     RestartCheckpoint,
     RestartWriter,
-    checkpoint_proposal,
-    chain_byte_sizes,
+    cut_chain,
     inspect_outputs,
     output_paths,
     read_chain,
@@ -67,12 +66,6 @@ _TAPE_FIRST = 16
 _TAPE_CAP = 1024
 
 
-@dataclass
-class AdaptationRecord:
-    iteration: int
-    measure: float
-
-
 @dataclass(slots=True)
 class _Verdict:
     accepted: bool
@@ -98,7 +91,6 @@ class SamplerState:
     proposal: ProposalState
     rngs: list[SplitMix64]
     pending_weight: int
-    adaptation_history: list[AdaptationRecord]
     live_dr_stage: int
     live_process_id: int
     rows: CompactChain
@@ -119,22 +111,12 @@ def metropolis_log_alpha(logf_current: float, logf_proposed: float) -> float:
 
 
 def _log1mexp(a: float) -> float:
-    """log(1 - exp(a)) for a <= 0, stable across the whole range."""
-    if a >= 0.0:
-        return -math.inf
-    if a < -_LN2:
-        return math.log1p(-math.exp(a))
-    return math.log(-math.expm1(a))
+    """log(1 - exp(a)), stable across the whole range; -inf unless a < 0.
 
-
-def _log1m_alpha(logf_from: float, logf_to: float) -> float:
-    """log(1 - alpha) of the Metropolis move from ``logf_from`` to ``logf_to``.
-
-    Bitwise ``_log1mexp(metropolis_log_alpha(logf_from, logf_to))`` in one
-    call: a difference that is not negative (NaN and -0.0 included) gives
-    log alpha 0 there, so -inf here.
+    Called with ``logf_to - logf_from``, it is log(1 - alpha) of the
+    Metropolis move: a difference that is not negative (NaN and -0.0
+    included) has alpha 1, so -inf.
     """
-    a = logf_to - logf_from
     if not a < 0.0:
         return -math.inf
     if a < -_LN2:
@@ -158,8 +140,8 @@ def dr_log_alpha2(
     """
     if logf_y2 == -math.inf:
         return -math.inf
-    num = logf_y2 + logq_y2_y1 + _log1m_alpha(logf_y2, logf_y1)
-    den = logf_x + logq_x_y1 + _log1m_alpha(logf_x, logf_y1)
+    num = logf_y2 + logq_y2_y1 + _log1mexp(logf_y1 - logf_y2)
+    den = logf_x + logq_x_y1 + _log1mexp(logf_y1 - logf_x)
     if num == -math.inf:
         return -math.inf
     if den == -math.inf:
@@ -171,7 +153,7 @@ def _dr2_half(logf_end: float, logf_mid: float, logq: float) -> float:
     # log[ pi(end) * q1(end, mid) * (1 - alpha1(end -> mid)) ]
     if logf_end == -math.inf:
         return -math.inf
-    return logf_end + logq + _log1m_alpha(logf_end, logf_mid)
+    return logf_end + logq + _log1mexp(logf_mid - logf_end)
 
 
 def _dr_log_alpha3(
@@ -196,7 +178,7 @@ def _dr_log_alpha3(
         logf_y3
         + k0_y3_y2
         + k1_y3_y1
-        + _log1m_alpha(logf_y3, logf_y2)
+        + _log1mexp(logf_y2 - logf_y3)
         + _log1mexp(log_alpha2_rev)
     )
     if num == -math.inf:
@@ -205,7 +187,7 @@ def _dr_log_alpha3(
         logf_x
         + k0_x_y1
         + k1_x_y2
-        + _log1m_alpha(logf_x, logf_y1)
+        + _log1mexp(logf_y1 - logf_x)
         + _log1mexp(log_alpha2_fwd)
     )
     return min(0.0, num - den)
@@ -445,7 +427,6 @@ def adapt_if_due(state: SamplerState, spec: SimSpec) -> SamplerState:
     state.proposal = new
     state.absorbed_rows = rows.n_rows
     state.last_measure = measure
-    state.adaptation_history.append(AdaptationRecord(state.iteration, measure))
     return state
 
 
@@ -473,7 +454,6 @@ def init_state(spec: SimSpec, target: TargetDensity) -> SamplerState:
         proposal=prop,
         rngs=rngs,
         pending_weight=1,
-        adaptation_history=[],
         live_dr_stage=0,
         live_process_id=1,
         rows=CompactChain(spec.ndim),
@@ -510,6 +490,28 @@ def _make_checkpoint(state: SamplerState) -> RestartCheckpoint:
     )
     state.checkpoint_count += 1
     return ck
+
+
+def checkpoint_proposal(ck: RestartCheckpoint) -> ProposalState:
+    """Rebuild the proposal from a checkpoint, bit-identical to the run's.
+
+    The checkpointed epsilon already factorized, so ``factorize`` succeeds
+    on its first try and keeps it.
+    """
+    return factorize(ProposalState(
+        mean=ck.mean.copy(),
+        scatter=ck.scatter.copy(),
+        cov=ck.cov.copy(),
+        chol_lower=None,
+        chol_inv=None,
+        chol_logdet=0.0,
+        scale=ck.scale,
+        epsilon=ck.epsilon,
+        eps_rel=ck.eps_rel,
+        dr_scale=ck.dr_scale,
+        sample_count=ck.sample_count,
+        adaptation_count=ck.adaptation_count,
+    ))
 
 
 @dataclass
@@ -549,17 +551,8 @@ class _Run:
             opened.callback(self.progress.close)
             initial_bytes = None
             if append:
-                initial_bytes = chain_byte_sizes(state.rows, spec.file_encoding)
-                # Each row has one serialization, so the kept rows' bytes on
-                # disk are exactly what rewriting them would produce.
-                cut = initial_bytes[spec.chain_format == "verbose"]
-                if spec.file_encoding == "ascii":
-                    with open(self.paths["chain"], "rb") as fh:
-                        fh.seek(cut - 1)
-                        if fh.read(1) != b"\n":
-                            raise ResumeRefused(
-                                "chain file rows were not written by this version")
-                os.truncate(self.paths["chain"], cut)
+                initial_bytes = cut_chain(self.paths["chain"], state.rows, spec.chain_format,
+                                          spec.file_encoding)
             self.chain_writer = ChainWriter(
                 self.paths["chain"], spec.ndim, spec.chain_format, spec.file_encoding,
                 append=append, initial_bytes=initial_bytes,
@@ -739,9 +732,6 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
         proposal=checkpoint_proposal(ck),
         rngs=[SplitMix64.from_state(s) for s in ck.rng_states],
         pending_weight=ck.pending_weight,
-        adaptation_history=[
-            AdaptationRecord(r.iteration, r.measure) for r in records[1 : idx + 1]
-        ],
         live_dr_stage=ck.live_dr_stage,
         live_process_id=ck.live_process_id,
         rows=kept,

@@ -488,7 +488,7 @@ class TestRestartFile:
     def test_checkpoint_proposal_rebuild_is_consistent(self):
         rng = np.random.default_rng(10)
         ck = make_checkpoint(rng)
-        prop = df.chainio.checkpoint_proposal(ck)
+        prop = df.sampler.checkpoint_proposal(ck)
         recon = prop.chol_lower @ prop.chol_lower.T
         assert np.allclose(recon, ck.scale**2 * ck.cov + ck.epsilon * np.eye(3), rtol=1e-12)
 
@@ -665,12 +665,13 @@ class TestParseErrors:
             df.read_sample(path)
 
     @staticmethod
-    def binary_restart(tmp_path, count=5):
+    def binary_restart(tmp_path, streams=(1,) * 5):
+        """A binary restart file of one record per item of ``streams``, with that many streams."""
         rng = np.random.default_rng(14)
         path = str(tmp_path / "r.bin")
         writer = RestartWriter(path, SimSpec(ndim=2, output_prefix="p", file_encoding="binary"))
-        for i in range(count):
-            writer.append(make_checkpoint(rng, ndim=2, index=i))
+        for i, n_rngs in enumerate(streams):
+            writer.append(make_checkpoint(rng, ndim=2, index=i, n_rngs=n_rngs))
         writer.close()
         blob = open(path, "rb").read()
         first = 16 + int.from_bytes(blob[12:16], "little")  # header, then the spec echo
@@ -683,9 +684,21 @@ class TestParseErrors:
         open(path, "wb").write(blob[:first] + (3).to_bytes(4, "little") + blob[first + 4 :])
         with pytest.raises(ParseError, match="r.bin: restart record 0 "):
             read_restart(path)
+        # A stream count that leaves no room for one record of its size.
+        count_at = first + df.chainio.checkpoint_dtype(2, 0).fields["rng_count"][1]
+        open(path, "wb").write(blob[:count_at] + (2**32 - 1).to_bytes(4, "little")
+                               + blob[count_at + 4 :])
+        with pytest.raises(ParseError, match="r.bin: restart record 0 "):
+            read_restart(path)
+        # Every record of a file has the first one's stream count.
+        for streams in ((3, 3, 2, 3), (3, 3, 4, 3), (3, 3, 3, 1)):
+            path, _, _ = self.binary_restart(tmp_path, streams)
+            bad = next(i for i, n in enumerate(streams) if n != streams[0])
+            with pytest.raises(ParseError, match=f"r.bin: restart record {bad} "):
+                read_restart(path)
 
     def test_binary_restart_record_with_bytes_to_spare(self, tmp_path):
-        path, blob, first = self.binary_restart(tmp_path, count=1)
+        path, blob, first = self.binary_restart(tmp_path, streams=(1,))
         length = int.from_bytes(blob[first : first + 4], "little") + 8
         open(path, "wb").write(blob[:first] + length.to_bytes(4, "little")
                                + blob[first + 4 :] + bytes(8))
@@ -696,3 +709,9 @@ class TestParseErrors:
         path, blob, _ = self.binary_restart(tmp_path)
         open(path, "wb").write(blob[:-5])
         assert [ck.checkpoint_index for ck in read_restart(path)[1]] == [0, 1, 2, 3]
+        # A file cut inside its first record holds no checkpoint.
+        path, blob, first = self.binary_restart(tmp_path, streams=(8,))
+        assert len(blob) == first + df.chainio.checkpoint_dtype(2, 8).itemsize
+        for end in (first, first + 2, first + 40, len(blob) - 30, len(blob) - 1):
+            open(path, "wb").write(blob[:end])
+            assert read_restart(path)[1] == [], end

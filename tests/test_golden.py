@@ -34,6 +34,10 @@ SERIAL_MIXTURE16 = "50330e377bf8b72bf9b22517f99e6a4fb6de3f6703e48ae6e7a273862882
 SERIAL_MVN4_RESTART = "dc32102e360d3023b7266ba1acdf4b3030becd93f72146a4a26b9f9607d8a7f1"
 BINARY_MVN4 = "7cc68d120cb77c4fd96fb5fbdc3d1b4e0e813f0ec749bddb04c1a38930e2ca66"
 BINARY_MVN4_RESTART = "d7f6ed125cf422e36d863aaa95a0a8fae071fdf9aab41a0bbb78dafe547bc7b4"
+# The binary restart file of the 8-worker DR2 run: 13 records of 8 streams.
+BINARY_FORKJOIN8_DR2_MVN4_RESTART = (
+    "85aed54b39bdc7417db314b69a4fe045b8ff82027dd57d976392846b259caf4e"
+)
 VERBOSE_MVN4 = "7af99a98fff40b8e72867f01f99dec32f17aaab115bb9ce2f5f0292fe75869a9"
 # The serial mvn4 run's refined sample and report (output prefix "mvn4"):
 # they pin the burn-in, every refinement pass and the ESS.
@@ -123,6 +127,14 @@ def test_binary_mvn4_config_chain_and_restart_bytes(tmp_path, monkeypatch):
     paths = mvn4_config_paths_in(tmp_path, monkeypatch, file_encoding="binary")
     assert sha(paths["chain"]) == BINARY_MVN4
     assert sha(paths["restart"]) == BINARY_MVN4_RESTART
+
+
+def test_binary_forkjoin8_dr2_mvn4_config_restart_bytes(tmp_path, monkeypatch):
+    paths = mvn4_config_paths_in(tmp_path, monkeypatch, file_encoding="binary",
+                                 parallelism="single_chain", num_workers=8, dr_stage_count=2)
+    checkpoints = df.read_restart(paths["restart"])[1]
+    assert [len(ck.rng_states) for ck in checkpoints] == [8] * 13
+    assert sha(paths["restart"]) == BINARY_FORKJOIN8_DR2_MVN4_RESTART
 
 
 def test_verbose_mvn4_config_chain_bytes(tmp_path):

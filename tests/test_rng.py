@@ -1,4 +1,5 @@
 import math
+import os
 import subprocess
 import sys
 
@@ -100,8 +101,12 @@ def test_bitwise_identical_across_processes():
         "r = SplitMix64(20260808, 5)\n"
         "print(sum(r.next_uint64() for _ in range(10000)) & ((1 << 64) - 1))\n"
     )
+    # The children import dramforge from this checkout's src, as this process does.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
     runs = [
-        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         for _ in range(2)
     ]
     assert runs[0].stdout == runs[1].stdout and runs[0].stdout.strip()

@@ -16,7 +16,6 @@ from dramforge import sampler
 from dramforge.chainio import ChainWriter, ProgressWriter, RestartWriter, spec_echo_lines
 from dramforge.sampler import (
     _emit_live,
-    _log1m_alpha,
     _log1mexp,
     adapt_if_due,
     detect_burnin,
@@ -55,9 +54,15 @@ class TestLog1mAlpha:
         pairs = list(itertools.product(self.VALUES, repeat=2))
         pairs += [tuple(p) for p in rng.normal(-3.0, 4.0, (2000, 2)).tolist()]
         for f_from, f_to in pairs:
-            got = _log1m_alpha(f_from, f_to)
+            got = _log1mexp(f_to - f_from)
             want = _log1mexp(metropolis_log_alpha(f_from, f_to))
             assert struct.pack("<d", got) == struct.pack("<d", want), (f_from, f_to)
+
+    def test_values_across_the_range(self):
+        assert _log1mexp(-self.LN2) == math.log(0.5)
+        assert _log1mexp(-1e-300) == pytest.approx(math.log(1e-300), rel=1e-15)
+        assert _log1mexp(-40.0) == pytest.approx(-math.exp(-40.0), rel=1e-15)
+        assert _log1mexp(-math.inf) == 0.0
 
 
 class TestDrLogAlpha2:
@@ -330,7 +335,7 @@ class TestAdaptIfDue:
         prop = state.proposal
         adapt_if_due(state, spec)
         assert state.proposal is prop
-        assert state.adaptation_history == []
+        assert state.proposal.adaptation_count == 0
 
     def test_first_adaptation_matches_weighted_covariance(self, mvn4):
         spec = SimSpec(ndim=2, output_prefix="x", seed=1, adaptation_period=10)
@@ -354,8 +359,8 @@ class TestAdaptIfDue:
         ws = np.array([w for _, w in rows])
         assert np.allclose(state.proposal.mean, np.average(pts, axis=0, weights=ws))
         assert np.allclose(state.proposal.cov, np.cov(pts.T, fweights=ws, ddof=1))
-        assert len(state.adaptation_history) == 1
-        assert 0.0 <= state.adaptation_history[0].measure <= 1.0
+        assert state.proposal.adaptation_count == 1
+        assert 0.0 <= state.last_measure <= 1.0
 
     def test_greedy_phase_recenters_on_accepted_states(self, mvn4):
         spec = SimSpec(
