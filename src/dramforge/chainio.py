@@ -12,8 +12,10 @@ text (ascii restart, binary spec echo, report, CLI config) is read by
 ``read_sections`` and its fields by one per-kind codec.
 ASCII reals carry 17 significant digits so every 64-bit float round-trips
 exactly; binary layouts are little-endian and versioned by a 4-byte
-magic. Readers tolerate a truncated final row or record, because
-interrupts happen mid-write, and re-compact verbose chains on read.
+magic. Writers write format version 2; readers read versions 1 and 2,
+the header's version picking the layout. Readers tolerate a truncated
+final row or record, because interrupts happen mid-write, and
+re-compact verbose chains on read.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .core import SIMSPEC_FIELDS, ResumeRefused, SimSpec, UsageError
 
 CHAIN_MAGIC = b"DRMF"
 RESTART_MAGIC = b"DRRS"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # The binary files' headers. The chain's rows follow its header; the
 # restart's spec echo, of echo_bytes bytes, and its records follow its own.
@@ -58,11 +60,11 @@ def fmt_float(x: float) -> str:
 
 
 def _read_header(path: str, blob: bytes, header: np.dtype, what: str) -> np.void:
-    """The header that starts ``blob``; ParseError if it is cut or of another version."""
+    """The header that starts ``blob``; ParseError if it is cut or of an unknown version."""
     if len(blob) < header.itemsize:
         raise ParseError(f"{path}: truncated {what} header")
     head = np.frombuffer(blob, header, 1)[0]
-    if head["version"] != FORMAT_VERSION:
+    if head["version"] not in (1, FORMAT_VERSION):
         raise ParseError(f"{path}: unsupported {what} format version {head['version']}")
     return head
 
@@ -78,30 +80,33 @@ def output_paths(prefix: str, encoding: str) -> dict:
     }
 
 
-def chain_row_dtype(ndim: int) -> np.dtype:
+def chain_row_dtype(ndim: int, version: int = FORMAT_VERSION) -> np.dtype:
     """Layout of one chain row: a binary chain file row, and a row in memory.
 
-    Packed little-endian fields in this order. ``reserved`` is an f64 slot
-    of the version-1 binary format, written as 0.0 and never read. The
-    ascii columns are the other fields in the same order, with ``state``
-    spread over Var1..VarD. Indexing rows of this dtype yields records
-    whose fields read as attributes (``row.weight``).
+    Packed little-endian fields in this order. The ascii columns are the
+    same fields in the same order, with ``state`` spread over Var1..VarD.
+    Indexing rows of this dtype yields records whose fields read as
+    attributes (``row.weight``). A version-1 binary row has one more f64,
+    ``reserved``, after ``adaptation_measure``; it was written as 0.0 and
+    is never read.
     """
-    return np.dtype((np.record, [
+    fields = [
         ("process_id", "<i4"),
         ("dr_stage", "<i4"),
         ("mean_accept_rate", "<f8"),
         ("adaptation_measure", "<f8"),
-        ("reserved", "<f8"),
         ("burnin_loc", "<i8"),
         ("weight", "<i8"),
         ("logf", "<f8"),
         ("state", "<f8", (ndim,)),
-    ]))
+    ]
+    if version == 1:
+        fields.insert(4, ("reserved", "<f8"))
+    return np.dtype((np.record, fields))
 
 
-# The row fields that carry data, in ascii column order.
-_ROW_FIELDS = tuple(name for name in chain_row_dtype(1).names if name != "reserved")
+# The row fields, in ascii column order.
+_ROW_FIELDS = chain_row_dtype(1).names
 
 # One appended row, before it is packed into the row array: the row
 # fields as Python values, ``state`` a tuple of floats.
@@ -309,8 +314,9 @@ class ChainWriter:
     in one pass. The sampler flushes right before each checkpoint so that
     everything a checkpoint refers to is already on disk; ``close``
     flushes too. The writer also keeps exact byte tallies of what the
-    chain occupies in BOTH formats so the report can state the
-    compact-versus-verbose ratio without re-serializing.
+    chain occupies in BOTH formats, so that each checkpoint stores them
+    and the report states the compact-versus-verbose ratio without
+    re-serializing; a resumed writer starts from a checkpoint's tallies.
     """
 
     def __init__(self, path: str, ndim: int, chain_format: str, encoding: str,
@@ -404,23 +410,37 @@ def write_chain(chain: CompactChain, path: str, chain_format: str = "compact",
         writer.close()
 
 
-def chain_byte_sizes(chain: CompactChain, encoding: str) -> tuple[int, int]:
-    """Byte sizes ``(compact, verbose)`` the chain would occupy on disk.
+def prefix_byte_sizes(chain: CompactChain, encoding: str,
+                      row_counts: list[int]) -> list[tuple[int, int]]:
+    """``chain_byte_sizes`` of the chain's first ``n`` rows, for each ``n`` in ``row_counts``.
 
-    The ascii sizes come from the rows' compact lines, formatted as the
-    writer formats them.
+    ``row_counts`` must not decrease. Each row is sized once; the ascii
+    sizes come from the rows' compact lines, formatted as the writer
+    formats them.
     """
     if encoding == "ascii":
         compact = verbose = len(",".join(chain.header)) + 1
-        records = chain.records
-        for lo in range(0, records.size, _FORMAT_ROWS):
-            _, block_compact, block_verbose = _ascii_block(records[lo : lo + _FORMAT_ROWS], False)
-            compact += block_compact
-            verbose += block_verbose
-        return compact, verbose
-    header = _CHAIN_HEADER.itemsize
-    row_size = chain_row_dtype(chain.ndim).itemsize
-    return header + chain.n_rows * row_size, header + chain.total_weight * row_size
+    else:
+        compact = verbose = _CHAIN_HEADER.itemsize
+    records, lo, sizes = chain.records, 0, []
+    for n in row_counts:
+        if encoding == "ascii":
+            for start in range(lo, n, _FORMAT_ROWS):
+                _, block_compact, block_verbose = _ascii_block(
+                    records[start : min(start + _FORMAT_ROWS, n)], False)
+                compact += block_compact
+                verbose += block_verbose
+        else:
+            compact += records.itemsize * (n - lo)
+            verbose += records.itemsize * int(records["weight"][lo:n].sum())
+        lo = n
+        sizes.append((compact, verbose))
+    return sizes
+
+
+def chain_byte_sizes(chain: CompactChain, encoding: str) -> tuple[int, int]:
+    """Byte sizes ``(compact, verbose)`` the chain would occupy on disk."""
+    return prefix_byte_sizes(chain, encoding, [chain.n_rows])[0]
 
 
 def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> int:
@@ -428,16 +448,15 @@ def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> in
     return chain_byte_sizes(chain, encoding)[chain_format == "verbose"]
 
 
-def cut_chain(path: str, rows: CompactChain, chain_format: str,
-              encoding: str) -> tuple[int, int]:
-    """Cut the chain file at ``path`` back to ``rows``, its first rows.
+def cut_chain(path: str, sizes: tuple[int, int], chain_format: str, encoding: str) -> None:
+    """Cut the chain file at ``path`` back to its first rows.
 
-    Returns the kept rows' byte sizes ``(compact, verbose)``. Each row has
-    one serialization, so the kept rows' bytes on disk are exactly what
-    rewriting them would produce. An ascii file whose kept bytes do not end
-    a line was not written by this version: ``ResumeRefused``.
+    ``sizes`` are the kept rows' byte sizes ``(compact, verbose)``, as a
+    checkpoint stores them; the file is cut at the one of its format. Each
+    row has one serialization, so the kept rows' bytes on disk are exactly
+    what rewriting them would produce. An ascii file whose kept bytes do
+    not end a line was not written by this version: ``ResumeRefused``.
     """
-    sizes = chain_byte_sizes(rows, encoding)
     cut = sizes[chain_format == "verbose"]
     if encoding == "ascii":
         with open(path, "rb") as fh:
@@ -445,7 +464,6 @@ def cut_chain(path: str, rows: CompactChain, chain_format: str,
             if fh.read(1) != b"\n":
                 raise ResumeRefused("chain file rows were not written by this version")
     os.truncate(path, cut)
-    return sizes
 
 
 def read_chain(path: str) -> CompactChain:
@@ -503,42 +521,46 @@ def _ascii_records(path: str) -> tuple[np.ndarray, bool]:
         chunk = lines[start : start + _PARSE_LINES]
         try:
             records[start - 1 : start - 1 + len(chunk)] = _parse_ascii_lines(chunk, ndim)
-        except (ValueError, OverflowError):
+        except ValueError:
             # Parse line by line to name the first malformed one.
             for lineno, line in enumerate(chunk, start=start + 1):
                 try:
                     _parse_ascii_lines([line], ndim)
-                except (ValueError, OverflowError) as exc:
-                    raise ParseError(f"{path}:{lineno}: {exc}") from None
+                except ValueError as exc:
+                    # Drop where loadtxt places the error: the row of its input.
+                    reason = str(exc).partition(" at row ")[0]
+                    raise ParseError(f"{path}:{lineno}: {reason}") from None
             raise
     return records, truncated
 
 
 def _parse_ascii_lines(lines: list[str], ndim: int) -> np.ndarray:
-    """Chain records from ascii chain lines; ValueError if one is malformed."""
-    cells = [line.split(",") for line in lines]
-    width = len(CHAIN_COLUMNS) + ndim
-    if any(len(row) != width for row in cells):
-        raise ValueError("wrong column count")
-    table = np.array(cells, dtype=float).reshape(len(cells), width)
-    records = np.zeros(len(cells), chain_row_dtype(ndim))
-    for j, name in enumerate(_ROW_FIELDS[:-1]):
-        if records.dtype[name].kind == "i":
-            # int() rejects a fractional value that a float cast would keep.
-            records[name] = [int(row[j]) for row in cells]
-        else:
-            records[name] = table[:, j]
-    records["state"] = table[:, len(CHAIN_COLUMNS):]
-    return records
+    """One chain record per ascii chain line; ValueError if a line is malformed.
+
+    An int cell must spell a decimal integer: ``1.0`` and ``1_0`` are errors.
+    """
+    if "" in lines:
+        # loadtxt would skip the line, and warn when no other is left.
+        raise ValueError("blank line")
+    return np.loadtxt(lines, delimiter=",", dtype=chain_row_dtype(ndim), comments=None,
+                      quotechar=None, ndmin=1)
 
 
 def _binary_records(path: str) -> tuple[np.ndarray, bool]:
     with open(path, "rb") as fh:
         blob = fh.read()
     header_len = _CHAIN_HEADER.itemsize
-    dtype = chain_row_dtype(int(_read_header(path, blob, _CHAIN_HEADER, "chain")["ndim"]))
+    head = _read_header(path, blob, _CHAIN_HEADER, "chain")
+    ndim, version = int(head["ndim"]), int(head["version"])
+    dtype = chain_row_dtype(ndim, version)
     n_complete, remainder = divmod(len(blob) - header_len, dtype.itemsize)
-    return np.frombuffer(blob, dtype, n_complete, header_len), remainder != 0
+    records = np.frombuffer(blob, dtype, n_complete, header_len)
+    if version == 1:
+        rows = np.zeros(n_complete, chain_row_dtype(ndim))
+        for name in _ROW_FIELDS:
+            rows[name] = records[name]
+        records = rows
+    return records, remainder != 0
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +730,8 @@ def spec_from_echo(pairs, provenance: dict | None = None) -> SimSpec:
 
 # (name, kind) of every checkpoint field, in record order; this one table
 # drives the ascii codec (the text kinds above), the binary record
-# (``checkpoint_dtype``) and RestartCheckpoint equality.
+# (``checkpoint_dtype``) and RestartCheckpoint equality. A version-1 record
+# holds all but the last _V2_FIELD_COUNT fields.
 CHECKPOINT_FIELDS = (
     ("checkpoint_index", "section"),
     ("iteration", "u64"),
@@ -729,7 +752,17 @@ CHECKPOINT_FIELDS = (
     ("mean", "vector"),
     ("cov", "sym"),
     ("scatter", "sym"),
+    ("chain_compact_bytes", "u64"),
+    ("chain_verbose_bytes", "u64"),
+    ("eps_inflations", "u64"),
 )
+_V2_FIELD_COUNT = 3
+
+
+def _checkpoint_fields(version: int) -> tuple:
+    """The CHECKPOINT_FIELDS a record of format ``version`` holds."""
+    return CHECKPOINT_FIELDS if version == FORMAT_VERSION else CHECKPOINT_FIELDS[:-_V2_FIELD_COUNT]
+
 
 _ARRAY_KINDS = ("vector", "sym")
 
@@ -738,20 +771,21 @@ _RNG_DTYPE = np.dtype([("state", "<u8"), ("stream", "<u8"), ("has_cache", "u1"),
                        ("cache", "<f8")])
 
 
-def checkpoint_dtype(ndim: int, n_streams: int) -> np.dtype:
+def checkpoint_dtype(ndim: int, n_streams: int, version: int = FORMAT_VERSION) -> np.dtype:
     """Layout of one binary restart record, the one definition of its bytes.
 
     Packed little-endian fields: the u32 ``length`` of the rest of the
-    record, then the ``CHECKPOINT_FIELDS`` in order. Scalars take their
-    kind's type (``section`` a u32, ``i32``, ``u64``, ``f64``), a ``vector``
-    ndim f64 values, and a ``sym`` matrix the ndim*(ndim+1)/2 f64 values of
-    its upper triangle, row by row. ``rng_states`` is the u32 ``rng_count``,
-    then ``n_streams`` records of ``_RNG_DTYPE``.
+    record, then the ``CHECKPOINT_FIELDS`` of format ``version`` in order.
+    Scalars take their kind's type (``section`` a u32, ``i32``, ``u64``,
+    ``f64``), a ``vector`` ndim f64 values, and a ``sym`` matrix the
+    ndim*(ndim+1)/2 f64 values of its upper triangle, row by row.
+    ``rng_states`` is the u32 ``rng_count``, then ``n_streams`` records of
+    ``_RNG_DTYPE``.
     """
     kinds = {"section": ("<u4",), "i32": ("<i4",), "u64": ("<u8",), "f64": ("<f8",),
              "vector": ("<f8", (ndim,)), "sym": ("<f8", (ndim * (ndim + 1) // 2,))}
     fields = [("length", "<u4")]
-    for name, kind in CHECKPOINT_FIELDS:
+    for name, kind in _checkpoint_fields(version):
         if kind == "rngs":
             fields += [("rng_count", "<u4"), (name, _RNG_DTYPE, (n_streams,))]
         else:
@@ -782,6 +816,12 @@ class RestartCheckpoint:
     dr_scale: float
     sample_count: int
     adaptation_count: int
+    # The chain file's byte sizes at this checkpoint, and the epsilon
+    # doublings so far. A version-1 record holds none of them: its sizes
+    # read as None and its count as 0.
+    chain_compact_bytes: int | None = None
+    chain_verbose_bytes: int | None = None
+    eps_inflations: int = 0
 
     def __eq__(self, other):
         if not isinstance(other, RestartCheckpoint):
@@ -806,6 +846,31 @@ def _triu_unpack(flat: np.ndarray, ndim: int) -> np.ndarray:
     return mat
 
 
+def _text_version(path: str, lines: list[str], what: str) -> int:
+    """The format version that a text file's first line ``# dramforge <what> vN`` names."""
+    for version in (1, FORMAT_VERSION):
+        if lines and lines[0] == f"# dramforge {what} v{version}":
+            return version
+    raise ParseError(f"{path}:1: not a dramforge {what} file of version 1 or {FORMAT_VERSION}")
+
+
+def _record_bytes(ck: RestartCheckpoint, ndim: int, encoding: str) -> bytes:
+    """The bytes of ``ck``'s record in a restart file of this version."""
+    if encoding == "ascii":
+        return "".join(f"{line}\n" for name, kind in CHECKPOINT_FIELDS
+                       for line in _field_text(name, kind, getattr(ck, name))).encode("utf-8")
+    record = np.zeros((), checkpoint_dtype(ndim, len(ck.rng_states)))
+    record["length"] = record.itemsize - 4
+    record["rng_count"] = len(ck.rng_states)
+    for name, kind in CHECKPOINT_FIELDS:
+        value = getattr(ck, name)
+        if kind == "rngs":
+            value = [(s, stream, cache is not None, 0.0 if cache is None else cache)
+                     for s, stream, cache in value]
+        record[name] = _triu_pack(value) if kind == "sym" else value
+    return record.tobytes()
+
+
 class RestartWriter:
     """Appends checkpoint records; each record is flushed immediately.
 
@@ -817,40 +882,21 @@ class RestartWriter:
         self.path = path
         self.ndim = spec.ndim
         self.encoding = spec.file_encoding
+        self._fh = open(path, "ab" if append else "wb")
+        if append:
+            return
+        echo = spec_echo_lines(spec)
         if self.encoding == "ascii":
-            mode = "a" if append else "w"
-            self._fh = open(path, mode, encoding="utf-8", newline="\n")
-            if not append:
-                self._fh.write("# dramforge restart v1\n[spec]\n")
-                for line in spec_echo_lines(spec):
-                    self._fh.write(line + "\n")
+            lines = [f"# dramforge restart v{FORMAT_VERSION}", "[spec]", *echo]
+            self._fh.write("".join(f"{line}\n" for line in lines).encode("utf-8"))
         else:
-            self._fh = open(path, "ab" if append else "wb")
-            if not append:
-                echo = "\n".join(spec_echo_lines(spec)).encode("utf-8")
-                self._fh.write(np.array((RESTART_MAGIC, FORMAT_VERSION, spec.ndim, len(echo)),
-                                        _RESTART_HEADER).tobytes())
-                self._fh.write(echo)
+            echo = "\n".join(echo).encode("utf-8")
+            self._fh.write(np.array((RESTART_MAGIC, FORMAT_VERSION, spec.ndim, len(echo)),
+                                    _RESTART_HEADER).tobytes())
+            self._fh.write(echo)
 
     def append(self, ck: RestartCheckpoint) -> None:
-        if self.encoding == "ascii":
-            lines = [
-                line
-                for name, kind in CHECKPOINT_FIELDS
-                for line in _field_text(name, kind, getattr(ck, name))
-            ]
-            self._fh.write("\n".join(lines) + "\n")
-        else:
-            record = np.zeros((), checkpoint_dtype(self.ndim, len(ck.rng_states)))
-            record["length"] = record.itemsize - 4
-            record["rng_count"] = len(ck.rng_states)
-            for name, kind in CHECKPOINT_FIELDS:
-                value = getattr(ck, name)
-                if kind == "rngs":
-                    value = [(s, stream, cache is not None, 0.0 if cache is None else cache)
-                             for s, stream, cache in value]
-                record[name] = _triu_pack(value) if kind == "sym" else value
-            self._fh.write(record.tobytes())
+        self._fh.write(_record_bytes(ck, self.ndim, self.encoding))
         self._fh.flush()
 
     def close(self) -> None:
@@ -875,6 +921,7 @@ def _read_restart_ascii(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
         # Partial final line from an interrupt; the block it belongs to
         # will be dropped below for missing keys.
         lines.pop()
+    fields = _checkpoint_fields(_text_version(path, lines, "restart"))
     sections = read_sections(path, lines)
     if not sections or sections[0].name != "spec":
         raise ParseError(f"{path}:1: missing [spec] section")
@@ -886,8 +933,7 @@ def _read_restart_ascii(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
             raise ParseError(f"{section.where()}: unexpected section [{section.name}]")
         try:
             checkpoints.append(RestartCheckpoint(**{
-                name: _field_parse(name, kind, section, spec.ndim)
-                for name, kind in CHECKPOINT_FIELDS
+                name: _field_parse(name, kind, section, spec.ndim) for name, kind in fields
             }))
         except ParseError:
             # A truncated trailing block is expected after an interrupt.
@@ -907,17 +953,17 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
     with open(path, "rb") as fh:
         blob = fh.read()
     head = _read_header(path, blob, _RESTART_HEADER, "restart")
-    ndim = int(head["ndim"])
+    ndim, version = int(head["ndim"]), int(head["version"])
     off = _RESTART_HEADER.itemsize + int(head["echo_bytes"])
     echo = blob[_RESTART_HEADER.itemsize : off].decode("utf-8").split("\n")
     spec = spec_from_echo(read_sections(path, echo, implicit="spec")[0])
-    fixed = checkpoint_dtype(ndim, 0)
+    fixed = checkpoint_dtype(ndim, 0, version)
     count_at = off + fixed.fields["rng_count"][1]
     n_streams = int.from_bytes(blob[count_at : count_at + 4], "little")
     size = fixed.itemsize + n_streams * _RNG_DTYPE.itemsize
     n_records, rest = divmod(len(blob) - off, size)
     # No record fits when the stream count is too large for the file.
-    dtype = checkpoint_dtype(ndim, n_streams) if n_records else fixed
+    dtype = checkpoint_dtype(ndim, n_streams, version) if n_records else fixed
     records = np.frombuffer(blob, dtype, n_records, off)
     bad = np.flatnonzero((records["length"] != size - 4)
                          | (records["rng_count"] != n_streams)).tolist()
@@ -931,10 +977,11 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
         # Every byte of the record is there, so this is no cut write.
         raise ParseError(f"{path}: restart record {i} at byte {off + i * size} is not a "
                          f"checkpoint of ndim {ndim} with {n_streams} streams")
-    return spec, [_checkpoint_of(record, ndim) for record in records]
+    fields = _checkpoint_fields(version)
+    return spec, [_checkpoint_of(record, ndim, fields) for record in records]
 
 
-def _checkpoint_of(record: np.void, ndim: int) -> RestartCheckpoint:
+def _checkpoint_of(record: np.void, ndim: int, fields: tuple) -> RestartCheckpoint:
     read = {
         "rngs": lambda v: [(s, stream, cache if has_cache else None)
                            for s, stream, has_cache, cache in v.tolist()],
@@ -942,7 +989,20 @@ def _checkpoint_of(record: np.void, ndim: int) -> RestartCheckpoint:
         "vector": lambda v: v.astype(float),
     }
     return RestartCheckpoint(**{name: read.get(kind, np.generic.item)(record[name])
-                                for name, kind in CHECKPOINT_FIELDS})
+                                for name, kind in fields})
+
+
+def restart_ends_with(path: str, spec: SimSpec, ck: RestartCheckpoint) -> bool:
+    """Whether the restart file at ``path`` ends with ``ck``'s record as this version writes it.
+
+    ``ck`` must hold every field of this version, as a record read from a
+    file of this version does.
+    """
+    record = _record_bytes(ck, spec.ndim, spec.file_encoding)
+    with open(path, "rb") as fh:
+        end = fh.seek(0, os.SEEK_END)
+        fh.seek(max(end - len(record), 0))
+        return fh.read() == record
 
 
 def rewrite_restart(path: str, spec: SimSpec, checkpoints: list[RestartCheckpoint]) -> None:
@@ -1031,12 +1091,14 @@ class ReportStats:
     compact_bytes: int
     verbose_bytes: int
     size_ratio: float
+    eps_inflations: int = 0
     parallel: ParallelStats | None = None
 
 
 # The report's run statistics: per section, the (attribute, kind, key) of
 # each field in line order. [stats] holds ReportStats fields; [parallelism]
-# holds ReportStats.parallel and is written for fork-join runs only.
+# holds ReportStats.parallel and is written for fork-join runs only. A
+# version-1 report has no eps_inflations, which then reads as 0.
 REPORT_FIELDS = {
     "stats": (
         ("accepted_count", "int", "accepted_count"),
@@ -1047,6 +1109,7 @@ REPORT_FIELDS = {
         ("compact_bytes", "int", "compact_bytes"),
         ("verbose_bytes", "int", "verbose_bytes"),
         ("size_ratio", "f64", "size_ratio"),
+        ("eps_inflations", "int", "eps_inflations"),
     ),
     "parallelism": (
         ("mu", "f64", "MeanAcceptancePerCandidate"),
@@ -1059,7 +1122,7 @@ REPORT_FIELDS = {
 
 
 def write_report(stats: ReportStats, path: str) -> None:
-    lines = ["# dramforge report v1", "[spec]"]
+    lines = [f"# dramforge report v{FORMAT_VERSION}", "[spec]"]
     lines += spec_echo_lines(stats.spec, with_provenance=True)
     for name, record in (("stats", stats), ("parallelism", stats.parallel)):
         if record is not None:
@@ -1072,6 +1135,7 @@ def write_report(stats: ReportStats, path: str) -> None:
 def read_report(path: str) -> ReportStats:
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         lines = fh.read().split("\n")
+    version = _text_version(path, lines, "report")
     sections = {}
     for section in read_sections(path, lines):
         if section.name not in ("spec", *REPORT_FIELDS) or section.name in sections:
@@ -1088,7 +1152,8 @@ def read_report(path: str) -> ReportStats:
 
     def fields(pairs: Section) -> dict:
         return {attr: _field_parse(key, kind, pairs)
-                for attr, kind, key in REPORT_FIELDS[pairs.name]}
+                for attr, kind, key in REPORT_FIELDS[pairs.name]
+                if version == FORMAT_VERSION or key != "eps_inflations"}
 
     parallel = sections.get("parallelism")
     return ReportStats(
@@ -1170,7 +1235,8 @@ def run_files(spec: SimSpec) -> list[str]:
                                         for path in run_files(sub)]
     paths = output_paths(spec.output_prefix, spec.file_encoding)
     return [paths["report"], paths["chain"], paths["restart"], paths["progress"],
-            paths["sample"], paths["report"] + ".tmp", paths["restart"] + ".tmp"]
+            paths["sample"], paths["report"] + ".tmp", paths["restart"] + ".tmp",
+            paths["chain"] + ".tmp"]
 
 
 def inspect_outputs(spec: SimSpec) -> str:

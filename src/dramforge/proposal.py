@@ -32,7 +32,8 @@ class ProposalState:
     recursion exactly associative, which checkpoint resume relies on.
     ``chol_lower`` factors ``scale**2 * cov + epsilon * I``; its inverse
     and log-determinant are cached because the delayed-rejection kernel
-    evaluates them in the per-iteration hot path.
+    evaluates them in the per-iteration hot path. ``eps_inflations`` counts
+    every epsilon doubling ``factorize`` has made since the run began.
     """
 
     mean: np.ndarray
@@ -47,6 +48,7 @@ class ProposalState:
     dr_scale: float
     sample_count: int
     adaptation_count: int
+    eps_inflations: int = 0
 
     @property
     def ndim(self) -> int:
@@ -103,13 +105,14 @@ def chol_derived(chol: np.ndarray) -> tuple[np.ndarray, float]:
 def factorize(state: ProposalState) -> ProposalState:
     """Refresh the Cholesky factor, inflating epsilon on failure.
 
-    Epsilon doubles on each failed attempt, up to FACTORIZE_RETRIES times;
-    a covariance still not positive definite after that is unrecoverable.
+    Epsilon doubles on each failed attempt, up to FACTORIZE_RETRIES times,
+    and each doubling adds one to ``eps_inflations``; a covariance still not
+    positive definite after that is unrecoverable.
     """
     eps = state.epsilon
     base = state.scale**2 * state.cov
     eye = np.eye(state.ndim)
-    for _ in range(FACTORIZE_RETRIES + 1):
+    for doublings in range(FACTORIZE_RETRIES + 1):
         try:
             chol = np.linalg.cholesky(base + eps * eye)
         except np.linalg.LinAlgError:
@@ -117,7 +120,8 @@ def factorize(state: ProposalState) -> ProposalState:
             continue
         inv, logdet = chol_derived(chol)
         return replace(
-            state, epsilon=eps, chol_lower=chol, chol_inv=inv, chol_logdet=logdet
+            state, epsilon=eps, chol_lower=chol, chol_inv=inv, chol_logdet=logdet,
+            eps_inflations=state.eps_inflations + doublings,
         )
     raise NumericalError(
         f"proposal covariance not positive definite after {FACTORIZE_RETRIES} "

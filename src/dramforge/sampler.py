@@ -13,7 +13,7 @@ import math
 import os
 import time
 from contextlib import ExitStack
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -30,11 +30,14 @@ from .chainio import (
     cut_chain,
     inspect_outputs,
     output_paths,
+    prefix_byte_sizes,
     read_chain,
     read_report,
     read_restart,
     read_sample,
+    restart_ends_with,
     rewrite_restart,
+    write_chain,
     write_report,
     write_sample,
 )
@@ -465,7 +468,8 @@ def init_state(spec: SimSpec, target: TargetDensity) -> SamplerState:
     )
 
 
-def _make_checkpoint(state: SamplerState) -> RestartCheckpoint:
+def _make_checkpoint(state: SamplerState, chain_bytes: tuple[int, int]) -> RestartCheckpoint:
+    """The checkpoint of ``state``, whose rows take ``chain_bytes`` (compact, verbose) on disk."""
     prop = state.proposal
     ck = RestartCheckpoint(
         checkpoint_index=state.checkpoint_count,
@@ -487,6 +491,9 @@ def _make_checkpoint(state: SamplerState) -> RestartCheckpoint:
         dr_scale=prop.dr_scale,
         sample_count=prop.sample_count,
         adaptation_count=prop.adaptation_count,
+        chain_compact_bytes=chain_bytes[0],
+        chain_verbose_bytes=chain_bytes[1],
+        eps_inflations=prop.eps_inflations,
     )
     state.checkpoint_count += 1
     return ck
@@ -511,6 +518,7 @@ def checkpoint_proposal(ck: RestartCheckpoint) -> ProposalState:
         dr_scale=ck.dr_scale,
         sample_count=ck.sample_count,
         adaptation_count=ck.adaptation_count,
+        eps_inflations=ck.eps_inflations,
     ))
 
 
@@ -527,11 +535,12 @@ class SimulationOutputs:
 class _Run:
     """Owns the output files and the drive loop for one chain.
 
-    With ``append`` the chain file is first cut back to ``state.rows``.
+    A resumed run passes ``chain_bytes``, the (compact, verbose) byte sizes
+    of ``state.rows``: the chain file is cut back to them and appended to.
     """
 
     def __init__(self, spec: SimSpec, target: TargetDensity, state: SamplerState,
-                 on_checkpoint=None, append: bool = False):
+                 on_checkpoint=None, chain_bytes: tuple[int, int] | None = None):
         self.spec = spec
         self.target = target
         self.state = state
@@ -549,13 +558,12 @@ class _Run:
                 self.paths["progress"], state.iteration // PROGRESS_EVERY * PROGRESS_EVERY
             )
             opened.callback(self.progress.close)
-            initial_bytes = None
+            append = chain_bytes is not None
             if append:
-                initial_bytes = cut_chain(self.paths["chain"], state.rows, spec.chain_format,
-                                          spec.file_encoding)
+                cut_chain(self.paths["chain"], chain_bytes, spec.chain_format, spec.file_encoding)
             self.chain_writer = ChainWriter(
                 self.paths["chain"], spec.ndim, spec.chain_format, spec.file_encoding,
-                append=append, initial_bytes=initial_bytes,
+                append=append, initial_bytes=chain_bytes,
             )
             opened.callback(self.chain_writer.close)
             self.restart_writer = RestartWriter(self.paths["restart"], spec, append=append)
@@ -565,8 +573,10 @@ class _Run:
     def checkpoint(self) -> None:
         # Rows first, checkpoint second: anything a flushed checkpoint
         # refers to must already be durable.
-        self.chain_writer.flush()
-        self.restart_writer.append(_make_checkpoint(self.state))
+        writer = self.chain_writer
+        writer.flush()
+        self.restart_writer.append(
+            _make_checkpoint(self.state, (writer.compact_bytes, writer.verbose_bytes)))
         if self.on_checkpoint is not None:
             self.on_checkpoint(self.state.iteration)
 
@@ -650,6 +660,7 @@ class _Run:
             compact_bytes=compact_bytes,
             verbose_bytes=verbose_bytes,
             size_ratio=verbose_bytes / compact_bytes,
+            eps_inflations=state.proposal.eps_inflations,
             parallel=parallel_stats,
         )
         # Written last: the report marks the run finished.
@@ -695,10 +706,17 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
     Any run without a report is unfinished, also one whose chain is
     complete. The spec must match the one echoed into the restart file
     (same seed, same prefix, same everything). The chain file is cut back to the
-    checkpoint's rows in place and the restart file is replaced
+    byte size the checkpoint stores, in place. The restart file is kept
+    when it ends with the checkpoint's record, and is otherwise replaced
     atomically, so an interrupt here loses no checkpoint; the rows past
     it are regenerated, and the finished chain file is identical to what
     the uninterrupted run would have written.
+
+    A version-1 prefix is upgraded once: the byte sizes its records lack
+    are computed from the kept rows, a binary chain is rewritten with
+    version-2 rows through ``<chain>.tmp``, and then the restart file is
+    rewritten. An interrupt between the two leaves a version-1 restart
+    file, so the next resume upgrades again.
     """
     if inspect_outputs(spec) == "complete":
         raise RunAlreadyComplete(
@@ -716,13 +734,31 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
             "simulation spec does not match the interrupted run "
             f"(differing fields: {', '.join(mismatched)})"
         )
-    usable = [i for i, r in enumerate(records) if r.rows_emitted <= disk_chain.n_rows]
+    # A checkpoint is usable when the chain file holds all its rows: enough
+    # of them and, for a version-2 record, enough bytes, which a verbose row
+    # cut among its repeats lacks.
+    size = os.path.getsize(paths["chain"])
+    verbose = spec.chain_format == "verbose"
+    usable = [i for i, r in enumerate(records) if r.rows_emitted <= disk_chain.n_rows and (
+        r.chain_compact_bytes is None
+        or (r.chain_compact_bytes, r.chain_verbose_bytes)[verbose] <= size)]
     if not usable:
         raise ResumeRefused("restart file holds no checkpoint covered by the chain file")
-    idx = usable[-1]
-    ck = records[idx]
+    records = records[: usable[-1] + 1]
+    ck = records[-1]
     kept = disk_chain.sliced(ck.rows_emitted)
-    rewrite_restart(paths["restart"], spec, records[: idx + 1])
+    if ck.chain_compact_bytes is None:  # a version-1 record
+        sizes = prefix_byte_sizes(kept, spec.file_encoding, [r.rows_emitted for r in records])
+        records = [replace(r, chain_compact_bytes=c, chain_verbose_bytes=v)
+                   for r, (c, v) in zip(records, sizes)]
+        ck = records[-1]
+        if spec.file_encoding == "binary":
+            tmp = paths["chain"] + ".tmp"
+            write_chain(kept, tmp, spec.chain_format, "binary")
+            os.replace(tmp, paths["chain"])
+        rewrite_restart(paths["restart"], spec, records)
+    elif not restart_ends_with(paths["restart"], spec, ck):
+        rewrite_restart(paths["restart"], spec, records)
 
     state = SamplerState(
         current=ck.current_state.copy(),
@@ -741,7 +777,8 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
         burnin_loc=detect_burnin(kept, spec.ndim) if kept.n_rows else 0,
         checkpoint_count=ck.checkpoint_index + 1,
     )
-    run = _Run(spec, target, state, on_checkpoint=on_checkpoint, append=True)
+    run = _Run(spec, target, state, on_checkpoint=on_checkpoint,
+               chain_bytes=(ck.chain_compact_bytes, ck.chain_verbose_bytes))
     return run.drive()
 
 

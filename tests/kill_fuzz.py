@@ -14,10 +14,13 @@ For each encoding (ascii, binary) and mode (serial, 4-worker fork-join) of
 A kill before checkpoint 0 reached disk leaves nothing to resume from;
 there ``--force`` takes the place of ``--resume`` and starts the run over.
 The chain, restart, sample and report files must then have the sha256 of
-the uninterrupted run. One child runs at a time, ``TRIALS`` trials of
-``CHAIN_SIZE`` iterations per encoding and mode, and the kill instants
-follow from ``SEED``. The script prints what each kill left on disk and
-exits 1 on any mismatch or failed step.
+the uninterrupted run. In the version-1 mode (serial only) the files that
+step 1 left are converted to format version 1 before step 2, whose kill
+can land between the upgrade of the chain file and that of the restart
+file. One child runs at a time, ``TRIALS`` trials of ``CHAIN_SIZE``
+iterations per encoding and mode (``V1_TRIALS`` in the version-1 mode),
+and the kill instants follow from ``SEED``. The script prints what each
+kill left on disk and exits 1 on any mismatch or failed step.
 
     PYTHONPATH=src python3 tests/kill_fuzz.py
 """
@@ -38,14 +41,19 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
 import dramforge as df  # noqa: E402
+from v1_files import to_v1  # noqa: E402
 
 CONFIG = os.path.join(ROOT, "configs", "mvn4.cfg")
-MODES = {"serial": {}, "fork-join": {"parallelism": "single_chain", "num_workers": 4}}
+FORK_JOIN = {"parallelism": "single_chain", "num_workers": 4}
 OUTPUTS = ("chain", "restart", "sample", "report")
 PREFIX = "run"  # relative: the restart and report files echo it
 TIMEOUT = 300.0  # seconds a child that is not killed may take
 CHAIN_SIZE = 20_000
 TRIALS = 40  # per encoding and mode
+V1_TRIALS = 6  # per encoding
+# (mode, its settings, trials, whether step 1's files are converted to version 1)
+MODES = (("serial", {}, TRIALS, False), ("fork-join", FORK_JOIN, TRIALS, False),
+         ("serial version-1", {}, V1_TRIALS, True))
 SEED = 0  # of the kill instants
 
 
@@ -131,11 +139,14 @@ def state_left(cwd: str, spec: df.SimSpec) -> str:
 
 
 def trial(settings: dict, spec: df.SimSpec, cwd: str, window: tuple[float, float],
-          rng: random.Random, tally: collections.Counter) -> str | None:
+          rng: random.Random, tally: collections.Counter, v1: bool) -> str | None:
     """One trial in an empty ``cwd``; returns an error, or None."""
     run(settings, cwd, [], kill_after=rng.uniform(*window))
     left = state_left(cwd, spec)
     tally["run killed: " + left] += 1
+    if v1 and left in ("running", "finalize"):
+        to_v1(df.output_paths(spec.output_prefix, spec.file_encoding))
+        tally["converted to version 1"] += 1
     if left != "complete":
         flags = ["--force"] if left == "before checkpoint 0" else ["--resume"]
         run(settings, cwd, flags, kill_after=rng.uniform(*window))
@@ -155,7 +166,7 @@ def main() -> int:
     failures = 0
     try:
         for encoding in ("ascii", "binary"):
-            for mode, parallel in MODES.items():
+            for mode, parallel, trials, v1 in MODES:
                 settings = {"chain_size": CHAIN_SIZE, "file_encoding": encoding,
                             "output_prefix": PREFIX, **parallel}
                 ref_dir = os.path.join(work, "ref")
@@ -164,13 +175,13 @@ def main() -> int:
                 want = digests(ref_dir, encoding)
                 tally: collections.Counter = collections.Counter()
                 mismatches = 0
-                for k in range(TRIALS):
+                for k in range(trials):
                     cwd = os.path.join(work, "trial")
                     os.makedirs(cwd)
                     spec = df.SimSpec(ndim=4, output_prefix=os.path.join(cwd, PREFIX), seed=11,
                                       chain_size=CHAIN_SIZE, file_encoding=encoding,
                                       **parallel)
-                    error = trial(settings, spec, cwd, window, rng, tally)
+                    error = trial(settings, spec, cwd, window, rng, tally, v1)
                     got = digests(cwd, encoding)
                     if error is None and got != want:
                         error = "differs in " + ", ".join(n for n in OUTPUTS if got[n] != want[n])
@@ -180,7 +191,7 @@ def main() -> int:
                     shutil.rmtree(cwd)
                 shutil.rmtree(ref_dir)
                 failures += mismatches
-                print(f"{encoding} {mode}: {TRIALS} trials, {mismatches} mismatches, "
+                print(f"{encoding} {mode}: {trials} trials, {mismatches} mismatches, "
                       f"kills {window[0]:.2f}-{window[1]:.2f} s after the start")
                 for what, count in sorted(tally.items()):
                     print(f"    {what}: {count}", flush=True)

@@ -259,7 +259,7 @@ class TestFlushedWriter:
                 row["weight"] = 1
             rows.append(row.tobytes() * (w if verbose else 1))
         count = chain.total_weight if verbose else chain.n_rows
-        return b"DRMF" + struct.pack("<IIQ", 1, chain.ndim, count) + b"".join(rows)
+        return b"DRMF" + struct.pack("<IIQ", 2, chain.ndim, count) + b"".join(rows)
 
     @staticmethod
     def _sizes(chain, encoding):
@@ -440,6 +440,9 @@ def make_checkpoint(rng, ndim=3, index=0, n_rngs=1):
         dr_scale=0.5,
         sample_count=int(rng.integers(0, 5_000)),
         adaptation_count=int(rng.integers(0, 50)),
+        chain_compact_bytes=int(rng.integers(100, 10**6)),
+        chain_verbose_bytes=int(rng.integers(10**6, 10**12)),
+        eps_inflations=int(rng.integers(0, 30)),
     )
 
 
@@ -663,6 +666,27 @@ class TestParseErrors:
         open(path, "w").write("\n".join(lines))
         with pytest.raises(ParseError, match="s.txt:4:"):
             df.read_sample(path)
+
+    @staticmethod
+    def chain_with_line(tmp_path, lineno, edit):
+        """An ascii chain file whose line ``lineno`` is ``edit(line)``."""
+        path = str(tmp_path / "c.txt")
+        df.write_chain(random_chain(np.random.default_rng(15), 2, 6), path)
+        lines = open(path).read().split("\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        open(path, "w").write("\n".join(lines))
+        return path
+
+    def test_chain_blank_line(self, tmp_path):
+        path = self.chain_with_line(tmp_path, 3, lambda line: "")
+        with pytest.raises(ParseError, match="c.txt:3: blank line"):
+            df.read_chain(path)
+
+    def test_chain_int_cell_with_an_underscore(self, tmp_path):
+        # int() reads "1_0" as 10; a chain file never holds it.
+        path = self.chain_with_line(tmp_path, 4, lambda line: "1_0" + line[line.index(","):])
+        with pytest.raises(ParseError, match="c.txt:4:.*1_0"):
+            df.read_chain(path)
 
     @staticmethod
     def binary_restart(tmp_path, streams=(1,) * 5):

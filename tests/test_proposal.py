@@ -217,6 +217,8 @@ class TestFactorize:
         state.epsilon = 1e-14
         out = factorize(state)
         assert out.epsilon > 1e-14  # inflated until the factorization held
+        # Each doubling is counted.
+        assert out.eps_inflations == math.log2(out.epsilon / 1e-14) > 0
         recon = out.chol_lower @ out.chol_lower.T
         assert np.allclose(recon, out.scale**2 * out.cov + out.epsilon * np.eye(2), rtol=1e-6)
 

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from dramforge.sampler import (
     run_sampler,
     step,
 )
+from v1_files import to_v1
 
 
 def sha(path):
@@ -626,6 +628,44 @@ class TestRestartProtocol:
         assert sha(tmp_path / f"ref_chain.{ext}") == sha(tmp_path / f"twin_chain.{ext}")
         assert sha(tmp_path / "ref_sample.txt") == sha(tmp_path / "twin_sample.txt")
 
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    def test_resume_reuses_what_is_on_disk(self, mvn4, tmp_path, monkeypatch, encoding):
+        # Stopped right after a checkpoint: the restart file ends with its
+        # record and is kept, and no kept row is formatted again.
+        spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=6000, seed=5,
+                       file_encoding=encoding)
+        self._interrupted_run(spec, mvn4, at_iteration=3000)
+        kept = df.read_chain(df.output_paths(spec.output_prefix, encoding)["chain"]).n_rows
+        formatted, ascii_block = [], df.chainio._ascii_block
+
+        def counting_block(records, weight_one):
+            formatted.append(records.size)
+            return ascii_block(records, weight_one)
+
+        def rewrite(*args):
+            raise AssertionError("restart file rewritten")
+
+        monkeypatch.setattr(df.chainio, "_ascii_block", counting_block)
+        monkeypatch.setattr(sampler, "rewrite_restart", rewrite)
+        out = df.resume(spec, mvn4)
+        assert sum(formatted) == (out.chain.n_rows - kept if encoding == "ascii" else 0)
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    def test_eps_inflations_carry_through_a_resume(self, mvn4, tmp_path, encoding):
+        # No mvn4 run inflates epsilon, so the last record is given a count.
+        spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=4000, seed=5,
+                       file_encoding=encoding)
+        self._interrupted_run(spec, mvn4, at_iteration=2000)
+        path = df.output_paths(spec.output_prefix, encoding)["restart"]
+        file_spec, records = df.read_restart(path)
+        records[-1] = replace(records[-1], eps_inflations=3)
+        df.chainio.rewrite_restart(path, file_spec, records)
+        out = df.resume(spec, mvn4)
+        assert out.report.eps_inflations == 3
+        assert df.read_report(out.paths["report"]).eps_inflations == 3
+        later = df.read_restart(path)[1][len(records) :]
+        assert later and {ck.eps_inflations for ck in later} == {3}
+
     def test_resume_with_acceptance_window_byte_identical(self, mvn4, tmp_path):
         # Scale nudges are part of the checkpointed proposal state.
         kwargs = dict(ndim=4, chain_size=8000, seed=5,
@@ -726,6 +766,29 @@ class TestRestartProtocol:
         open(chain_path, "wb").write(header + b"\n0" + rest)
         with pytest.raises(ResumeRefused):
             df.resume(spec, mvn4)
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    def test_resume_after_a_cut_among_a_verbose_rows_repeats(self, mvn4, tmp_path, encoding):
+        # The chain file loses the last repeat of the last row of a
+        # checkpoint, as a crash can lose bytes that were flushed but not
+        # synced: that checkpoint is no longer usable, and the resume falls
+        # back to the one before it.
+        kwargs = dict(ndim=4, chain_size=6000, seed=8, file_encoding=encoding,
+                      chain_format="verbose")
+        ref = run_sampler(SimSpec(output_prefix=str(tmp_path / "ref"), **kwargs), mvn4)
+        spec = SimSpec(output_prefix=str(tmp_path / "twin"), **kwargs)
+        self._interrupted_run(spec, mvn4, at_iteration=3200)
+        paths = df.output_paths(spec.output_prefix, encoding)
+        ck = next(ck for ck in df.read_restart(paths["restart"])[1][::-1]
+                  if ck.rows_emitted and ref.chain.weight[ck.rows_emitted - 1] > 1)
+        with open(paths["chain"], "rb") as fh:
+            kept = fh.read(ck.chain_verbose_bytes)
+        repeat = 80 if encoding == "binary" else len(kept) - 1 - kept.rindex(b"\n", 0, -1)
+        with open(paths["chain"], "wb") as fh:
+            fh.write(kept[:-repeat])
+        df.resume(spec, mvn4)
+        for name in ("chain", "sample"):
+            assert sha(ref.paths[name]) == sha(paths[name]), name
 
     @staticmethod
     def _latest_usable_iteration(paths):
@@ -943,6 +1006,47 @@ class TestUnfinishedRun:
         assert _progress_iterations(paths["progress"]) == want_progress
         assert not os.path.exists(paths["report"] + ".tmp")
         assert df.inspect_outputs(spec) == "complete"
+
+    @pytest.mark.parametrize("workers", [1, 8])
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
+    def test_version1_prefix_resumes_to_uninterrupted_bytes(
+            self, mvn4, tmp_path, monkeypatch, uninterrupted, chain_format, encoding, workers):
+        # Stopped before checkpoint 2000 reached the restart file, with the
+        # chain flushed past it and its last row torn, then converted to
+        # version 1. A binary chain's upgrade is first interrupted before the
+        # restart file's; the next resume upgrades both.
+        spec = _finalize_spec(encoding, chain_format, workers)
+        want = uninterrupted(spec)[0]
+        monkeypatch.chdir(tmp_path)
+        interrupt, append = self.Interrupt, RestartWriter.append
+
+        def stop_at_2000(writer, ck):
+            if ck.iteration == 2000:
+                raise interrupt
+            append(writer, ck)
+
+        def interrupted(*args):
+            raise interrupt
+
+        with monkeypatch.context() as patch:
+            patch.setattr(RestartWriter, "append", stop_at_2000)
+            with pytest.raises(interrupt):
+                run_sampler(spec, mvn4)
+        paths = df.output_paths(spec.output_prefix, encoding)
+        os.truncate(paths["chain"], os.path.getsize(paths["chain"]) - 5)
+        to_v1(paths)
+        if encoding == "binary":
+            with monkeypatch.context() as patch:
+                patch.setattr(sampler, "rewrite_restart", interrupted)
+                with pytest.raises(interrupt):
+                    run_sampler(spec, mvn4)
+            for name, version in (("chain", 2), ("restart", 1)):
+                with open(paths[name], "rb") as fh:
+                    assert struct.unpack("<4sI", fh.read(8))[1] == version, name
+        run_sampler(spec, mvn4)
+        assert {name: sha(paths[name]) for name in OUTPUTS} == want
+        assert not os.path.exists(paths["chain"] + ".tmp")
 
     @pytest.mark.parametrize("progress", ["kept", "missing"])
     def test_resume_cuts_progress_back_to_the_checkpoint(self, mvn4, tmp_path, monkeypatch,
