@@ -18,7 +18,6 @@ from .core import (
     ResumeRefused,
     RunAlreadyComplete,
     SimSpec,
-    SplitMix64,
     TargetDensity,
     UsageError,
     build_target,
@@ -26,29 +25,7 @@ from .core import (
     mvn_target,
     rosenbrock_target,
 )
-from .proposal import (
-    ProposalState,
-    adaptation_measure,
-    effective_cov,
-    factorize,
-    initial_proposal,
-    propose,
-    update_mean_cov,
-)
-from .sampler import (
-    SamplerState,
-    SimulationOutputs,
-    adapt_if_due,
-    detect_burnin,
-    dr_log_alpha2,
-    fork_join_cycle,
-    init_state,
-    metropolis_log_alpha,
-    resume,
-    run_sampler,
-    step,
-    worker_attempt,
-)
+from .sampler import SimulationOutputs, resume, run_sampler
 from .chainio import (
     CompactChain,
     ParallelStats,
@@ -62,27 +39,8 @@ from .chainio import (
     read_report,
     read_restart,
     read_sample,
-    write_chain,
-    write_report,
-    write_sample,
 )
-from .refinement import (
-    RefinedSample,
-    autocorrelation,
-    integrated_autocorrelation,
-    refine,
-    weighted_acf,
-)
-from .parallel import (
-    ContributionStats,
-    MultiChainReport,
-    compare_refined_samples,
-    contribution_stats,
-    fit_geometric,
-    ks_two_sample,
-    optimal_num_workers,
-    predict_speedup,
-    run_multi_chain,
-)
+from .refinement import RefinedSample
+from .parallel import MultiChainReport, run_multi_chain
 
 __version__ = "0.1.0"

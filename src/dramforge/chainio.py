@@ -13,9 +13,12 @@ text (ascii restart, binary spec echo, report, CLI config) is read by
 ASCII reals carry 17 significant digits so every 64-bit float round-trips
 exactly; binary layouts are little-endian and versioned by a 4-byte
 magic. Writers write format version 2; readers read versions 1 and 2,
-the header's version picking the layout. Readers tolerate a truncated
-final row or record, because interrupts happen mid-write, and
-re-compact verbose chains on read.
+the header's version picking the layout. The chain and restart readers
+tolerate a truncated final row or record, because interrupts happen
+mid-write, and verbose chains are re-compacted on read. Every
+comma-separated table (chain, sample, postproc exports, convergence
+rows) is written by ``_format_rows``; the chain and the sample are read
+by ``_parse_rows``.
 """
 
 from __future__ import annotations
@@ -260,8 +263,21 @@ def _ascii_format(ndim: int) -> str:
 
 
 # Rows formatted by one %-format; it bounds the text held at once when a
-# whole chain is written or sized.
+# whole chain or sample is written or sized.
 _FORMAT_ROWS = 4096
+
+
+def _format_rows(row_format: str, columns: list[list]) -> str:
+    """The text of one ``row_format`` line per row, the rows given column by column.
+
+    Each column is a list with one value per row. All rows go through one
+    %-format, over the cells flattened row by row.
+    """
+    width, n = len(columns), len(columns[0])
+    flat = [None] * (n * width)
+    for j, column in enumerate(columns):
+        flat[j::width] = column
+    return (row_format * n) % tuple(flat)
 
 
 def _measure_texts(measures: np.ndarray) -> list[str]:
@@ -284,9 +300,7 @@ def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[list[str], int,
     A line carries the row's weight, or 1 with ``weight_one``: the compact
     line, or the verbose line that is written weight times. The two differ
     only in the weight column, so each size follows from the other's line
-    lengths. All rows go through one %-format, over the fields flattened
-    row by row from per-column ``tolist()``s. Row content is pure ASCII, so
-    string length equals byte length.
+    lengths. Row content is pure ASCII, so string length equals byte length.
     """
     n = records.size
     weights = records["weight"].tolist()
@@ -296,10 +310,7 @@ def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[list[str], int,
     columns += [_measure_texts(records["adaptation_measure"]), records["burnin_loc"].tolist(),
                 [1] * n if weight_one else weights, records["logf"].tolist(),
                 *records["state"].T.tolist()]
-    flat = [None] * (n * len(columns))
-    for j, column in enumerate(columns):
-        flat[j :: len(columns)] = column
-    text = (_ascii_format(records.dtype["state"].shape[0]) * n) % tuple(flat)
+    text = _format_rows(_ascii_format(records.dtype["state"].shape[0]), columns)
     lines = text.splitlines(keepends=True)
     # The weight column's width beyond the verbose line's "1".
     wider = [len(str(w)) - 1 for w in weights]
@@ -412,7 +423,7 @@ def write_chain(chain: CompactChain, path: str, chain_format: str = "compact",
 
 def prefix_byte_sizes(chain: CompactChain, encoding: str,
                       row_counts: list[int]) -> list[tuple[int, int]]:
-    """``chain_byte_sizes`` of the chain's first ``n`` rows, for each ``n`` in ``row_counts``.
+    """The byte sizes ``(compact, verbose)`` of the chain's first ``n`` rows, for each ``n``.
 
     ``row_counts`` must not decrease. Each row is sized once; the ascii
     sizes come from the rows' compact lines, formatted as the writer
@@ -438,14 +449,9 @@ def prefix_byte_sizes(chain: CompactChain, encoding: str,
     return sizes
 
 
-def chain_byte_sizes(chain: CompactChain, encoding: str) -> tuple[int, int]:
-    """Byte sizes ``(compact, verbose)`` the chain would occupy on disk."""
-    return prefix_byte_sizes(chain, encoding, [chain.n_rows])[0]
-
-
 def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> int:
     """Byte size the chain would occupy on disk in the given format."""
-    return chain_byte_sizes(chain, encoding)[chain_format == "verbose"]
+    return prefix_byte_sizes(chain, encoding, [chain.n_rows])[0][chain_format == "verbose"]
 
 
 def cut_chain(path: str, sizes: tuple[int, int], chain_format: str, encoding: str) -> None:
@@ -497,11 +503,6 @@ def _merge_repeats(records: np.ndarray) -> np.ndarray:
     return merged
 
 
-# Ascii chain lines split and converted at once; it bounds the memory that
-# the split cells take while a file is read.
-_PARSE_LINES = 2048
-
-
 def _ascii_records(path: str) -> tuple[np.ndarray, bool]:
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         content = fh.read()
@@ -516,34 +517,38 @@ def _ascii_records(path: str) -> tuple[np.ndarray, bool]:
     ndim = len(header) - len(CHAIN_COLUMNS)
     if ndim < 1 or header[: len(CHAIN_COLUMNS)] != list(CHAIN_COLUMNS):
         raise ParseError(f"{path}:1: unrecognized chain header")
-    records = np.zeros(len(lines) - 1, chain_row_dtype(ndim))
-    for start in range(1, len(lines), _PARSE_LINES):
-        chunk = lines[start : start + _PARSE_LINES]
-        try:
-            records[start - 1 : start - 1 + len(chunk)] = _parse_ascii_lines(chunk, ndim)
-        except ValueError:
-            # Parse line by line to name the first malformed one.
-            for lineno, line in enumerate(chunk, start=start + 1):
-                try:
-                    _parse_ascii_lines([line], ndim)
-                except ValueError as exc:
-                    # Drop where loadtxt places the error: the row of its input.
-                    reason = str(exc).partition(" at row ")[0]
-                    raise ParseError(f"{path}:{lineno}: {reason}") from None
-            raise
-    return records, truncated
+    return _parse_rows(path, lines[1:], chain_row_dtype(ndim), 2), truncated
 
 
-def _parse_ascii_lines(lines: list[str], ndim: int) -> np.ndarray:
-    """One chain record per ascii chain line; ValueError if a line is malformed.
+def _parse_rows(path: str, lines: list[str], dtype: np.dtype, first_lineno: int) -> np.ndarray:
+    """One record of ``dtype`` per comma-separated line.
 
-    An int cell must spell a decimal integer: ``1.0`` and ``1_0`` are errors.
+    ``lines`` are the lines of ``path`` from line ``first_lineno`` on. A
+    malformed line is a ParseError naming its ``path:line``, and so is a
+    blank one. An int cell must spell a decimal integer: ``1.0`` and
+    ``1_0`` are errors.
     """
+    if not lines:
+        return np.zeros(0, dtype)
+    try:
+        return _loadtxt(lines, dtype)
+    except ValueError:
+        # Parse line by line to name the first malformed one.
+        for lineno, line in enumerate(lines, start=first_lineno):
+            try:
+                _loadtxt([line], dtype)
+            except ValueError as exc:
+                # Drop where loadtxt places the error: the row of its input.
+                reason = str(exc).partition(" at row ")[0]
+                raise ParseError(f"{path}:{lineno}: {reason}") from None
+        raise
+
+
+def _loadtxt(lines: list[str], dtype: np.dtype) -> np.ndarray:
     if "" in lines:
         # loadtxt would skip the line, and warn when no other is left.
         raise ValueError("blank line")
-    return np.loadtxt(lines, delimiter=",", dtype=chain_row_dtype(ndim), comments=None,
-                      quotechar=None, ndmin=1)
+    return np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, quotechar=None, ndmin=1)
 
 
 def _binary_records(path: str) -> tuple[np.ndarray, bool]:
@@ -1039,32 +1044,31 @@ def write_sample(refined, path: str) -> None:
     states = np.asarray(refined.states, dtype=float)
     logf = np.asarray(refined.logf, dtype=float)
     ndim = states.shape[1] if states.ndim == 2 else 1
+    states = states.reshape(-1, ndim)
+    row_format = "%.17g" + ",%.17g" * ndim + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("logFunc," + ",".join(f"var{i + 1}" for i in range(ndim)) + "\n")
-        for lf, row in zip(logf, states):
-            fh.write(fmt_float(lf) + "," + ",".join(fmt_float(v) for v in row) + "\n")
+        for lo in range(0, logf.size, _FORMAT_ROWS):
+            hi = lo + _FORMAT_ROWS
+            fh.write(_format_rows(row_format, [logf[lo:hi].tolist(), *states[lo:hi].T.tolist()]))
 
 
 def read_sample(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (states, logf) from a sample file."""
+    """Returns (states, logf) from a sample file.
+
+    Its rows are read as an ascii chain's are. Every line must end with a
+    newline: a blank or unterminated line is a ParseError naming it.
+    """
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         lines = fh.read().split("\n")
     if not lines[0].startswith("logFunc"):
         raise ParseError(f"{path}:1: not a sample file")
+    if lines.pop():
+        raise ParseError(f"{path}:{len(lines) + 1}: unterminated line")
     ndim = len(lines[0].split(",")) - 1
-    logf, states = [], []
-    try:
-        for lineno, line in enumerate(lines[1:], start=2):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != ndim + 1:
-                raise ParseError(f"{path}:{lineno}: wrong column count")
-            logf.append(float(parts[0]))
-            states.append([float(v) for v in parts[1:]])
-    except ValueError as exc:
-        raise ParseError(f"{path}:{lineno}: {exc}") from None
-    return np.array(states, dtype=float).reshape(-1, ndim), np.array(logf, dtype=float)
+    dtype = np.dtype([("logf", "<f8"), ("state", "<f8", (ndim,))])
+    records = _parse_rows(path, lines[1:], dtype, 2)
+    return records["state"], records["logf"]
 
 
 @dataclass

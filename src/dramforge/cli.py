@@ -19,6 +19,7 @@ import numpy as np
 from .chainio import (
     ParseError,
     _field_parse,
+    _format_rows,
     fmt_float,
     output_paths,
     read_chain,
@@ -252,55 +253,43 @@ def _postproc_stats(prefix: str, report) -> str:
     return csv_path
 
 
+def _write_csv(path: str, header: list[str], row_format: str, columns: list[list]) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write(_format_rows(row_format, columns))
+
+
 def _postproc_acf(prefix: str, chain, sample_states) -> str:
     csv_path = f"{prefix}_acf.csv"
     nv = chain.total_weight
     nref = sample_states.shape[0]
     max_lag = min(1000, nv - 1, max(nref - 1, 1))
-    chain_acf = [
-        weighted_acf(chain.states[:, dim], chain.weight, max_lag)
-        for dim in range(chain.ndim)
-    ]
-    # A refined sample of fewer than 2 points has no autocorrelation; its
-    # columns stay empty.
-    refined_acf = [
-        autocorrelation(sample_states[:, dim], max_lag) if nref >= 2 else ()
-        for dim in range(chain.ndim)
-    ]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ["lag"]
-        cols += [f"chain_var{d + 1}" for d in range(chain.ndim)]
-        cols += [f"refined_var{d + 1}" for d in range(chain.ndim)]
-        fh.write(",".join(cols) + "\n")
-        for lag in range(max_lag + 1):
-            row = [str(lag)]
-            row += [fmt_float(acf[lag]) for acf in chain_acf]
-            row += [
-                fmt_float(acf[lag]) if lag < len(acf) else ""
-                for acf in refined_acf
-            ]
-            fh.write(",".join(row) + "\n")
-    plots = [
-        f"'{csv_path}' using 1:{2 + d} with lines" for d in range(chain.ndim)
-    ] + [
-        f"'{csv_path}' using 1:{2 + chain.ndim + d} with lines" for d in range(chain.ndim)
-    ]
+    dims = range(chain.ndim)
+    # A series of fewer than 2 points has no autocorrelation: the chain's
+    # columns stay empty below 2 verbose rows, the refined sample's below 2
+    # points.
+    chain_acf = [weighted_acf(chain.states[:, d], chain.weight, max_lag) for d in dims if nv > 1]
+    refined_acf = [autocorrelation(sample_states[:, d], max_lag) for d in dims if nref > 1]
+    row_format = "%d" + (",%.17g" if chain_acf else ",") * chain.ndim
+    row_format += (",%.17g" if refined_acf else ",") * chain.ndim + "\n"
+    header = ["lag"] + [f"chain_var{d + 1}" for d in dims] + [f"refined_var{d + 1}" for d in dims]
+    columns = [list(range(max_lag + 1))] + [acf.tolist() for acf in chain_acf + refined_acf]
+    _write_csv(csv_path, header, row_format, columns)
+    plots = [f"'{csv_path}' using 1:{2 + d} with lines" for d in range(2 * chain.ndim)]
     _write_gnuplot(f"{prefix}_acf.gp", "chain vs refined autocorrelation", plots)
     return csv_path
 
 
 def _postproc_covmat(prefix: str, checkpoints, ndim: int) -> str:
     csv_path = f"{prefix}_covmat.csv"
-    pairs = [(i, j) for i in range(ndim) for j in range(i, ndim)]
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        cols = ["checkpoint", "iteration"]
-        cols += [f"cov_{i + 1}_{j + 1}" for i, j in pairs]
-        fh.write(",".join(cols) + "\n")
-        for ck in checkpoints:
-            row = [str(ck.checkpoint_index), str(ck.iteration)]
-            row += [fmt_float(ck.cov[i, j]) for i, j in pairs]
-            fh.write(",".join(row) + "\n")
-    plots = [f"'{csv_path}' using 2:{3 + k} with lines" for k in range(len(pairs))]
+    i, j = np.triu_indices(ndim)
+    upper = np.array([ck.cov[i, j] for ck in checkpoints]).reshape(-1, i.size)
+    header = ["checkpoint", "iteration"]
+    header += [f"cov_{a + 1}_{b + 1}" for a, b in zip(i.tolist(), j.tolist())]
+    columns = [[ck.checkpoint_index for ck in checkpoints], [ck.iteration for ck in checkpoints],
+               *upper.T.tolist()]
+    _write_csv(csv_path, header, "%d,%d" + ",%.17g" * i.size + "\n", columns)
+    plots = [f"'{csv_path}' using 2:{3 + k} with lines" for k in range(i.size)]
     _write_gnuplot(f"{prefix}_covmat.gp", "proposal covariance evolution", plots)
     return csv_path
 
@@ -308,13 +297,11 @@ def _postproc_covmat(prefix: str, checkpoints, ndim: int) -> str:
 def _postproc_contrib(prefix: str, chain, n_workers: int) -> str:
     csv_path = f"{prefix}_contrib.csv"
     stats = contribution_stats(chain.process_id, n_workers)
-    total = stats.counts.sum()
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("rank,count,empirical,fitted\n")
-        for k in range(1, n_workers + 1):
-            emp = stats.counts[k - 1] / total
-            fit = stats.fitted_p * (1.0 - stats.fitted_p) ** (k - 1)
-            fh.write(f"{k},{stats.counts[k - 1]},{fmt_float(emp)},{fmt_float(fit)}\n")
+    p, ranks = stats.fitted_p, range(1, n_workers + 1)
+    columns = [list(ranks), stats.counts.tolist(), (stats.counts / stats.counts.sum()).tolist(),
+               [p * (1.0 - p) ** (k - 1) for k in ranks]]
+    _write_csv(csv_path, ["rank", "count", "empirical", "fitted"], "%d,%d,%.17g,%.17g\n",
+               columns)
     _write_gnuplot(
         f"{prefix}_contrib.gp", "per-rank contribution vs geometric fit",
         [f"'{csv_path}' using 1:3 with boxes", f"'{csv_path}' using 1:4 with lines"],

@@ -159,15 +159,6 @@ class SplitMix64:
         z = g[: k * ndim].reshape(k, ndim)
         return z, _logs(u[after[1:] - 1].tolist()), states, caches
 
-    def peek_slots(self, k: int, ndim: int) -> tuple[np.ndarray, np.ndarray]:
-        """``z`` and ``logu`` of the next ``k`` slots (see ``peek_block``)."""
-        return self.peek_block(k, ndim)[:2]
-
-    def advance_slots(self, n: int, ndim: int) -> None:
-        """Consume ``n`` slots, as ``n`` rounds of ``ndim`` ``gauss()`` and one ``uniform()``."""
-        _, _, states, caches = self.peek_block(n, ndim)
-        self.setstate((states[-1], self.stream_id, caches[-1]))
-
     def getstate(self) -> tuple[int, int, float | None]:
         return (self.state, self.stream_id, self.gauss_cache)
 

@@ -11,28 +11,17 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .chainio import chain_specs, convergence_path, inspect_outputs, write_replacing
+from .chainio import _format_rows, chain_specs, convergence_path, inspect_outputs, write_replacing
 from .core import RunAlreadyComplete, SimSpec, TargetDensity, UsageError
 from .sampler import SimulationOutputs, _finished_outputs, _run_or_resume
 
 SPEEDUP_ASYMPTOTE_FRACTION = 0.99
-
-__all__ = [
-    "ContributionStats",
-    "MultiChainReport",
-    "compare_refined_samples",
-    "contribution_stats",
-    "fit_geometric",
-    "ks_two_sample",
-    "kolmogorov_sf",
-    "optimal_num_workers",
-    "predict_speedup",
-    "run_multi_chain",
-]
+# The fewest points per sample that a two-sample KS test takes.
+KS_MIN_POINTS = 5
 
 
 @dataclass
@@ -133,8 +122,8 @@ def ks_two_sample(a, b) -> tuple[float, float]:
     """
     a = np.sort(np.asarray(a, dtype=float).reshape(-1))
     b = np.sort(np.asarray(b, dtype=float).reshape(-1))
-    if a.size < 5 or b.size < 5:
-        raise UsageError("ks_two_sample needs at least 5 points per sample")
+    if a.size < KS_MIN_POINTS or b.size < KS_MIN_POINTS:
+        raise UsageError(f"ks_two_sample needs at least {KS_MIN_POINTS} points per sample")
     grid = np.concatenate([a, b])
     cdf_a = np.searchsorted(a, grid, side="right") / a.size
     cdf_b = np.searchsorted(b, grid, side="right") / b.size
@@ -170,10 +159,12 @@ class MultiChainReport:
 def compare_refined_samples(samples: list[np.ndarray], alpha: float = 0.05) -> MultiChainReport:
     """Pairwise per-dimension KS tests with a Bonferroni-corrected flag.
 
-    ``samples`` holds one (n_i, ndim) refined sample per chain. The run
-    is flagged as non-converged when any corrected p-value drops below
-    ``alpha``. Bitwise-identical pairs indicate duplicated streams and
-    raise the ``degenerate`` flag with a warning instead.
+    ``samples`` holds one (n_i, ndim) refined sample per chain. A pair in
+    which either sample has fewer than ``KS_MIN_POINTS`` points is not
+    tested, and ``n_tests`` counts the tests made. The run is flagged as
+    non-converged when any corrected p-value drops below ``alpha``.
+    Bitwise-identical pairs indicate duplicated streams and raise the
+    ``degenerate`` flag with a warning instead.
     """
     if len(samples) < 2:
         raise UsageError("convergence comparison needs at least two chains")
@@ -185,6 +176,8 @@ def compare_refined_samples(samples: list[np.ndarray], alpha: float = 0.05) -> M
     degenerate = False
     for i in range(len(arrays)):
         for j in range(i + 1, len(arrays)):
+            if min(len(arrays[i]), len(arrays[j])) < KS_MIN_POINTS:
+                continue
             pair_ds = []
             for dim in range(ndim):
                 d, p = ks_two_sample(arrays[i][:, dim], arrays[j][:, dim])
@@ -216,9 +209,9 @@ def write_convergence_report(report: MultiChainReport, path: str) -> None:
         f"degenerate = {report.degenerate}",
         "chainA,chainB,dimension,D,p",
     ]
-    lines += [f"{t.chain_a},{t.chain_b},{t.dimension},{t.statistic:.17g},{t.p_value:.17g}"
-              for t in report.tests]
-    write_replacing(path, "\n".join(lines) + "\n")
+    columns = [[getattr(t, field.name) for t in report.tests] for field in fields(PairTest)]
+    rows = _format_rows("%d,%d,%d,%.17g,%.17g\n", columns)
+    write_replacing(path, "\n".join(lines) + "\n" + rows)
 
 
 def run_multi_chain(

@@ -15,8 +15,11 @@ from scipy.integrate import dblquad
 
 import dramforge as df
 from dramforge import SimSpec
+from dramforge.chainio import write_chain
+from dramforge.core import SplitMix64
+from dramforge.parallel import compare_refined_samples, optimal_num_workers, predict_speedup
 from dramforge.proposal import adaptation_measure
-from dramforge.refinement import autocorrelation
+from dramforge.refinement import autocorrelation, refine
 from dramforge.sampler import _emit_live, init_state, step
 
 from conftest import random_chain
@@ -117,7 +120,7 @@ def test_criterion_04_compact_storage(tmp_path, mvn4_target):
     elapsed = time.perf_counter() - t0
     assert out.report.mean_accept_rate <= 0.25
     verbose_path = str(tmp_path / "verbose_chain.txt")
-    df.write_chain(out.chain, verbose_path, "verbose", "ascii")
+    write_chain(out.chain, verbose_path, "verbose", "ascii")
     ratio = os.path.getsize(verbose_path) / os.path.getsize(out.paths["chain"])
     assert ratio >= 4.0
     assert elapsed < 10.0
@@ -138,7 +141,7 @@ def test_criterion_05_refinement_of_ar1_chain():
         1, np.ones(n), np.zeros(n), np.full(n, 0.5), np.zeros(n),
         np.zeros(n), np.ones(n, dtype=int), np.zeros(n), series.reshape(-1, 1),
     )
-    refined = df.refine(chain, 0)
+    refined = refine(chain, 0)
     hist = refined.iac_history
     assert all(b < a for a, b in zip(hist, hist[1:]))
     n_final = len(refined)
@@ -205,7 +208,7 @@ def test_criterion_07_fork_join_validity_and_geometry(tmp_path, mvn4_target):
 def test_criterion_08_speedup_model():
     t0 = time.perf_counter()
     mu = 0.25
-    rng = df.SplitMix64(808)
+    rng = SplitMix64(808)
 
     def cycles_efficiency(n, cycles=120_000):
         accepted = 0
@@ -219,9 +222,9 @@ def test_criterion_08_speedup_model():
     serial = cycles_efficiency(1)
     for n in (2, 4, 8):
         measured = cycles_efficiency(n) / serial
-        predicted = df.predict_speedup(mu, n)
+        predicted = predict_speedup(mu, n)
         assert abs(measured - predicted) / predicted < 0.10
-    assert df.optimal_num_workers(0.23) == 18
+    assert optimal_num_workers(0.23) == 18
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
     report(8, f"DES accepted-steps-per-cycle ratios within 10% of S(n) for "
@@ -245,7 +248,7 @@ def test_criterion_09_multi_chain_convergence(tmp_path):
         start_point=[3.0],
     )
     out_b = df.run_sampler(spec_b, shifted)
-    mismatch = df.compare_refined_samples(
+    mismatch = compare_refined_samples(
         [outputs[0].refined.states, out_b.refined.states]
     )
     assert mismatch.flagged
@@ -269,7 +272,7 @@ def test_criterion_10_plain_metropolis_degeneration():
         step(state, target, spec)
     _emit_live(state)
     chain = state.rows
-    refined = df.refine(chain, 0)
+    refined = refine(chain, 0)
     p = st.kstest(refined.states[:, 0], "norm").pvalue
     assert p > 0.01
 
@@ -297,16 +300,16 @@ def test_criterion_11_file_round_trips(tmp_path):
         chain = random_chain(rng, ndim, int(rng.integers(1, 30)))
         encoding = "ascii" if trial % 2 == 0 else "binary"
         path = str(tmp_path / f"c{trial}.{encoding}")
-        df.write_chain(chain, path, "compact", encoding)
+        write_chain(chain, path, "compact", encoding)
         assert df.read_chain(path) == chain
         other = str(tmp_path / f"v{trial}.{encoding}")
-        df.write_chain(chain, other, "verbose", encoding)
+        write_chain(chain, other, "verbose", encoding)
         assert df.read_chain(other) == chain
 
     # Truncated fixtures recover every complete row.
     chain = random_chain(rng, 3, 12)
     ascii_path = str(tmp_path / "trunc.txt")
-    df.write_chain(chain, ascii_path, "compact", "ascii")
+    write_chain(chain, ascii_path, "compact", "ascii")
     blob = open(ascii_path, "rb").read()
     open(ascii_path, "wb").write(blob[: int(len(blob) * 0.7)])
     back = df.read_chain(ascii_path)
@@ -314,7 +317,7 @@ def test_criterion_11_file_round_trips(tmp_path):
     assert back == chain.sliced(back.n_rows)
 
     bin_path = str(tmp_path / "trunc.bin")
-    df.write_chain(chain, bin_path, "compact", "binary")
+    write_chain(chain, bin_path, "compact", "binary")
     blob = open(bin_path, "rb").read()
     open(bin_path, "wb").write(blob[:-7])
     back = df.read_chain(bin_path)

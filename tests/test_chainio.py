@@ -14,11 +14,14 @@ from dramforge.chainio import (
     RestartCheckpoint,
     RestartWriter,
     chain_byte_size,
-    chain_byte_sizes,
     fmt_float,
+    prefix_byte_sizes,
     read_restart,
     spec_echo_lines,
     spec_from_echo,
+    write_chain,
+    write_report,
+    write_sample,
 )
 from conftest import random_chain
 
@@ -46,7 +49,7 @@ class TestChainRoundTrip:
             ndim = int(rng.integers(1, 5))
             chain = random_chain(rng, ndim, int(rng.integers(1, 40)))
             path = str(tmp_path / f"c{trial}.{encoding}")
-            df.write_chain(chain, path, fmt, encoding)
+            write_chain(chain, path, fmt, encoding)
             back = df.read_chain(path)
             assert back == chain
             assert not back.truncated
@@ -57,8 +60,8 @@ class TestChainRoundTrip:
         chain.weight = np.array([3, 2, 5])
         p_compact = str(tmp_path / "a.txt")
         p_verbose = str(tmp_path / "b.txt")
-        df.write_chain(chain, p_compact, "compact", "ascii")
-        df.write_chain(chain, p_verbose, "verbose", "ascii")
+        write_chain(chain, p_compact, "compact", "ascii")
+        write_chain(chain, p_verbose, "verbose", "ascii")
         n_compact = len(open(p_compact).read().splitlines()) - 1
         n_verbose = len(open(p_verbose).read().splitlines()) - 1
         assert n_compact == 3 and n_verbose == 10
@@ -69,22 +72,22 @@ class TestChainRoundTrip:
         chain = random_chain(rng, 3, 20)
         for encoding in ("ascii", "binary"):
             path = str(tmp_path / f"x.{encoding}")
-            df.write_chain(chain, path, "compact", encoding)
+            write_chain(chain, path, "compact", encoding)
             assert np.array_equal(df.read_chain(path).logf, chain.logf)
 
     def test_ascii_binary_semantic_equivalence(self, tmp_path):
         rng = np.random.default_rng(2)
         chain = random_chain(rng, 2, 15)
         pa, pb = str(tmp_path / "a.txt"), str(tmp_path / "b.bin")
-        df.write_chain(chain, pa, "compact", "ascii")
-        df.write_chain(chain, pb, "compact", "binary")
+        write_chain(chain, pa, "compact", "ascii")
+        write_chain(chain, pb, "compact", "binary")
         assert df.read_chain(pa) == df.read_chain(pb)
 
     def test_truncated_ascii_recovers_complete_rows(self, tmp_path):
         rng = np.random.default_rng(3)
         chain = random_chain(rng, 2, 10)
         path = str(tmp_path / "t.txt")
-        df.write_chain(chain, path, "compact", "ascii")
+        write_chain(chain, path, "compact", "ascii")
         blob = open(path, "rb").read()
         cut = blob[: int(len(blob) * 0.8)]
         while cut.endswith(b"\n"):
@@ -99,7 +102,7 @@ class TestChainRoundTrip:
         rng = np.random.default_rng(4)
         chain = random_chain(rng, 3, 10)
         path = str(tmp_path / "t.bin")
-        df.write_chain(chain, path, "compact", "binary")
+        write_chain(chain, path, "compact", "binary")
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-13])  # cut into the last row
         back = df.read_chain(path)
@@ -111,7 +114,7 @@ class TestChainRoundTrip:
         rng = np.random.default_rng(5)
         chain = random_chain(rng, 2, 5)
         path = str(tmp_path / "bad.txt")
-        df.write_chain(chain, path, "compact", "ascii")
+        write_chain(chain, path, "compact", "ascii")
         lines = open(path).read().splitlines()
         lines[2] = "garbage,line"
         open(path, "w").write("\n".join(lines) + "\n")
@@ -123,7 +126,7 @@ class TestChainRoundTrip:
         rng = np.random.default_rng(14)
         chain = random_chain(rng, 2, 5000)
         path = str(tmp_path / "long.txt")
-        df.write_chain(chain, path, "compact", "ascii")
+        write_chain(chain, path, "compact", "ascii")
         lines = open(path).read().splitlines()
         lines[4499] = lines[4499].replace(",", ",1.5x,", 1)
         open(path, "w").write("\n".join(lines) + "\n")
@@ -137,7 +140,7 @@ class TestChainRoundTrip:
         for fmt in ("compact", "verbose"):
             for encoding in ("ascii", "binary"):
                 path = str(tmp_path / f"s_{fmt}.{encoding}")
-                df.write_chain(chain, path, fmt, encoding)
+                write_chain(chain, path, fmt, encoding)
                 assert os.path.getsize(path) == chain_byte_size(chain, fmt, encoding)
 
     def test_weight_validation(self):
@@ -222,7 +225,7 @@ class TestAsciiLineOracle:
         header = ",".join(chain.header) + "\n"
         expected = header + "".join(_oracle_line(r, int(r.weight)) for r in chain.records)
         path = str(tmp_path / "measures.txt")
-        df.write_chain(chain, path)
+        write_chain(chain, path)
         with open(path, encoding="utf-8") as fh:
             assert fh.read() == expected
         assert ",-0," in expected and ",nan," in expected
@@ -294,7 +297,7 @@ class TestFlushedWriter:
             assert fh.read() == self._expected(chain, chain_format, encoding)
         sizes = self._sizes(chain, encoding)
         assert (writer.compact_bytes, writer.verbose_bytes) == sizes
-        assert chain_byte_sizes(chain, encoding) == sizes
+        assert prefix_byte_sizes(chain, encoding, [chain.n_rows]) == [sizes]
 
     @pytest.mark.parametrize("encoding", ["ascii", "binary"])
     @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
@@ -307,7 +310,7 @@ class TestFlushedWriter:
         first.close()  # rows marked since the last flush are written too
         # As a resume does: cut the file back to the kept rows, then append.
         kept = chain.sliced(150)
-        kept_sizes = chain_byte_sizes(kept, encoding)
+        [kept_sizes] = prefix_byte_sizes(kept, encoding, [kept.n_rows])
         os.truncate(path, kept_sizes[chain_format == "verbose"])
         second = ChainWriter(path, 3, chain_format, encoding, append=True,
                              initial_bytes=kept_sizes)
@@ -317,7 +320,7 @@ class TestFlushedWriter:
             assert fh.read() == self._expected(chain, chain_format, encoding)
         sizes = self._sizes(chain, encoding)
         assert (second.compact_bytes, second.verbose_bytes) == sizes
-        assert chain_byte_sizes(chain, encoding) == sizes
+        assert prefix_byte_sizes(chain, encoding, [chain.n_rows]) == [sizes]
 
 
 class TestRowStore:
@@ -395,7 +398,7 @@ class TestRowStore:
         chain = CompactChain(2, [1, 1, 1], [0, 0, 0], [0.5] * 3, [0.0] * 3, [0, 0, 0],
                              [2, 3, 1], [-1.0, -2.0, -2.0], states)
         path = str(tmp_path / f"v.{encoding}")
-        df.write_chain(chain, path, "verbose", encoding)
+        write_chain(chain, path, "verbose", encoding)
         back = df.read_chain(path)
         assert back == chain
         assert back.n_rows == 3
@@ -405,7 +408,7 @@ class TestRowStore:
         chain = random_chain(rng, 2, 4)
         chain.weight = np.array([2, 1, 3, 4])
         path = str(tmp_path / "v.bin")
-        df.write_chain(chain, path, "verbose", "binary")
+        write_chain(chain, path, "verbose", "binary")
         blob = open(path, "rb").read()
         open(path, "wb").write(blob[:-5])  # cut into the last verbose row
         back = df.read_chain(path)
@@ -532,11 +535,26 @@ class TestSampleAndReport:
             source_burnin=5,
         )
         path = str(tmp_path / "s.txt")
-        df.write_sample(refined, path)
+        write_sample(refined, path)
         states, logf = df.read_sample(path)
         assert np.array_equal(states, refined.states)
         assert np.array_equal(logf, refined.logf)
         assert len(open(path).read().splitlines()) == 41
+
+    def test_sample_cells_read_as_fmt_float(self, tmp_path):
+        cells = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e300, 1e16, 0.1, -2.5,
+                 1 / 3, 2.0**-1074 * 3]
+        refined = df.RefinedSample(states=np.array(cells).reshape(4, 3), logf=np.arange(4.0),
+                                   iac_history=[], source_burnin=0)
+        path = str(tmp_path / "s.txt")
+        write_sample(refined, path)
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = fh.read().split("\n")
+        assert lines[1:] == [",".join(map(fmt_float, [lf, *row]))
+                             for lf, row in zip(refined.logf, refined.states)] + [""]
+        states, logf = df.read_sample(path)
+        assert states.tobytes() == refined.states.tobytes()
+        assert logf.tobytes() == refined.logf.tobytes()
 
     def test_report_roundtrip(self, tmp_path):
         spec = SimSpec(ndim=2, output_prefix="x", seed=5, chain_size=777)
@@ -560,7 +578,7 @@ class TestSampleAndReport:
                 parallel=par,
             )
             path = str(tmp_path / "rep.txt")
-            df.write_report(stats, path)
+            write_report(stats, path)
             back = df.read_report(path)
             assert back == stats
             assert back.spec.provenance == spec.provenance
@@ -618,7 +636,7 @@ class TestParseErrors:
             compact_bytes=100, verbose_bytes=300, size_ratio=3.0,
         )
         path = str(tmp_path / "rep.txt")
-        df.write_report(stats, path)
+        write_report(stats, path)
         return path
 
     def test_restart_header_without_bracket(self, restart):
@@ -660,7 +678,7 @@ class TestParseErrors:
             states=np.ones((5, 2)), logf=np.zeros(5), iac_history=[1.0], source_burnin=0,
         )
         path = str(tmp_path / "s.txt")
-        df.write_sample(refined, path)
+        write_sample(refined, path)
         lines = open(path).read().split("\n")
         lines[3] = "0,abc,1"
         open(path, "w").write("\n".join(lines))
@@ -671,7 +689,7 @@ class TestParseErrors:
     def chain_with_line(tmp_path, lineno, edit):
         """An ascii chain file whose line ``lineno`` is ``edit(line)``."""
         path = str(tmp_path / "c.txt")
-        df.write_chain(random_chain(np.random.default_rng(15), 2, 6), path)
+        write_chain(random_chain(np.random.default_rng(15), 2, 6), path)
         lines = open(path).read().split("\n")
         lines[lineno - 1] = edit(lines[lineno - 1])
         open(path, "w").write("\n".join(lines))

@@ -303,6 +303,17 @@ class TestCmdRun:
         for name in ("chain", "sample"):
             assert sha(run_dir / f"out_{name}.txt") == sha(run_dir / f"clean_{name}.txt")
 
+    def test_multi_chain_too_short_for_ks_tests_finishes(self, run_dir):
+        # Far from the mode, 30 iterations refine to fewer points than a KS
+        # test takes: no pair is tested, and the convergence file is written.
+        cfg = write_cfg(run_dir, run_dir / "mc")
+        tiny = ["--set", "parallelism=multi_chain", "--set", "num_workers=2",
+                "--set", "chain_size=30", "--set", "start_point=30,30,30,30"]
+        assert main(["run", cfg] + tiny) == 0
+        text = (run_dir / "mc_convergence.txt").read_text(encoding="utf-8")
+        assert "\nn_tests = 0\n" in text
+        assert text.endswith("\nchainA,chainB,dimension,D,p\n")
+
     def test_rosenbrock_target_config(self, run_dir):
         cfg = write_cfg(
             run_dir, run_dir / "rb",
@@ -383,6 +394,17 @@ class TestCmdPostproc:
             assert cells[0] == str(lag) and cells[3:] == ["", ""]
             assert all(cells[1:3])
 
+    def test_one_iteration_run(self, run_dir):
+        # A verbose chain of one row has no autocorrelation, and neither
+        # has its one-point refined sample: only the lag column is filled.
+        cfg = write_cfg(run_dir, run_dir / "one")
+        assert main(["run", cfg, "--set", "chain_size=1"]) == 0
+        prefix = str(run_dir / "one")
+        for what in ("stats", "acf", "covmat", "contrib"):
+            assert main(["postproc", prefix, "--what", what]) == 0
+        lines = open(prefix + "_acf.csv").read().splitlines()
+        assert lines[1:] == ["0" + "," * 8]
+
     def test_truncated_report_exit_2(self, finished, capsys):
         path = finished + "_report.txt"
         blob = open(path, "rb").read()
@@ -399,6 +421,26 @@ class TestCmdPostproc:
         lineno = _corrupt(finished + "_sample.txt", "-", "abc,0,0,0,0")
         assert main(["postproc", finished, "--what", "acf"]) == 2
         assert f"out_sample.txt:{lineno}:" in capsys.readouterr().err
+
+    def test_blank_sample_line_exit_2(self, finished, capsys):
+        path = finished + "_sample.txt"
+        with open(path, encoding="utf-8", newline="\n") as fh:
+            lines = fh.read().split("\n")
+        lines.insert(3, "")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write("\n".join(lines))
+        assert main(["postproc", finished, "--what", "acf"]) == 2
+        assert "out_sample.txt:4: blank line" in capsys.readouterr().err
+
+    def test_unterminated_sample_line_exit_2(self, finished, capsys):
+        path = finished + "_sample.txt"
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        with open(path, "wb") as fh:
+            fh.write(blob[:-1])
+        assert main(["postproc", finished, "--what", "acf"]) == 2
+        lineno = blob.count(b"\n")
+        assert f"out_sample.txt:{lineno}: unterminated line" in capsys.readouterr().err
 
     def test_malformed_restart_exit_2(self, finished, capsys):
         lineno = _corrupt(finished + "_restart.txt", "[checkpoint 1]", "[checkpoint 1")

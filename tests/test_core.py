@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import dramforge as df
 from dramforge import BuiltinTarget, SimSpec, UsageError, build_target
+from dramforge.core import SplitMix64
 
 
 class TestEvalBuiltin:
@@ -268,6 +269,6 @@ class TestSimSpec:
     stream=st.integers(min_value=0, max_value=(1 << 64) - 1),
 )
 def test_uniform_always_in_unit_interval(seed, stream):
-    rng = df.SplitMix64(seed, stream)
+    rng = SplitMix64(seed, stream)
     for _ in range(50):
         assert 0.0 <= rng.uniform() < 1.0

@@ -6,9 +6,11 @@ import pytest
 import scipy.stats as st
 
 import dramforge as df
-from dramforge import RunAlreadyComplete, SimSpec, SplitMix64, UsageError
+from dramforge import RunAlreadyComplete, SimSpec, UsageError
 from dramforge.chainio import RestartWriter, chain_specs
+from dramforge.core import SplitMix64
 from dramforge.parallel import (
+    KS_MIN_POINTS,
     ContributionStats,
     compare_refined_samples,
     contribution_stats,
@@ -392,6 +394,17 @@ class TestMultiChain:
         assert report.degenerate
         assert not report.flagged
         assert sha(outputs[0].paths["chain"]) == sha(outputs[1].paths["chain"])
+
+    def test_pairs_with_too_few_points_are_not_tested(self):
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(0, 1, (40, 2)), rng.normal(0, 1, (40, 2))
+        short = rng.normal(0, 1, (KS_MIN_POINTS - 1, 2))
+        report = compare_refined_samples([a, b, short])
+        pairs = [(t.chain_a, t.chain_b, t.dimension) for t in report.tests]
+        assert pairs == [(1, 2, 1), (1, 2, 2)] and report.n_tests == 2
+        report = compare_refined_samples([short, short[::-1]])
+        assert report.tests == [] and report.n_tests == 0
+        assert not report.flagged and not report.degenerate and report.min_p == 1.0
 
     def test_needs_at_least_two_chains(self, mvn4, prefix):
         spec = SimSpec(ndim=4, output_prefix=prefix(), chain_size=100, seed=1)

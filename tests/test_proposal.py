@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from dramforge import NumericalError, SplitMix64, proposal
+from dramforge import NumericalError, proposal
+from dramforge.core import SplitMix64
 from dramforge.proposal import (
     EPS_FLOOR,
     KernelTape,
@@ -20,6 +21,7 @@ from dramforge.proposal import (
     propose,
     update_mean_cov,
 )
+from test_rng import advance_slots
 
 
 def fresh(ndim=2, scale=1.0, eps_rel=1e-12):
@@ -447,12 +449,12 @@ class TestKernelTape:
         start = SplitMix64(11, 4)
         whole = KernelTape.peek(prop, start.copy(), stages, offset + sum(sizes) + 3 * len(sizes))
         rng = start.copy()
-        rng.advance_slots(offset, ndim)
+        advance_slots(rng, offset, ndim)
         at = offset
         for k in sizes:
             other = KernelTape.peek(random_proposal(1, ndim), rng, stages, k + 3)
             other.i = 3
-            rng.advance_slots(3, ndim)
+            advance_slots(rng, 3, ndim)
             at += 3
             for tape in (KernelTape.peek(prop, rng.copy(), stages, k), other.rebased(prop)):
                 assert tape.n == k
@@ -460,7 +462,7 @@ class TestKernelTape:
                 assert tape.ys[:k].tobytes() == whole.ys[at : at + k].tobytes()
                 for name in KERNEL_TERMS[: (0, 2, 5)[stages]]:
                     assert getattr(tape, name) == getattr(whole, name)[at : at + k]
-            rng.advance_slots(k, ndim)
+            advance_slots(rng, k, ndim)
             at += k
 
 

@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dramforge import SplitMix64, UsageError
+from dramforge import UsageError
+from dramforge.core import SplitMix64
 
 MASK = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -97,7 +98,7 @@ def test_gauss_deterministic_across_instances():
 
 def test_bitwise_identical_across_processes():
     code = (
-        "from dramforge import SplitMix64\n"
+        "from dramforge.core import SplitMix64\n"
         "r = SplitMix64(20260808, 5)\n"
         "print(sum(r.next_uint64() for _ in range(10000)) & ((1 << 64) - 1))\n"
     )
@@ -217,6 +218,17 @@ def scalar_slots(ref, k, ndim):
     return z, logu
 
 
+def peek_slots(rng, k, ndim):
+    """``z`` and ``logu`` of the next ``k`` slots of ``rng``, not consumed."""
+    return rng.peek_block(k, ndim)[:2]
+
+
+def advance_slots(rng, n, ndim):
+    """Consume ``n`` slots: ``n`` rounds of ``ndim`` ``gauss()`` and one ``uniform()``."""
+    _, _, states, caches = rng.peek_block(n, ndim)
+    rng.setstate((states[-1], rng.stream_id, caches[-1]))
+
+
 @pytest.mark.parametrize("seed", SLOT_SEEDS)
 @pytest.mark.parametrize("cached", [False, True])
 @pytest.mark.parametrize("ndim", range(1, 7))
@@ -229,13 +241,13 @@ def test_slots_match_scalar_oracle(seed, cached, ndim):
     for k, n in ((5, 3), (1, 1), (9, 9), (4, 7), (0, 2), (12, 0), (3, 5)):
         mirror = ScalarSplitMix64(seed)
         mirror.state, mirror.cache = ref.state, ref.cache
-        z, logu = rng.peek_slots(k, ndim)
+        z, logu = peek_slots(rng, k, ndim)
         assert rng.getstate() == (ref.state, 2, ref.cache)  # peeking consumes nothing
         want_z, want_logu = scalar_slots(mirror, k, ndim)
         assert z.shape == (k, ndim) and logu.shape == (k,)
         assert z.tolist() == want_z
         assert logu.tolist() == want_logu
-        rng.advance_slots(n, ndim)
+        advance_slots(rng, n, ndim)
         scalar_slots(ref, n, ndim)
         assert rng.getstate() == (ref.state, 2, ref.cache)
     # Scalar draws carry on from where the slots left the stream.
@@ -258,15 +270,15 @@ def test_slot_values_do_not_depend_on_block(seed, ndim, cached, offset, sizes):
     if cached:
         rng.gauss()
     start = rng.getstate()
-    z_all, logu_all = rng.peek_slots(offset + sum(sizes), ndim)
+    z_all, logu_all = peek_slots(rng, offset + sum(sizes), ndim)
     rng = SplitMix64.from_state(start)
-    rng.advance_slots(offset, ndim)
+    advance_slots(rng, offset, ndim)
     at = offset
     for k in sizes:
-        z, logu = rng.peek_slots(k, ndim)
+        z, logu = peek_slots(rng, k, ndim)
         assert z.tobytes() == z_all[at : at + k].tobytes()
         assert logu.tobytes() == logu_all[at : at + k].tobytes()
-        rng.advance_slots(k, ndim)
+        advance_slots(rng, k, ndim)
         at += k
 
 
@@ -277,7 +289,7 @@ def test_log_of_a_zero_uniform_is_minus_infinity():
     start = (-4 * GOLDEN) & MASK
     rng, ref = SplitMix64(0), ScalarSplitMix64(0)
     rng.state = ref.state = start
-    z, logu = rng.peek_slots(3, 1)
+    z, logu = peek_slots(rng, 3, 1)
     want_z, want_logu = scalar_slots(ref, 3, 1)
     assert logu.tolist() == want_logu
     assert logu[1] == -math.inf and math.isfinite(logu[0])
@@ -291,7 +303,7 @@ def test_scalar_draws_and_restores_drop_the_tape():
         for cached in (False, True):
             if cached and rng.gauss_cache is None:
                 rng.gauss()
-            rng.peek_slots(4, 3)
+            peek_slots(rng, 4, 3)
             rng.tape = "derived from the peeked slots"
             assert rng.copy().tape is None
             move(rng)

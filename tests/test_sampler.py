@@ -14,7 +14,11 @@ from hypothesis import strategies as hst
 import dramforge as df
 from dramforge import NumericalError, ResumeRefused, RunAlreadyComplete, SimSpec, UsageError
 from dramforge import sampler
-from dramforge.chainio import ChainWriter, ProgressWriter, RestartWriter, spec_echo_lines
+from dramforge.chainio import (ChainWriter, ProgressWriter, RestartWriter, spec_echo_lines,
+                               write_chain)
+from dramforge.core import SplitMix64
+from dramforge.proposal import initial_proposal
+from dramforge.refinement import refine
 from dramforge.sampler import (
     _emit_live,
     _log1mexp,
@@ -85,7 +89,7 @@ class TestDrLogAlpha2:
 
 def forced_proposal_state(ndim, chol_scale=0.0):
     """Proposal whose Cholesky factor is chol_scale * I (0 => propose center)."""
-    prop = df.initial_proposal(ndim, 1.0)
+    prop = initial_proposal(ndim, 1.0)
     prop.chol_lower = np.eye(ndim) * chol_scale
     return prop
 
@@ -123,7 +127,7 @@ class TestStep:
         state = init_state(spec, reject_all)
         before = state.rngs[0].getstate()
         state, _ = step(state, reject_all, spec)
-        mirror = df.SplitMix64.from_state(before)
+        mirror = SplitMix64.from_state(before)
         for _ in range(2):  # two stages attempted
             for _ in range(4):
                 mirror.gauss()
@@ -551,7 +555,7 @@ class TestStationarity:
             dr_stage_count=1, adaptation_period=10**9,
         )
         state = run_chain_in_memory(spec, target)
-        refined = df.refine(state.rows, 0)
+        refined = refine(state.rows, 0)
         p = st.kstest(refined.states[:, 0], "norm").pvalue
         assert p > 0.01
 
@@ -562,7 +566,7 @@ class TestStationarity:
             dr_stage_count=2, adaptation_period=10**9,
         )
         state = run_chain_in_memory(spec, target)
-        refined = df.refine(state.rows, 0)
+        refined = refine(state.rows, 0)
         p = st.kstest(refined.states[:, 0], "norm").pvalue
         assert p > 0.01
 
@@ -1152,7 +1156,7 @@ class TestReportContents:
         spec = SimSpec(ndim=4, output_prefix=str(tmp_path / "r"), chain_size=3000, seed=1)
         out = run_sampler(spec, mvn4)
         verbose_path = str(tmp_path / "verbose.txt")
-        df.write_chain(out.chain, verbose_path, "verbose", "ascii")
+        write_chain(out.chain, verbose_path, "verbose", "ascii")
         measured = os.path.getsize(verbose_path) / os.path.getsize(out.paths["chain"])
         assert abs(out.report.verbose_bytes - os.path.getsize(verbose_path)) <= 1
         assert out.report.size_ratio == pytest.approx(measured, abs=1e-9)
