@@ -74,7 +74,7 @@ def parse_config(path: str) -> tuple[dict, dict]:
         if section.name != "target":
             raise ParseError(f"{section.where()}: unknown section [{section.name}]")
         for key in section:
-            if not _valid_target_key(key):
+            if not _target_key_kinds(key):
                 raise ParseError(f"{section.where(key)}: unknown target key {key!r}")
             if key in target_pairs:
                 raise ParseError(f"{section.where(key)}: [target] key {key!r} given twice")
@@ -82,14 +82,19 @@ def parse_config(path: str) -> tuple[dict, dict]:
     return dict(spec), target_pairs
 
 
-def _valid_target_key(key: str) -> bool:
-    if key in ("kind", "mean", "cov", "scale"):
-        return True
+def _target_key_kinds(key: str) -> tuple:
+    """The target kinds that read ``key``; none for an unknown key."""
+    if key == "kind":
+        return _TARGET_KINDS
+    if key in ("mean", "cov"):
+        return ("mvn",)
+    if key == "scale":
+        return ("rosenbrock",)
     if key.startswith("component"):
-        rest = key[len("component"):]
-        idx, _, field = rest.partition("_")
-        return idx.isdigit() and field in ("weight", "mean", "cov")
-    return False
+        idx, _, field = key[len("component"):].partition("_")
+        if idx.isdigit() and field in ("weight", "mean", "cov"):
+            return ("gauss_mixture",)
+    return ()
 
 
 def _parse_matrix(text: str) -> np.ndarray:
@@ -119,6 +124,9 @@ def build_cli_target(target_pairs: dict, ndim: int) -> BuiltinTarget:
     kind = target_pairs.get("kind", "mvn")
     if kind not in _TARGET_KINDS:
         raise UsageError(f"target kind must be one of {_TARGET_KINDS}, got {kind!r}")
+    for key in target_pairs:
+        if kind not in _target_key_kinds(key):
+            raise UsageError(f"target key {key!r} is not used by kind {kind!r}")
     if kind == "mvn":
         mean = (
             np.array([float(v) for v in target_pairs["mean"].split(",")])
@@ -160,7 +168,7 @@ def _apply_overrides(spec_pairs: dict, target_pairs: dict, overrides: list[str])
         key, value = key.strip(), value.strip()
         if key.startswith("target."):
             tkey = key[len("target."):]
-            if not _valid_target_key(tkey):
+            if not _target_key_kinds(tkey):
                 raise UsageError(f"--set: unknown target key {tkey!r}")
             target_pairs[tkey] = value
         elif key in _SPEC_KINDS:

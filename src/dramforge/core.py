@@ -219,9 +219,19 @@ class TargetDensity:
         self.batch = batch
 
     def __call__(self, point):
-        """The log density at ``point``, or at each row of a 2-D array as a list."""
+        """The log density at ``point``, or at each row of a 2-D array as a list.
+
+        A point, or a batch's row, whose length is not ``ndim`` is a
+        ``UsageError``: numpy would broadcast it silently.
+        """
         if getattr(point, "ndim", 1) != 2:
+            if len(point) != self.ndim:
+                raise UsageError(f"target has ndim {self.ndim}, "
+                                 f"got a point of length {len(point)}")
             return float(self.log_density(point))
+        if point.shape[1] != self.ndim:
+            raise UsageError(f"target has ndim {self.ndim}, got a batch of rows of length "
+                             f"{point.shape[1]}")
         if self.batch is None:
             return [float(self.log_density(row)) for row in point]
         values = [float(v) for v in self.batch(point)]
@@ -269,15 +279,24 @@ def mvn_target(mean, cov=None) -> TargetDensity:
         raise UsageError("mvn mean and covariance dimensions disagree")
     identity = bool(np.array_equal(cov, np.eye(ndim)))
     prec = np.linalg.inv(cov)
-
-    if identity:
+    # One BLAS call (ddot, dgemv) per product. x - (+0.0) is x for every
+    # double, so an identity target with a mean of all +0.0 (a -0.0 entry
+    # turns -0.0 into +0.0) skips the subtraction. It still makes the point
+    # a contiguous float array, as x - mean does: a list or an int array
+    # would not reach BLAS, and a strided one would reach a ddot that sums
+    # in another order.
+    if identity and not mean.view(np.uint64).any():
+        def log_density(x):
+            x = np.ascontiguousarray(x, dtype=float)
+            return -0.5 * float(x.dot(x))
+    elif identity:
         def log_density(x):
             d = x - mean
-            return -0.5 * float(d @ d)
+            return -0.5 * float(d.dot(d))
     else:
         def log_density(x):
             d = x - mean
-            q = float(d @ (prec @ d))
+            q = float(d.dot(prec.dot(d)))
             # Far out, products of both signs overflow and the form reads
             # NaN or -inf: the density there is 0.
             return -0.5 * q if q > -math.inf else -math.inf
@@ -295,7 +314,7 @@ def rosenbrock_target(ndim: int, scale: float = 100.0) -> TargetDensity:
     def log_density(x):
         a = x[1:] - x[:-1] ** 2
         b = 1.0 - x[:-1]
-        return -float(scale * (a @ a) + b @ b)
+        return -float(scale * a.dot(a) + b.dot(b))
 
     return TargetDensity(ndim, log_density)
 

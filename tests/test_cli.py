@@ -243,6 +243,29 @@ class TestCmdRun:
         assert "target has ndim 2, simulation spec says 4" in capsys.readouterr().err
         assert not (run_dir / "out_chain.txt").exists()
 
+    @pytest.mark.parametrize("target, key, kind", [
+        ("kind = mvn\nscale = 3", "scale", "mvn"),
+        ("kind = mvn\ncomponent1_weight = 1", "component1_weight", "mvn"),
+        ("kind = rosenbrock\nmean = 5,5,5,5", "mean", "rosenbrock"),
+    ])
+    @pytest.mark.parametrize("via_set", [False, True])
+    def test_target_key_the_kind_does_not_use_is_config_error(self, run_dir, capsys,
+                                                             target, key, kind, via_set):
+        if via_set:  # the key comes from --set, the kind from the file
+            kind_line, pair = target.split("\n")
+            cfg = write_cfg(run_dir, run_dir / "out", target=kind_line)
+            argv = ["run", cfg, "--set", f"target.{pair.replace(' ', '')}"]
+        else:
+            argv = ["run", write_cfg(run_dir, run_dir / "out", target=target)]
+        assert main(argv) == 2
+        assert f"target key {key!r} is not used by kind {kind!r}" in capsys.readouterr().err
+        assert not (run_dir / "out_chain.txt").exists()
+
+    def test_kind_set_on_the_command_line_rejects_the_file_keys(self, run_dir, capsys):
+        cfg = write_cfg(run_dir, run_dir / "out", target="kind = mvn\nmean = 1,0,0,0")
+        assert main(["run", cfg, "--set", "target.kind=rosenbrock"]) == 2
+        assert "target key 'mean' is not used by kind 'rosenbrock'" in capsys.readouterr().err
+
     def test_force_starts_a_complete_multi_chain_run_over(self, run_dir, capsys):
         cfg = write_cfg(run_dir, run_dir / "mc", extra="parallelism = multi_chain\nnum_workers = 3")
         assert main(["run", cfg]) == 0

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dramforge as df
-from dramforge import BuiltinTarget, SimSpec, UsageError, build_target
+from dramforge import BuiltinTarget, SimSpec, UsageError, build_target, cli
 from dramforge.core import SplitMix64
+
+MVN4_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "mvn4.cfg")
 
 
 class TestEvalBuiltin:
@@ -203,6 +206,209 @@ class TestOverflowedQuadraticForm:
             values = target(points)
             assert _bits(values) == _bits([target(p) for p in points])
         assert values[1] == -math.inf and all(math.isfinite(v) for v in values[::2])
+
+
+# The builtin targets' bodies in their `@` forms, before mvn and rosenbrock
+# made one ndarray.dot per product: test-only oracles.
+def _mvn_oracle(mean, cov):
+    prec = np.linalg.inv(cov)
+    if np.array_equal(cov, np.eye(len(mean))):
+        def log_density(x):
+            d = x - mean
+            return -0.5 * float(d @ d)
+    else:
+        def log_density(x):
+            d = x - mean
+            q = float(d @ (prec @ d))
+            return -0.5 * q if q > -math.inf else -math.inf
+    return log_density
+
+
+def _rosenbrock_oracle(scale):
+    def log_density(x):
+        a = x[1:] - x[:-1] ** 2
+        b = 1.0 - x[:-1]
+        return -float(scale * (a @ a) + b @ b)
+    return log_density
+
+
+def _mixture_oracles(weights, means, covs):
+    ndim = len(means[0])
+    precs = np.stack([np.linalg.inv(c) for c in covs])
+    lognorms = [-0.5 * (ndim * math.log(2.0 * math.pi) + np.linalg.slogdet(c)[1]) for c in covs]
+    means = np.stack(means)
+    offsets = np.log(weights) + np.asarray(lognorms)
+
+    def log_density(x):
+        d = x - means
+        terms = offsets - 0.5 * np.einsum("ki,kij,kj->k", d, precs, d)
+        peak = terms.max()
+        if not peak < math.inf:
+            terms = np.where(terms < math.inf, terms, -math.inf)
+            peak = terms.max()
+        if peak == -math.inf:
+            return -math.inf
+        return float(peak + math.log(np.exp(terms - peak).sum()))
+
+    def batch(points):
+        d = points[:, None, :] - means
+        terms = offsets - 0.5 * np.einsum("mki,kij,mkj->mk", d, precs, d)
+        peak = np.maximum.reduce(terms, axis=1)
+        peaks = peak.tolist()
+        if not sum(peaks) < math.inf:
+            terms = np.where(terms < math.inf, terms, -math.inf)
+            peak = np.maximum.reduce(terms, axis=1)
+            peaks = peak.tolist()
+        if -math.inf in peaks:
+            peak[peak == -math.inf] = 0.0
+        sums = np.add.reduce(np.exp(terms - peak[:, None]), axis=1).tolist()
+        return [p if p == -math.inf else p + math.log(s) for p, s in zip(peaks, sums)]
+
+    return log_density, batch
+
+
+def _outcome(f, x):
+    """``f(x)`` as bits (a list for a batch), or the name of what it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            value = f(x)
+    except Exception as exc:  # rosenbrock cannot slice a list, before and after
+        return type(exc).__name__
+    return _bits(value if isinstance(value, list) else [value])
+
+
+def _layout(values, layout, rng):
+    """``values`` as the sampler would not pass them: ints, a list, or strided."""
+    if layout == "int":
+        return rng.integers(-4, 5, values.shape)
+    if layout == "list":
+        return values.tolist()
+    if layout == "strided":
+        buf = np.full(values.shape[:-1] + (2 * values.shape[-1],), 7.0)
+        buf[..., ::2] = values
+        return buf[..., ::2]
+    return values
+
+
+_oracle_cases = dict(
+    seed=st.integers(0, 2**32 - 1),
+    ndim=st.integers(1, 20),
+    spd=st.booleans(),
+    layout=st.sampled_from(["float64", "int", "list", "strided"]),
+    where=st.sampled_from(["near", "far", "nan", "zero"]),
+)
+
+
+def _mean(rng, ndim):
+    """All +0.0, all +0.0 but some -0.0, or a mix of +-0.0 and nonzero entries."""
+    kind = rng.integers(3)
+    pool = [[0.0], [0.0, -0.0], [0.0, -0.0, 1.5, -0.25, 3.0]][kind]
+    return rng.choice(pool, ndim)
+
+
+def _cov(rng, ndim, spd):
+    a = rng.normal(0, 1, (ndim, ndim))
+    return a @ a.T + 0.3 * np.eye(ndim) if spd else np.eye(ndim)
+
+
+def _points(rng, shape, where):
+    if where == "zero":  # +0.0 and -0.0 entries
+        return rng.choice([0.0, -0.0], shape)
+    points = rng.normal(0, 1e200 if where == "far" else 2.0, shape)
+    if where == "nan":
+        points[..., rng.integers(shape[-1])] = math.nan
+    return points
+
+
+class TestBuiltinsMatchTheirOracles:
+    """Each builtin target gives its oracle's bits (any NaN for a NaN)."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(**_oracle_cases)
+    def test_mvn(self, seed, ndim, spd, layout, where):
+        rng = np.random.default_rng(seed)
+        mean, cov = _mean(rng, ndim), _cov(rng, ndim, spd)
+        x = _layout(_points(rng, (ndim,), where), layout, rng)
+        assert _outcome(df.mvn_target(mean, cov), x) == _outcome(_mvn_oracle(mean, cov), x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_oracle_cases)
+    def test_rosenbrock(self, seed, ndim, spd, layout, where):
+        rng = np.random.default_rng(seed)
+        ndim, scale = max(ndim, 2), [100.0, 1.0, 0.3][seed % 3]
+        x = _layout(_points(rng, (ndim,), where), layout, rng)
+        assert _outcome(df.rosenbrock_target(ndim, scale), x) == \
+            _outcome(_rosenbrock_oracle(scale), x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(**_oracle_cases, k=st.integers(1, 4), m=st.integers(1, 3))
+    def test_mixture(self, seed, ndim, spd, layout, where, k, m):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.2, 1.0, k)
+        weights /= weights.sum()
+        means = [_mean(rng, ndim) + rng.normal(0, 2, ndim) for _ in range(k)]
+        covs = [_cov(rng, ndim, spd) for _ in range(k)]
+        target = df.mixture_target(weights, means, covs)
+        scalar, batch = _mixture_oracles(weights, means, covs)
+        points = _points(rng, (m, ndim), where)
+        x = _layout(points[0], layout, rng)
+        assert _outcome(target, x) == _outcome(scalar, x)
+        if target.batch is not None and layout != "list":
+            points = _layout(points, layout, rng)
+            assert _outcome(target, points) == _outcome(batch, points)
+
+
+_FULL_COV = [[2.0, 0.5, 0.1, 0.0], [0.5, 1.0, 0.2, 0.0],
+             [0.1, 0.2, 1.5, 0.3], [0.0, 0.0, 0.3, 0.8]]
+
+
+class TestBuiltinChainsMatchTheirOracles:
+    """A 3,000-iteration run of configs/mvn4.cfg writes the same chain bytes
+    with a 4-d builtin target as with a ``TargetDensity`` on its oracle."""
+
+    @pytest.mark.parametrize("target_pairs, oracle", [
+        (None, _mvn_oracle(np.zeros(4), np.eye(4))),
+        ({"kind": "mvn", "mean": "1,-2,0.5,0",
+          "cov": ";".join(",".join(map(str, row)) for row in _FULL_COV)},
+         _mvn_oracle(np.array([1.0, -2.0, 0.5, 0.0]), np.array(_FULL_COV))),
+        ({"kind": "rosenbrock"}, _rosenbrock_oracle(100.0)),
+    ], ids=["mvn4_cfg", "mvn_full", "rosenbrock"])
+    def test_chain_bytes(self, tmp_path, target_pairs, oracle):
+        spec_pairs, cfg_target = cli.parse_config(MVN4_CFG)
+        builtin = df.build_target(cli.build_cli_target(target_pairs or cfg_target, 4))
+        chains = []
+        for name, target in (("builtin", builtin), ("oracle", df.TargetDensity(4, oracle))):
+            spec = cli.build_spec({**spec_pairs, "chain_size": "3000",
+                                   "output_prefix": str(tmp_path / name)})
+            with open(df.run_sampler(spec, target).paths["chain"], "rb") as fh:
+                chains.append(fh.read())
+        assert chains[0] == chains[1]
+
+
+class TestPointLength:
+    """A point or a batch row of another length than ndim is a UsageError,
+    not a broadcast."""
+
+    @pytest.mark.parametrize("target", [
+        df.mvn_target(np.zeros(4)),
+        df.mvn_target(np.ones(4), np.diag([1.0, 2.0, 3.0, 4.0])),
+        df.rosenbrock_target(4),
+        df.mixture_target([0.5, 0.5], [np.zeros(4), np.ones(4)], [np.eye(4)] * 2),
+        df.TargetDensity(4, lambda x: 0.0),
+    ])
+    @pytest.mark.parametrize("length", [1, 2, 5])
+    def test_point_and_batch_rows(self, target, length):
+        with pytest.raises(UsageError, match=f"ndim 4, got a point of length {length}"):
+            target(np.ones(length))
+        with pytest.raises(UsageError, match=f"ndim 4, got a point of length {length}"):
+            target([1.0] * length)
+        with pytest.raises(UsageError, match=f"ndim 4, got a batch of rows of length {length}"):
+            target(np.ones((3, length)))
+
+    def test_right_length_in_any_sequence(self):
+        target = df.mvn_target(np.zeros(4))
+        assert target(np.ones(4)) == target([1, 1, 1, 1]) == target((1.0,) * 4) == -2.0
+        assert target(np.ones((3, 4))) == [-2.0] * 3
 
 
 class TestSimSpec:
