@@ -135,14 +135,21 @@ class _Column:
         chain.records[self.field] = values
 
 
+# Rows formatted by one %-format; it bounds the text held at once when a
+# whole chain or sample is written or sized, and the rows a chain keeps
+# pending as Python values.
+_FORMAT_ROWS = 4096
+
+
 class CompactChain:
     """Weighted sequence of unique accepted states, stored columnar.
 
     The rows live in one array of ``chain_row_dtype(ndim)`` with spare
     capacity at its end. ``append`` keeps a row as a ``ChainRow`` in a
     pending list; the first read of the rows (``records``, a column,
-    ``==``, ``sliced``) packs the pending rows into the array, one column
-    assignment per field, so the array grows once per batch of appends.
+    ``==``, ``sliced``), or the ``_FORMAT_ROWS``-th pending row, packs the
+    pending rows into the array, one column assignment per field, so the
+    array grows once per batch of appends and the pending list stays short.
     Each column attribute (``weight``, ``states``, ...) is a view of one
     row field.
     """
@@ -210,7 +217,10 @@ class CompactChain:
         """
         row = ChainRow(process_id, dr_stage, mean_accept_rate, adaptation_measure,
                        burnin_loc, weight, logf, tuple(state.tolist()))
-        self._pending.append(row)
+        pending = self._pending
+        pending.append(row)
+        if len(pending) == _FORMAT_ROWS:
+            self._pack()
         return row
 
     def _pack(self) -> None:
@@ -260,11 +270,6 @@ def _ascii_format(ndim: int) -> str:
     it once per distinct value.
     """
     return "%d,%d,%.17g,%s,%d,%d,%.17g" + ",%.17g" * ndim + "\n"
-
-
-# Rows formatted by one %-format; it bounds the text held at once when a
-# whole chain or sample is written or sized.
-_FORMAT_ROWS = 4096
 
 
 def _format_rows(row_format: str, columns: list[list]) -> str:

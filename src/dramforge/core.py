@@ -265,6 +265,31 @@ def _check_spd(cov: np.ndarray, what: str) -> np.ndarray:
     return cov
 
 
+def _spd_stack(means: list, covs, ndim: int) -> np.ndarray | None:
+    """The covariances as one ``(K, ndim, ndim)`` array, or None if any fails a check.
+
+    Checks every mean's length and every covariance's shape, symmetry
+    (``_check_spd``'s ``allclose``, which tests each entry alone) and
+    positive definiteness, with one test or factorization of the stack,
+    so a stack passes exactly when every component passes ``_check_spd``.
+    """
+    if any(m.size != ndim for m in means):
+        return None
+    try:
+        stack = np.array(covs, dtype=float)
+    except (ValueError, TypeError):  # ragged or not numbers
+        return None
+    if stack.shape[1:] != (ndim, ndim):
+        return None
+    if not np.allclose(stack, stack.transpose(0, 2, 1), rtol=1e-12, atol=0.0):
+        return None
+    try:
+        np.linalg.cholesky(stack)
+    except np.linalg.LinAlgError:
+        return None
+    return stack
+
+
 def mvn_target(mean, cov=None) -> TargetDensity:
     """Multivariate normal log-density up to its additive constant.
 
@@ -341,21 +366,23 @@ def mixture_target(weights, means, covs) -> TargetDensity:
     if abs(weights.sum() - 1.0) > 1e-9:
         raise UsageError("mixture weights must sum to 1")
     ndim = means[0].size
-    precs, lognorms = [], []
-    for k, (m, c) in enumerate(zip(means, covs), start=1):
-        if m.size != ndim:
-            raise UsageError(f"mixture component {k} mean has {m.size} coordinates, "
-                             f"component 1's has {ndim}")
-        c = _check_spd(c, f"mixture component {k}")
-        if c.shape[0] != ndim:
-            raise UsageError(f"mixture component {k} covariance is {c.shape[0]}x{c.shape[0]}, "
-                             f"its mean has {ndim} coordinates")
-        precs.append(np.linalg.inv(c))
-        sign, logdet = np.linalg.slogdet(c)
-        lognorms.append(-0.5 * (ndim * math.log(TWO_PI) + logdet))
+    stack = _spd_stack(means, covs, ndim)
+    if stack is None:
+        # Some component is at fault: name the first, checking one at a time.
+        for k, (m, c) in enumerate(zip(means, covs), start=1):
+            if m.size != ndim:
+                raise UsageError(f"mixture component {k} mean has {m.size} coordinates, "
+                                 f"component 1's has {ndim}")
+            c = _check_spd(c, f"mixture component {k}")
+            if c.shape[0] != ndim:
+                raise UsageError(f"mixture component {k} covariance is "
+                                 f"{c.shape[0]}x{c.shape[0]}, its mean has {ndim} coordinates")
+    # numpy's linalg runs LAPACK on each matrix of a stack as on one
+    # matrix alone, so these are the per-component bits.
+    precs = np.linalg.inv(stack)
+    lognorms = -0.5 * (ndim * math.log(TWO_PI) + np.linalg.slogdet(stack)[1])
     means = np.stack(means)
-    precs = np.stack(precs)
-    offsets = np.log(weights) + np.asarray(lognorms)
+    offsets = np.log(weights) + lognorms
 
     def log_density(x):
         d = x - means

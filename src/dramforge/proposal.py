@@ -301,16 +301,16 @@ class KernelTape:
     number of attempt starts held; ``stages`` more slots are held as
     look-ahead. ``states[s]`` and ``caches[s]`` are the stream's position
     after ``s`` held slots; the tape's owner moves the stream there after
-    each attempt. ``size`` is the attempt starts last peeked for.
+    each attempt.
     """
 
-    __slots__ = ("prop", "stages", "size", "i", "n", "z", "logu", "states", "caches",
+    __slots__ = ("prop", "stages", "i", "n", "z", "logu", "states", "caches",
                  "ys", "k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")
 
     def __init__(self, prop: ProposalState, z: np.ndarray, logu: list, states: list,
-                 caches: list, stages: int, size: int):
+                 caches: list, stages: int):
         n = len(logu) - stages
-        self.prop, self.stages, self.size = prop, stages, size
+        self.prop, self.stages = prop, stages
         self.i, self.n, self.z, self.logu = 0, n, z, logu
         self.states, self.caches = states, caches
         step = _steps(prop, z, 0)
@@ -333,10 +333,10 @@ class KernelTape:
     def peek(cls, prop: ProposalState, rng: SplitMix64, stages: int, size: int) -> "KernelTape":
         """A tape of the stream's next ``size`` attempt starts."""
         z, logu, states, caches = rng.peek_block(size + stages, prop.ndim)
-        return cls(prop, z, logu.tolist(), states, caches, stages, size)
+        return cls(prop, z, logu.tolist(), states, caches, stages)
 
     def rebased(self, prop: ProposalState) -> "KernelTape":
         """The slots not yet used, under another proposal."""
         i = self.i
         return KernelTape(prop, self.z[i:], self.logu[i:], self.states[i:], self.caches[i:],
-                          self.stages, self.size)
+                          self.stages)

@@ -63,8 +63,7 @@ from .proposal import (
 _LN2 = math.log(2.0)
 _INF = math.inf
 PROGRESS_EVERY = 1000
-# Slots per kernel tape: a stream's first tape is small, so short-lived
-# streams stay cheap, and later ones double up to the cap.
+# Bounds on the slots a new kernel tape holds (see ``_tape_slots``).
 _TAPE_FIRST = 16
 _TAPE_CAP = 1024
 
@@ -202,20 +201,42 @@ def _bad_value(logf: float, where: str) -> NumericalError:
     )
 
 
-def _tape(rng: SplitMix64, prop: ProposalState, stages: int) -> KernelTape:
+def _tape_slots(spec: SimSpec, state: SamplerState, rank: int, iteration: int) -> int:
+    """Slots for a new tape of rank ``rank``'s stream, whose next attempt is ``iteration``.
+
+    The slots the stream is expected to draw before the next adaptation
+    boundary or the end of the run: the iterations left, times the
+    stream's share of attempts, times the slots a rejected attempt draws,
+    clamped to [``_TAPE_FIRST``, ``_TAPE_CAP``]. A single stream's share
+    is 1. Fork-join rank r of n attempts when ranks 1..r-1 reject, so with
+    q the chain's rejection rate its share is (1-q) q^(r-1) / (1-q^n), the
+    reach law of ``parallel.predict_speedup``; it is 1/n before the first
+    acceptance. The tape's values do not depend on its size, so this only
+    trades peeks against slots left unused.
+    """
+    period = spec.adaptation_period
+    left = min(spec.chain_size, -(-iteration // period) * period) - iteration + 1
+    n = len(state.rngs)
+    if n > 1:
+        q = 1.0 - state.accepted_count / state.iteration
+        left *= 1.0 / n if q == 1.0 else (1.0 - q) * q ** (rank - 1) / (1.0 - q**n)
+    slots = math.ceil(left * (spec.dr_stage_count + 1))
+    return min(max(slots, _TAPE_FIRST), _TAPE_CAP)
+
+
+def _tape(rng: SplitMix64, prop: ProposalState, spec: SimSpec, state: SamplerState,
+          rank: int, iteration: int) -> KernelTape:
     """The stream's kernel tape for ``prop``, replaced when spent or stale.
 
     A new proposal re-derives the slots already peeked. A spent tape is
-    followed by one for twice as many slots, from ``_TAPE_FIRST`` up to
-    ``_TAPE_CAP``, so a rank that is seldom reached peeks few slots.
+    followed by one of ``_tape_slots`` slots.
     """
     old = rng.tape
-    if old is None:
-        tape = KernelTape.peek(prop, rng, stages, _TAPE_FIRST)
-    elif old.i < old.n and old.stages == stages:
+    stages = spec.dr_stage_count
+    if old is not None and old.i < old.n and old.stages == stages:
         tape = old.rebased(prop)
     else:
-        tape = KernelTape.peek(prop, rng, stages, min(2 * old.size, _TAPE_CAP))
+        tape = KernelTape.peek(prop, rng, stages, _tape_slots(spec, state, rank, iteration))
     rng.tape = tape
     return tape
 
@@ -228,6 +249,8 @@ def _attempt(
     target: TargetDensity,
     rng: SplitMix64,
     iteration_hint: int,
+    state: SamplerState,
+    rank: int,
 ) -> _Verdict:
     """One DR attempt from ``current`` on a single stream.
 
@@ -237,7 +260,8 @@ def _attempt(
     nothing else. The steps, the log uniforms, the kernel terms and the
     stream's position after the slots used come from the stream's
     ``KernelTape``; a precomputed ``log 0 = -inf`` gives the verdict
-    ``u < alpha`` would. A target with a ``batch`` form is evaluated at
+    ``u < alpha`` would; a new tape is sized from ``state`` and ``rank``
+    (see ``_tape_slots``). A target with a ``batch`` form is evaluated at
     every stage's candidate in one call; otherwise each stage reached
     makes one call. Either way the verdict is the same. A NaN or ``+inf``
     target value at a stage the attempt reaches raises ``NumericalError``.
@@ -245,7 +269,7 @@ def _attempt(
     stages = spec.dr_stage_count
     tape = rng.tape
     if tape is None or tape.prop is not prop or tape.i >= tape.n or tape.stages != stages:
-        tape = _tape(rng, prop, stages)
+        tape = _tape(rng, prop, spec, state, rank, iteration_hint)
     i = tape.i
     logu = tape.logu
     batch = stages and target.batch is not None
@@ -343,7 +367,7 @@ def step(state: SamplerState, target: TargetDensity, spec: SimSpec):
     state.iteration += 1
     verdict = _attempt(
         state.current, state.current_logf, state.proposal, spec, target,
-        state.rngs[0], state.iteration,
+        state.rngs[0], state.iteration, state, 1,
     )
     return state, _apply_verdict(state, verdict, process_id=1)
 
@@ -353,7 +377,7 @@ def worker_attempt(state: SamplerState, target: TargetDensity, spec: SimSpec,
     """One rank's DR attempt from the chain head, on that rank's stream."""
     return _attempt(
         state.current, state.current_logf, state.proposal, spec, target,
-        state.rngs[rank - 1], state.iteration + 1,
+        state.rngs[rank - 1], state.iteration + 1, state, rank,
     )
 
 

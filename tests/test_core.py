@@ -1,3 +1,4 @@
+import inspect
 import math
 import os
 
@@ -356,6 +357,59 @@ class TestBuiltinsMatchTheirOracles:
         if target.batch is not None and layout != "list":
             points = _layout(points, layout, rng)
             assert _outcome(target, points) == _outcome(batch, points)
+
+
+def _per_component_build(weights, covs):
+    """The precisions and log offsets of a mixture, one component at a time."""
+    ndim = len(covs[0])
+    precs = [np.linalg.inv(c) for c in covs]
+    lognorms = [-0.5 * (ndim * math.log(2.0 * math.pi) + np.linalg.slogdet(c)[1]) for c in covs]
+    return np.stack(precs), np.log(weights) + np.asarray(lognorms)
+
+
+class TestMixtureBuild:
+    """The components are checked and factorized as one stack."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(2, 16), ndim=st.integers(1, 6),
+           kinds=st.sampled_from(["identity", "spd", "both"]))
+    def test_stacked_values_are_the_per_component_bits(self, seed, k, ndim, kinds):
+        rng = np.random.default_rng(seed)
+        weights = rng.uniform(0.2, 1.0, k)
+        weights /= weights.sum()
+        means = [rng.normal(0, 2, ndim) for _ in range(k)]
+        spd = {"identity": [False] * k, "spd": [True] * k,
+               "both": rng.integers(0, 2, k).astype(bool).tolist()}[kinds]
+        covs = [_cov(rng, ndim, s) for s in spd]
+        built = inspect.getclosurevars(df.mixture_target(weights, means, covs).log_density)
+        precs, offsets = _per_component_build(weights, covs)
+        assert built.nonlocals["precs"].tobytes() == precs.tobytes()
+        assert built.nonlocals["offsets"].tobytes() == offsets.tobytes()
+        assert built.nonlocals["means"].tobytes() == np.stack(means).tobytes()
+
+    @pytest.mark.parametrize("k", [2, 4])
+    @pytest.mark.parametrize("fault, message", [
+        ("asymmetric", "symmetric"), ("indefinite", "positive definite"),
+    ])
+    def test_a_later_bad_component_is_named(self, k, fault, message):
+        covs = [np.eye(3) for _ in range(4)]
+        covs[k - 1] = covs[k - 1].copy()
+        if fault == "asymmetric":
+            covs[k - 1][0, 2] = 0.5
+        else:
+            covs[k - 1][1, 1] = -1.0
+        with pytest.raises(UsageError, match=f"^mixture component {k} covariance must be "
+                                             f"{message}$"):
+            df.mixture_target([0.25] * 4, [np.zeros(3)] * 4, covs)
+
+    def test_the_first_fault_wins_across_kinds(self):
+        # Component 1 is not positive definite and component 3's mean is
+        # one coordinate short: component 1 is checked first.
+        covs = [np.diag([1.0, -1.0]), np.eye(2), np.eye(2)]
+        means = [np.zeros(2), np.ones(2), np.ones(1)]
+        with pytest.raises(UsageError, match="^mixture component 1 covariance must be "
+                                             "positive definite$"):
+            df.mixture_target([0.5, 0.25, 0.25], means, covs)
 
 
 _FULL_COV = [[2.0, 0.5, 0.1, 0.0], [0.5, 1.0, 0.2, 0.0],

@@ -150,10 +150,10 @@ def eager_cycle(state, target, spec, max_steps=None):
     n = len(state.rngs)
     budget = n if max_steps is None else min(n, max_steps)
     attempts = []
-    for rng in state.rngs:
+    for rank, rng in enumerate(state.rngs, start=1):
         scratch = rng.copy()
         verdict = _attempt(state.current, state.current_logf, state.proposal, spec,
-                           target, scratch, state.iteration + 1)
+                           target, scratch, state.iteration + 1, state, rank)
         attempts.append((scratch, verdict))
     for rank, (scratch, verdict) in enumerate(attempts[:budget], start=1):
         state.rngs[rank - 1].setstate(scratch.getstate())

@@ -1180,3 +1180,80 @@ class TestReportContents:
         assert back.spec == spec
         assert back.ess == out.report.ess
         assert back.iac_history == list(out.report.iac_history)
+
+
+class TestTapeSizing:
+    """Tape sizes are a cost decision: every file keeps its bytes whatever
+    number of slots each new kernel tape holds."""
+
+    class Interrupt(Exception):
+        pass
+
+    @staticmethod
+    def mixture():
+        means = np.random.default_rng(5).standard_normal((16, 4))
+        return df.mixture_target(np.full(16, 1 / 16), means, [np.eye(4)] * 16)
+
+    CASES = {
+        "serial-dr0": dict(chain_size=2950, dr_stage_count=0),
+        "serial-dr1": dict(chain_size=2950, dr_stage_count=1),
+        "serial-dr2": dict(chain_size=2950, dr_stage_count=2),
+        "mixture-8-workers-resumed": dict(chain_size=1500, dr_stage_count=2,
+                                          file_encoding="binary", parallelism="single_chain",
+                                          num_workers=8),
+        "fork-join-resumed": dict(chain_size=2000, dr_stage_count=1,
+                                  parallelism="single_chain", num_workers=4),
+    }
+
+    def digests(self, case, monkeypatch, tmp_path, slots):
+        # One relative prefix in per-run directories: the restart file and
+        # the report echo it.
+        if slots is not None:
+            monkeypatch.setattr(sampler, "_tape_slots", lambda *args: slots)
+        tmp_path.mkdir()
+        monkeypatch.chdir(tmp_path)
+        kwargs = self.CASES[case]
+        spec = SimSpec(ndim=4, output_prefix="run", seed=29, **kwargs)
+        if case.startswith("mixture"):
+            target = self.mixture()
+            assert target.batch is not None
+        else:
+            target = df.TargetDensity(4, lambda x: -0.5 * float(x @ x))
+        if case.endswith("resumed"):
+            def stop_at_800(iteration):
+                if iteration >= 800:
+                    raise self.Interrupt
+
+            with pytest.raises(self.Interrupt):
+                run_sampler(spec, target, on_checkpoint=stop_at_800)
+            assert not os.path.exists("run_report.txt")
+        paths = run_sampler(spec, target).paths
+        digests = {name: sha(paths[name]) for name in OUTPUTS}
+        monkeypatch.undo()
+        return digests
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_forced_sizes_keep_every_file(self, case, monkeypatch, tmp_path):
+        want = self.digests(case, monkeypatch, tmp_path / "rule", None)
+        for slots in (1, sampler._TAPE_CAP):
+            got = self.digests(case, monkeypatch, tmp_path / f"slots{slots}", slots)
+            assert got == want, (case, slots)
+
+    def test_rule_sizes_each_stream_to_its_expected_draws(self):
+        spec = SimSpec(ndim=4, output_prefix="x", chain_size=1000, seed=1, dr_stage_count=2,
+                       parallelism="single_chain", num_workers=4)
+        state = init_state(spec, df.TargetDensity(4, lambda x: -0.5 * float(x @ x)))
+        slots = sampler._tape_slots
+        # Before any acceptance each of the 4 ranks gets a quarter of the
+        # 399 iterations left in the period, at 3 slots an attempt.
+        assert [slots(spec, state, r, 2) for r in (1, 4)] == [300, 300]
+        state.iteration, state.accepted_count = 100, 50  # q = 1/2
+        shares = [0.5**r / (1 - 0.5**4) for r in range(1, 5)]
+        want = [min(max(math.ceil(300 * s * 3), 16), 1024) for s in shares]
+        assert [slots(spec, state, r, 101) for r in range(1, 5)] == want
+        # The end of the run bounds the iterations left, and the clamps hold.
+        assert slots(spec, state, 1, 999) == 16
+        serial = replace(spec, parallelism="none", num_workers=1)
+        state.rngs = state.rngs[:1]
+        assert slots(serial, state, 1, 1) == 1024
+        assert slots(serial, state, 1, 701) == 3 * 100
