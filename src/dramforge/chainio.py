@@ -24,9 +24,9 @@ by ``_parse_rows``.
 from __future__ import annotations
 
 import os
-from collections import namedtuple
 from dataclasses import dataclass
-from operator import mul, sub
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -111,10 +111,6 @@ def chain_row_dtype(ndim: int, version: int = FORMAT_VERSION) -> np.dtype:
 # The row fields, in ascii column order.
 _ROW_FIELDS = chain_row_dtype(1).names
 
-# One appended row, before it is packed into the row array: the row
-# fields as Python values, ``state`` a tuple of floats.
-ChainRow = namedtuple("ChainRow", _ROW_FIELDS)
-
 
 def _chain_header(ndim: int) -> list[str]:
     return list(CHAIN_COLUMNS) + [f"Var{i + 1}" for i in range(ndim)]
@@ -145,13 +141,13 @@ class CompactChain:
     """Weighted sequence of unique accepted states, stored columnar.
 
     The rows live in one array of ``chain_row_dtype(ndim)`` with spare
-    capacity at its end. ``append`` keeps a row as a ``ChainRow`` in a
-    pending list; the first read of the rows (``records``, a column,
-    ``==``, ``sliced``), or the ``_FORMAT_ROWS``-th pending row, packs the
-    pending rows into the array, one column assignment per field, so the
-    array grows once per batch of appends and the pending list stays short.
-    Each column attribute (``weight``, ``states``, ...) is a view of one
-    row field.
+    capacity at its end. ``append`` keeps a row's values pending, column
+    by column: one Python list per scalar field and one flat list of state
+    values. The first read of the rows (``records``, a column, ``==``,
+    ``sliced``), or the ``_FORMAT_ROWS``-th pending row, packs them into
+    the array, one column assignment per field, so the array grows once
+    per batch of appends and the pending lists stay short. Each column
+    attribute (``weight``, ``states``, ...) is a view of one row field.
     """
 
     process_id = _Column("process_id")
@@ -198,44 +194,51 @@ class CompactChain:
         self.ndim = records.dtype["state"].shape[0]
         self._buf = records
         self._n = records.size
-        self._pending: list[ChainRow] = []
+        self._pending = tuple([] for _ in _ROW_FIELDS)  # one list per row field
         self.truncated = truncated
 
     @property
     def records(self) -> np.ndarray:
         """The rows held, as one array of ``chain_row_dtype(ndim)``."""
-        if self._pending:
+        if self._pending[0]:
             self._pack()
         return self._buf[: self._n]
 
     def append(self, process_id, dr_stage, mean_accept_rate, adaptation_measure,
-               burnin_loc, weight, logf, state) -> ChainRow:
-        """Add one row at the end and return it.
+               burnin_loc, weight, logf, state) -> int:
+        """Add one row at the end and return its index.
 
         The row keeps a copy of ``state``'s values, so the caller may
         reuse its array.
         """
-        row = ChainRow(process_id, dr_stage, mean_accept_rate, adaptation_measure,
-                       burnin_loc, weight, logf, tuple(state.tolist()))
-        pending = self._pending
-        pending.append(row)
-        if len(pending) == _FORMAT_ROWS:
-            self._pack()
-        return row
+        pids, stages, rates, measures, burnins, weights, logfs, states = self._pending
+        pids.append(process_id)
+        stages.append(dr_stage)
+        rates.append(mean_accept_rate)
+        measures.append(adaptation_measure)
+        burnins.append(burnin_loc)
+        weights.append(weight)
+        logfs.append(logf)
+        states += state.tolist()
+        if len(pids) == _FORMAT_ROWS:
+            self._pack()  # moves the rows to _n, leaving pids empty
+        return self._n + len(pids) - 1
 
     def _pack(self) -> None:
         """Move the pending rows into the row array; its capacity doubles when full."""
         pending, n = self._pending, self._n
-        end = n + len(pending)
+        end = n + len(pending[0])
         if end > self._buf.size:
             grown = np.zeros(max(2 * end, 64), self._buf.dtype)
             grown[:n] = self._buf[:n]
             self._buf = grown
         block = self._buf[n:end]
-        for name, column in zip(_ROW_FIELDS, zip(*pending)):
+        for name, column in zip(_ROW_FIELDS[:-1], pending):
             block[name] = column
+        block["state"] = np.reshape(pending[-1], (end - n, self.ndim))
         self._n = end
-        self._pending = []
+        for column in pending:
+            column.clear()
 
     @property
     def header(self) -> list[str]:
@@ -243,7 +246,7 @@ class CompactChain:
 
     @property
     def n_rows(self) -> int:
-        return self._n + len(self._pending)
+        return self._n + len(self._pending[0])
 
     @property
     def total_weight(self) -> int:
@@ -299,28 +302,35 @@ def _measure_texts(measures: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, bits))
 
 
-def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[list[str], int, int]:
-    """The ascii lines of up to ``_FORMAT_ROWS`` rows, and their (compact, verbose) sizes.
+# 10**1 .. 10**18: a weight w >= 1 has one digit more than the number of these <= w.
+_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+
+def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[bytes, int, int]:
+    """The ascii text of up to ``_FORMAT_ROWS`` rows, and its (compact, verbose) sizes.
 
     A line carries the row's weight, or 1 with ``weight_one``: the compact
     line, or the verbose line that is written weight times. The two differ
-    only in the weight column, so each size follows from the other's line
-    lengths. Row content is pure ASCII, so string length equals byte length.
+    only in the weight column, so both sizes follow from the text's
+    newline offsets and the weights' digit counts.
     """
     n = records.size
-    weights = records["weight"].tolist()
+    weights = records["weight"]
+    weight_list = weights.tolist()
     # The columns in line order: the fields before the weight (the measure
     # as text), the weight, logf, then one column per state coordinate.
     columns = [records[name].tolist() for name in _ROW_FIELDS[:3]]
     columns += [_measure_texts(records["adaptation_measure"]), records["burnin_loc"].tolist(),
-                [1] * n if weight_one else weights, records["logf"].tolist(),
+                [1] * n if weight_one else weight_list, records["logf"].tolist(),
                 *records["state"].T.tolist()]
-    text = _format_rows(_ascii_format(records.dtype["state"].shape[0]), columns)
-    lines = text.splitlines(keepends=True)
+    text = _format_rows(_ascii_format(records.dtype["state"].shape[0]), columns).encode("ascii")
+    lengths = np.diff(np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")), prepend=-1)
     # The weight column's width beyond the verbose line's "1".
-    wider = [len(str(w)) - 1 for w in weights]
-    units = list(map(len, lines)) if weight_one else list(map(sub, map(len, lines), wider))
-    return lines, sum(units) + sum(wider), sum(map(mul, units, weights))
+    wider = np.searchsorted(_POW10, weights, side="right")
+    units = lengths if weight_one else lengths - wider
+    # The verbose size in Python ints: a product may not fit in 64 bits.
+    verbose = sum(map(mul, units.tolist(), weight_list))
+    return text, int(units.sum() + wider.sum()), verbose
 
 
 class ChainWriter:
@@ -345,22 +355,16 @@ class ChainWriter:
         # Rows lo..hi-1 of chain are marked and not yet written.
         self._chain, self._lo, self._hi = None, 0, 0
         if encoding == "ascii":
-            header = ",".join(_chain_header(ndim)) + "\n"
-            base = len(header.encode("utf-8"))
-            mode = "a" if append else "w"
-            self._fh = open(path, mode, encoding="utf-8", newline="\n")
-            if not append:
-                self._fh.write(header)
+            header = (",".join(_chain_header(ndim)) + "\n").encode("ascii")
         else:
-            base = _CHAIN_HEADER.itemsize
-            if append:
-                self._fh = open(path, "r+b")
-                self._fh.seek(0, os.SEEK_END)
-            else:
-                self._fh = open(path, "wb")
-                head = np.array((CHAIN_MAGIC, FORMAT_VERSION, ndim, 0), _CHAIN_HEADER)
-                self._fh.write(head.tobytes())
-        self.compact_bytes, self.verbose_bytes = initial_bytes or (base, base)
+            header = np.array((CHAIN_MAGIC, FORMAT_VERSION, ndim, 0), _CHAIN_HEADER).tobytes()
+        # Not mode "a": a binary flush seeks back to rewrite the header's row count.
+        self._fh = open(path, "r+b" if append else "wb")
+        if append:
+            self._fh.seek(0, os.SEEK_END)
+        else:
+            self._fh.write(header)
+        self.compact_bytes, self.verbose_bytes = initial_bytes or (len(header), len(header))
 
     def append(self, chain: CompactChain, i: int) -> None:
         """Mark row ``i`` of ``chain`` to write at the next flush.
@@ -381,11 +385,11 @@ class ChainWriter:
         for lo in range(self._lo, self._hi, _FORMAT_ROWS):
             block = records[lo : min(lo + _FORMAT_ROWS, self._hi)]
             if self.encoding == "ascii":
-                lines, compact, expanded = _ascii_block(block, verbose)
+                text, compact, expanded = _ascii_block(block, verbose)
                 if verbose:
-                    self._fh.write("".join(map(mul, lines, block["weight"].tolist())))
-                else:
-                    self._fh.write("".join(lines))
+                    text = b"".join(map(mul, text.splitlines(keepends=True),
+                                        block["weight"].tolist()))
+                self._fh.write(text)
             else:
                 weights = block["weight"]
                 compact = self._row_size * block.size
@@ -843,14 +847,18 @@ class RestartCheckpoint:
         return True
 
 
+# Built once per ndim; callers only index with the arrays.
+_triu_indices = lru_cache(maxsize=None)(np.triu_indices)
+
+
 def _triu_pack(mat: np.ndarray) -> np.ndarray:
-    i, j = np.triu_indices(mat.shape[0])
+    i, j = _triu_indices(mat.shape[0])
     return mat[i, j]
 
 
 def _triu_unpack(flat: np.ndarray, ndim: int) -> np.ndarray:
     mat = np.zeros((ndim, ndim))
-    i, j = np.triu_indices(ndim)
+    i, j = _triu_indices(ndim)
     mat[i, j] = flat
     mat[j, i] = flat
     return mat

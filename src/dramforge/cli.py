@@ -11,6 +11,7 @@ error, 4 refused resume or overwrite.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -98,11 +99,7 @@ def _target_key_kinds(key: str) -> tuple:
 
 
 def _parse_matrix(text: str) -> np.ndarray:
-    rows = [
-        [float(v) for v in row.split(",")]
-        for row in text.split(";")
-        if row.strip()
-    ]
+    rows = [[float(v) for v in row.split(",")] for row in text.split(";") if row.strip()]
     return np.array(rows, dtype=float)
 
 
@@ -128,11 +125,8 @@ def build_cli_target(target_pairs: dict, ndim: int) -> BuiltinTarget:
         if kind not in _target_key_kinds(key):
             raise UsageError(f"target key {key!r} is not used by kind {kind!r}")
     if kind == "mvn":
-        mean = (
-            np.array([float(v) for v in target_pairs["mean"].split(",")])
-            if "mean" in target_pairs
-            else np.zeros(ndim)
-        )
+        mean = target_pairs.get("mean")
+        mean = np.zeros(ndim) if mean is None else np.array([float(v) for v in mean.split(",")])
         cov = _parse_matrix(target_pairs["cov"]) if "cov" in target_pairs else None
         return BuiltinTarget("mvn", {"mean": mean, "cov": cov})
     if kind == "rosenbrock":
@@ -348,7 +342,10 @@ def cmd_postproc(args) -> int:
     return EXIT_OK
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One per process: main may run many times in one process, and a
+    # parser's objects form cycles that only the cyclic collector frees.
     parser = argparse.ArgumentParser(
         prog="dramforge",
         description="Delayed-rejection adaptive Metropolis sampler with restartable runs.",
@@ -363,14 +360,16 @@ def main(argv: list[str] | None = None) -> int:
     run_p.add_argument("--force", action="store_true",
                        help="delete this run's files (for this config's encoding and "
                             "chain count) and start over")
-    run_p.set_defaults(func=cmd_run)
     post_p = sub.add_parser("postproc", help="export plot-ready data from a finished run")
     post_p.add_argument("prefix", help="output prefix of the finished run")
     post_p.add_argument("--what", choices=("stats", "acf", "covmat", "contrib"),
                         required=True)
-    post_p.set_defaults(func=cmd_postproc)
-    args = parser.parse_args(argv)
-    return args.func(args)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
+    return (cmd_run if args.command == "run" else cmd_postproc)(args)
 
 
 if __name__ == "__main__":

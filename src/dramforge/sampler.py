@@ -19,7 +19,6 @@ import numpy as np
 
 from . import refinement
 from .chainio import (
-    ChainRow,
     ChainWriter,
     CompactChain,
     ParallelStats,
@@ -68,13 +67,9 @@ _TAPE_FIRST = 16
 _TAPE_CAP = 1024
 
 
-@dataclass(slots=True)
-class _Verdict:
-    accepted: bool
-    point: np.ndarray | None = None
-    logf: float = -math.inf
-    stage: int = 0
-    stages_attempted: int = 1
+# A verdict is ``(accepted, point, logf, stage, stages_attempted)``; the
+# rejection after k stages is ``_REJECTED[k - 1]``.
+_REJECTED = tuple((False, None, -_INF, 0, k) for k in (1, 2, 3))
 
 
 @dataclass
@@ -251,8 +246,8 @@ def _attempt(
     iteration_hint: int,
     state: SamplerState,
     rank: int,
-) -> _Verdict:
-    """One DR attempt from ``current`` on a single stream.
+) -> tuple:
+    """One DR attempt from ``current`` on a single stream, and its verdict.
 
     Tries stage 0, then up to ``spec.dr_stage_count`` delayed-rejection
     stages, stopping at the first acceptance. Consumes one slot (ndim
@@ -285,9 +280,9 @@ def _attempt(
     if not f1 < _INF:  # NaN or +inf, in one comparison
         raise _bad_value(f1, f"near iteration {iteration_hint}")
     if logu[i] < (f1 - current_logf if f1 < current_logf else 0.0):
-        verdict = _Verdict(True, y1, f1, 0, 1)
+        verdict = (True, y1, f1, 0, 1)
     elif stages < 1:
-        verdict = _Verdict(False, stages_attempted=1)
+        verdict = _REJECTED[0]
     else:
         if batch:
             y2, f2 = ys[1], fs[1]
@@ -300,9 +295,9 @@ def _attempt(
         k0_y2_y1 = tape.k0_y2_y1[i]
         la2 = dr_log_alpha2(current_logf, f1, f2, k0_y2_y1, k0_x_y1)
         if logu[i + 1] < la2:
-            verdict = _Verdict(True, y2, f2, 1, 2)
+            verdict = (True, y2, f2, 1, 2)
         elif stages < 2:
-            verdict = _Verdict(False, stages_attempted=2)
+            verdict = _REJECTED[1]
         else:
             if batch:
                 y3, f3 = ys[2], fs[2]
@@ -316,18 +311,18 @@ def _attempt(
                 tape.k1_x_y2[i], tape.k1_y3_y1[i], la2,
             )
             if logu[i + 2] < la3:
-                verdict = _Verdict(True, y3, f3, 2, 3)
+                verdict = (True, y3, f3, 2, 3)
             else:
-                verdict = _Verdict(False, stages_attempted=3)
-    i += verdict.stages_attempted
+                verdict = _REJECTED[2]
+    i += verdict[4]
     tape.i = i
     rng.state = tape.states[i]
     rng.gauss_cache = tape.caches[i]
     return verdict
 
 
-def _emit_live(state: SamplerState) -> ChainRow:
-    """Close the live row: append it to ``state.rows`` and return it.
+def _emit_live(state: SamplerState) -> int:
+    """Close the live row: append it to ``state.rows`` and return its index.
 
     A new maximum of logf moves the burn-in first, so the row is appended
     with its final ``burnin_loc``.
@@ -343,38 +338,36 @@ def _emit_live(state: SamplerState) -> ChainRow:
     )
 
 
-def _apply_verdict(state: SamplerState, verdict: _Verdict, process_id: int) -> ChainRow | None:
-    """Bookkeeping for one consumed iteration; returns any emitted row."""
-    if not verdict.accepted:
+def _apply_verdict(state: SamplerState, verdict: tuple, process_id: int) -> int | None:
+    """Bookkeeping for one consumed iteration; returns the index of any emitted row."""
+    if not verdict[0]:
         state.pending_weight += 1
         return None
     state.accepted_count += 1
-    row = _emit_live(state)
-    state.current = verdict.point
-    state.current_logf = verdict.logf
-    state.live_dr_stage = verdict.stage
+    i = _emit_live(state)
+    _, state.current, state.current_logf, state.live_dr_stage, _ = verdict
     state.live_process_id = process_id
     state.pending_weight = 1
-    return row
+    return i
 
 
 def step(state: SamplerState, target: TargetDensity, spec: SimSpec):
     """One serial sweep: propose, delay-reject as configured, update weight.
 
-    Returns ``(state, emitted_row_or_None)``; a row comes out only when a
-    new state is accepted, closing the previous one.
+    Returns ``(state, row_index_or_None)``; a row of ``state.rows`` comes
+    out only when a new state is accepted, closing the previous one.
     """
     state.iteration += 1
     verdict = _attempt(
         state.current, state.current_logf, state.proposal, spec, target,
         state.rngs[0], state.iteration, state, 1,
     )
-    return state, _apply_verdict(state, verdict, process_id=1)
+    return state, _apply_verdict(state, verdict, 1)
 
 
 def worker_attempt(state: SamplerState, target: TargetDensity, spec: SimSpec,
-                   rank: int) -> _Verdict:
-    """One rank's DR attempt from the chain head, on that rank's stream."""
+                   rank: int) -> tuple:
+    """One rank's DR attempt from the chain head, on that rank's stream; its verdict."""
     return _attempt(
         state.current, state.current_logf, state.proposal, spec, target,
         state.rngs[rank - 1], state.iteration + 1, state, rank,
@@ -395,16 +388,16 @@ def fork_join_cycle(state: SamplerState, target: TargetDensity, spec: SimSpec,
     the chain consumes. An eager backend that evaluates every rank
     reproduces this chain by restoring the streams of the ranks it
     discards.
-    Returns ``(state, winning_rank_or_None, row_or_None)``.
+    Returns ``(state, winning_rank_or_None, row_index_or_None)``.
     """
     n = len(state.rngs)
     budget = n if max_steps is None else min(n, max_steps)
     for rank in range(1, budget + 1):
         verdict = worker_attempt(state, target, spec, rank)
         state.iteration += 1
-        row = _apply_verdict(state, verdict, process_id=rank)
-        if verdict.accepted:
-            return state, rank, row
+        i = _apply_verdict(state, verdict, rank)
+        if i is not None:
+            return state, rank, i
     return state, None, None
 
 
@@ -618,14 +611,14 @@ class _Run:
                     # period end, whichever comes first.
                     stop = min(spec.chain_size, boundary, next_progress)
                     while state.iteration < stop:
-                        _, row = step(state, self.target, spec)
-                        if row is not None:
-                            writer.append(rows, rows.n_rows - 1)
+                        i = step(state, self.target, spec)[1]
+                        if i is not None:
+                            writer.append(rows, i)
                 else:
                     max_steps = min(spec.chain_size, boundary) - state.iteration
-                    _, _, row = fork_join_cycle(state, self.target, spec, max_steps)
-                    if row is not None:
-                        writer.append(rows, rows.n_rows - 1)
+                    i = fork_join_cycle(state, self.target, spec, max_steps)[2]
+                    if i is not None:
+                        writer.append(rows, i)
                 while next_progress <= state.iteration:
                     self.progress.line(
                         next_progress, state.accepted_count,
@@ -636,8 +629,7 @@ class _Run:
                 if state.iteration % period == 0:
                     adapt_if_due(state, spec)
                     self.checkpoint()
-            _emit_live(state)
-            writer.append(rows, rows.n_rows - 1)
+            writer.append(rows, _emit_live(state))
             writer.close()
             if state.iteration % PROGRESS_EVERY != 0:
                 self.progress.line(

@@ -11,6 +11,7 @@ import dramforge as df
 from dramforge import CompactChain, ParseError, SimSpec
 from dramforge.chainio import (
     ChainWriter,
+    _ascii_block,
     RestartCheckpoint,
     RestartWriter,
     chain_byte_size,
@@ -214,6 +215,21 @@ class TestAsciiLineOracle:
         assert writer.verbose_bytes == len(verbose)
 
 
+    @pytest.mark.parametrize("weight_one", [False, True])
+    def test_block_text_and_sizes_at_every_weight_width(self, weight_one):
+        # Weights on both sides of every digit-count boundary, up to the
+        # largest int64; the verbose size then passes 2**64.
+        weights = [1] + [w for k in range(1, 19) for w in (10**k - 1, 10**k)] + [2**63 - 1]
+        chain = random_chain(np.random.default_rng(5), 3, len(weights))
+        chain.weight = weights
+        records = chain.records
+        text, compact, verbose = _ascii_block(records, weight_one)
+        lines = [_oracle_line(r, 1 if weight_one else int(r.weight)) for r in records]
+        assert text == "".join(lines).encode("ascii")
+        assert compact == sum(len(_oracle_line(r, int(r.weight))) for r in records)
+        assert verbose == sum(len(_oracle_line(r, 1)) * int(r.weight) for r in records)
+        assert verbose > 2**64
+
     def test_measure_column_of_repeated_values_matches_oracle(self, tmp_path):
         # One text per distinct measure: -0.0 and 0.0 are told apart, and
         # NaN of either sign prints "nan".
@@ -356,8 +372,7 @@ class TestRowStore:
             start = int(rng.integers(0, expected.n_rows)) if trial % 2 else 0
             chain = expected.sliced(start) if start else CompactChain(ndim)
             for i in range(start, expected.n_rows):
-                row = chain.append(*self._row_args(expected, i))
-                assert row.weight == expected.weight[i]
+                assert chain.append(*self._row_args(expected, i)) == i
                 n = i + 1
                 read = int(rng.integers(0, 16))
                 if read == 0:
@@ -380,12 +395,28 @@ class TestRowStore:
             assert chain == expected
             assert chain.records.tobytes() == expected.records.tobytes()
 
+    def test_appends_crossing_the_pack_threshold_between_reads(self):
+        # Reads with 1, 4,095, 0 and 1 rows pending, then after 8,807
+        # appends that cross the 4,096-row pack twice, and at the end.
+        rng = np.random.default_rng(44)
+        expected = random_chain(rng, 2, 17_003)
+        reads = {1, 4096, 8192, 8193, 17_000, 17_003}
+        chain = CompactChain(2)
+        for i in range(expected.n_rows):
+            assert chain.append(*self._row_args(expected, i)) == i
+            n = i + 1
+            assert chain.n_rows == n
+            if n in reads:
+                assert chain.records.tobytes() == expected.records[:n].tobytes()
+        assert chain == expected
+
     def test_append_keeps_a_copy_of_the_state(self):
         chain = CompactChain(2)
         state = np.array([1.5, -2.0])
         row = chain.append(3, 1, 0.25, 0.0, 0, 4, -1.0, state)
         state[:] = 9.0
-        assert row.state == (1.5, -2.0) and row.weight == 4
+        assert row == 0
+        assert chain.states[row].tolist() == [1.5, -2.0] and chain.weight[row] == 4
         chain.append(3, 1, 0.25, 0.0, 0, 1, -2.0, state)
         state[:] = 7.0
         assert chain.states.tolist() == [[1.5, -2.0], [9.0, 9.0]]

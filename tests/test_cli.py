@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 
@@ -373,6 +374,21 @@ class TestCmdPostproc:
         total = sum(int(r.split(",")[1]) for r in rows)
         chain = df.read_chain(finished + "_chain.txt")
         assert total == chain.n_rows
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, finished):
+        # The parser is built once per process: a parser per call leaves about
+        # a hundred objects that only the cyclic collector frees.
+        assert main(["postproc", finished, "--what", "stats"]) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            for what in ("stats", "acf", "covmat", "contrib"):
+                assert main(["postproc", finished, "--what", what]) == 0
+            gc.collect()
+            assert gc.garbage == []
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
 
     def test_stats_export(self, finished):
         assert main(["postproc", finished, "--what", "stats"]) == 0

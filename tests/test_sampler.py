@@ -20,6 +20,7 @@ from dramforge.core import SplitMix64
 from dramforge.proposal import initial_proposal
 from dramforge.refinement import refine
 from dramforge.sampler import (
+    _dr_log_alpha3,
     _emit_live,
     _log1mexp,
     adapt_if_due,
@@ -101,7 +102,7 @@ class TestStep:
         state.proposal = forced_proposal_state(4, chol_scale=0.0)
         state, row = step(state, mvn4, spec)
         assert row is not None  # previous (start) row emitted
-        assert row.weight == 1
+        assert state.rows.weight[row] == 1
         assert state.accepted_count == 1
         assert state.iteration == 2
 
@@ -149,7 +150,6 @@ def scalar_attempt(x, fx, prop, stages, target, rng):
     Returns ``(accepted, stage, stages_attempted, point)``.
     """
     from dramforge.proposal import log_kernel, propose
-    from dramforge.sampler import _dr_log_alpha3
 
     def accepts(log_alpha):
         u = rng.uniform()
@@ -598,6 +598,78 @@ class TestStationarity:
                 diff = abs(counts[i, j] - counts[j, i])
                 stderr = math.sqrt(counts[i, j] + counts[j, i])
                 assert diff <= 3.0 * stderr
+
+
+def dr_transition_matrix(logf, logq, stages):
+    """The DR transition matrix on a ring of states, summed path by path.
+
+    ``logf[s]`` is state s's log-density (-inf off the support) and
+    ``logq[k][d]`` the log-probability that stage k's kernel moves d
+    places around the ring (symmetric: ``logq[k][d] == logq[k][-d]``).
+    Every candidate path from every state goes through the sampler's own
+    acceptance functions. The row of a state off the support stays 0:
+    pi weighs it by 0.
+    """
+    n = len(logf)
+    P = np.zeros((n, n))
+    for x in range(n):
+        fx = logf[x]
+        if fx == -math.inf:
+            continue
+        for y1 in range(n):
+            k0_x_y1 = logq[0][(y1 - x) % n]
+            la1 = metropolis_log_alpha(fx, logf[y1])
+            P[x, y1] += math.exp(k0_x_y1 + la1)
+            reach1 = math.exp(k0_x_y1) * -math.expm1(la1)  # stage 0 tried y1, rejected
+            for y2 in range(n if stages >= 1 else 0):
+                k0_y2_y1 = logq[0][(y1 - y2) % n]
+                k1_x_y2 = logq[1][(y2 - x) % n]
+                la2 = dr_log_alpha2(fx, logf[y1], logf[y2], k0_y2_y1, k0_x_y1)
+                P[x, y2] += reach1 * math.exp(k1_x_y2 + la2)
+                reach2 = reach1 * math.exp(k1_x_y2) * -math.expm1(la2)
+                for y3 in range(n if stages >= 2 else 0):
+                    la3 = _dr_log_alpha3(
+                        fx, logf[y1], logf[y2], logf[y3], k0_x_y1, logq[0][(y2 - y3) % n],
+                        k0_y2_y1, k1_x_y2, logq[1][(y1 - y3) % n], la2,
+                    )
+                    P[x, y3] += reach2 * math.exp(logq[2][(y3 - x) % n] + la3)
+        P[x, x] += 1.0 - P[x].sum()
+    return P
+
+
+class TestDelayedRejectionExact:
+    """Detailed balance of the DR kernel, exact on a finite state space.
+
+    A ring of states with random pi, two states off the support (logf
+    -inf) and a tie (equal logf, which reaches ``_log1mexp``'s guard), and
+    random symmetric circulant stage kernels. The transition matrix is
+    summed over every candidate path, so pi_i P_ij = pi_j P_ji must hold
+    to rounding: a wrong kernel term or a missing ``log(1 - alpha)``
+    factor leaves a flux imbalance of order 1e-3.
+    """
+
+    @pytest.mark.parametrize("n_states", [5, 6, 7])
+    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_detailed_balance_holds_exactly(self, n_states, stages, seed):
+        rng = np.random.default_rng([seed, n_states, stages])
+        logf = rng.normal(0.0, 1.5, n_states)
+        off, tie = rng.choice(n_states, size=4, replace=False).reshape(2, 2)
+        logf[off] = -math.inf
+        logf[tie[1]] = logf[tie[0]]
+        logq = []
+        for _ in range(stages + 1):
+            c = rng.uniform(0.1, 1.0, n_states)
+            c = c + np.roll(c[::-1], 1)  # c[d] == c[-d]: a symmetric kernel
+            logq.append(np.log(c / c.sum()).tolist())
+        logf = logf.tolist()
+        P = dr_transition_matrix(logf, logq, stages)
+        pi = np.exp(logf)
+        pi /= pi.sum()
+        assert P.min() >= -1e-15
+        assert np.allclose(P.sum(axis=1)[pi > 0], 1.0, rtol=0.0, atol=1e-12)
+        flux = pi[:, None] * P
+        assert np.abs(flux - flux.T).max() < 1e-12
 
 
 class TestRestartProtocol:
