@@ -18,6 +18,7 @@ MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _INV_2POW53 = 1.0 / (1 << 53)
 TWO_PI = 2.0 * math.pi
+MAX_DR_STAGES = 2  # the most delayed-rejection stages an attempt tries after stage 0
 
 
 class DramforgeError(Exception):
@@ -553,8 +554,8 @@ class SimSpec:
             raise UsageError("adaptation_period must be positive")
         if self.greedy_adaptation_count < 0:
             raise UsageError("greedy_adaptation_count must be nonnegative")
-        if not 0 <= self.dr_stage_count <= 2:
-            raise UsageError("dr_stage_count must be 0, 1, or 2 (maximum supported 2)")
+        if not 0 <= self.dr_stage_count <= MAX_DR_STAGES:
+            raise UsageError(f"dr_stage_count must lie in [0, {MAX_DR_STAGES}]")
         if not 0.0 < self.dr_scale_factor < 1.0:
             raise UsageError("dr_scale_factor must lie strictly in (0, 1)")
         if self.proposal_scale <= 0:

@@ -290,22 +290,24 @@ class KernelTape:
     ``SplitMix64.peek_block``). An attempt that starts at slot ``i`` tries
     stage ``j`` on slot ``i + j``: candidate ``x + ys[i][j]``, verdict
     ``logu[i + j] < log alpha``. ``ys[i]`` stacks the attempt's steps
-    ``(d1, d2, d3)``, ``dj`` stage ``j - 1``'s step on its slot, so all
-    of its candidates are one add. The DR kernel terms depend only on
-    differences of candidates, ``y1 - x = d1``, ``y1 - y2 = d1 - d2``,
-    ``y2 - y3 = d2 - d3``, ``y2 - x = d2`` and ``y1 - y3 = d1 - d3``, so
-    they are computed ahead too, one per attempt start. A row's values do
-    not depend on the block it is in.
+    ``d1, d2, ...``, ``dj`` stage ``j - 1``'s step on its slot, so all of
+    its candidates are one add. With x point 0 and the stage-(j-1)
+    candidate point j, the DR algebra weighs points a and a + dist by the
+    stage-(dist-1) kernel at their difference, ``d(a+dist)`` for a = 0 and
+    ``da - d(a+dist)`` otherwise, so these terms are computed ahead too:
+    ``kern[dist - 1][a][i]``, one list per pair over the attempt starts.
+    A row's values do not depend on the block it is in.
 
     ``i`` is the next slot, the stream's only slot cursor, and ``n`` the
     number of attempt starts held; ``stages`` more slots are held as
     look-ahead. ``states[s]`` and ``caches[s]`` are the stream's position
     after ``s`` held slots; the tape's owner moves the stream there after
-    each attempt.
+    each attempt. ``logfs`` (one value per point) and ``memo`` are the
+    owner's scratch for an attempt's DR algebra, reused by every attempt.
     """
 
-    __slots__ = ("prop", "stages", "i", "n", "z", "logu", "states", "caches",
-                 "ys", "k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")
+    __slots__ = ("prop", "stages", "i", "n", "z", "logu", "states", "caches", "ys", "kern",
+                 "logfs", "memo")
 
     def __init__(self, prop: ProposalState, z: np.ndarray, logu: list, states: list,
                  caches: list, stages: int):
@@ -316,18 +318,14 @@ class KernelTape:
         step = _steps(prop, z, 0)
         d = [step[:n]] + [step[j : n + j] * prop.dr_scale**j for j in range(1, stages + 1)]
         self.ys = np.stack(d, axis=1)
-        # One kernel pass per kernel scale; the kernel is row-wise, so
-        # stacking the differences keeps each value's bits.
-        if stages == 1:
-            d1, d2 = d
-            k0 = _kernel_log_densities(prop, np.concatenate((d1, d1 - d2)), 0).tolist()
-            self.k0_x_y1, self.k0_y2_y1 = k0[:n], k0[n:]
-        elif stages == 2:
-            d1, d2, d3 = d
-            k0 = _kernel_log_densities(prop, np.concatenate((d1, d1 - d2, d2 - d3)), 0).tolist()
-            k1 = _kernel_log_densities(prop, np.concatenate((d2, d1 - d3)), 1).tolist()
-            self.k0_x_y1, self.k0_y2_y1, self.k0_y3_y2 = k0[:n], k0[n : 2 * n], k0[2 * n :]
-            self.k1_x_y2, self.k1_y3_y1 = k1[:n], k1[n:]
+        self.logfs, self.memo = [0.0] * (stages + 2), {}
+        # One kernel pass per distance over its pairs' stacked differences;
+        # the kernel is row-wise, so stacking keeps each value's bits.
+        self.kern = []
+        for dist in range(1, stages + 1):
+            diffs = [d[dist - 1]] + [d[b - dist] - d[b] for b in range(dist, stages + 1)]
+            k = _kernel_log_densities(prop, np.concatenate(diffs), dist - 1).tolist()
+            self.kern.append([k[j : j + n] for j in range(0, len(k), n)])
 
     @classmethod
     def peek(cls, prop: ProposalState, rng: SplitMix64, stages: int, size: int) -> "KernelTape":

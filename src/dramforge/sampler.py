@@ -1,10 +1,10 @@
 """The DRAM main loop.
 
 One iteration proposes a candidate, optionally retries rejection through
-up to two shrunken delayed-rejection stages, and either starts a new
-chain row or increments the live row's repeat weight. Adaptation,
-checkpointing, and file flushes all share the same cadence so a crash
-can lose at most one adaptation period of work.
+up to ``MAX_DR_STAGES`` shrunken delayed-rejection stages, and either
+starts a new chain row or increments the live row's repeat weight.
+Adaptation, checkpointing, and file flushes all share the same cadence so
+a crash can lose at most one adaptation period of work.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from .chainio import (
     write_sample,
 )
 from .core import (
+    MAX_DR_STAGES,
     NumericalError,
     ResumeRefused,
     RunAlreadyComplete,
@@ -61,6 +62,7 @@ from .proposal import (
 
 _LN2 = math.log(2.0)
 _INF = math.inf
+_NINF = -math.inf
 PROGRESS_EVERY = 1000
 # Bounds on the slots a new kernel tape holds (see ``_tape_slots``).
 _TAPE_FIRST = 16
@@ -69,7 +71,7 @@ _TAPE_CAP = 1024
 
 # A verdict is ``(accepted, point, logf, stage, stages_attempted)``; the
 # rejection after k stages is ``_REJECTED[k - 1]``.
-_REJECTED = tuple((False, None, -_INF, 0, k) for k in (1, 2, 3))
+_REJECTED = tuple((False, None, _NINF, 0, k) for k in range(1, MAX_DR_STAGES + 2))
 
 
 @dataclass
@@ -121,6 +123,58 @@ def _log1mexp(a: float) -> float:
     return math.log(-math.expm1(a))
 
 
+def dr_log_alpha(logfs: list, kern: list, i: int, s: int, e: int, memo: dict) -> float:
+    """Log acceptance probability of the delayed-rejection path from point ``s`` to ``e``.
+
+    Point 0 is the attempt's current point, point j its stage-(j-1)
+    candidate and ``logfs[j]`` its log-density; ``kern`` holds its kernel
+    terms at index ``i``, laid out as ``KernelTape.kern``. Mira's rule with
+    stage kernels centred at the current point (Haario et al., DRAM): a
+    one-step path is Metropolis, a longer one ``min(0, num - den)``, the
+    ``_end_weight`` of ``e`` and of ``s``. ``memo`` keeps the attempt's
+    longer alphas, keyed ``(s, e)``.
+    """
+    if logfs[e] == _NINF:
+        return _NINF
+    c = 1 if e > s else -1  # the step from s toward e
+    m = (e - s) * c
+    if m == 1:
+        return metropolis_log_alpha(logfs[s], logfs[e])
+    # A -inf num gives -inf; with num finite, a -inf den gives 0.
+    num = _end_weight(logfs, kern, i, e, -c, m, memo)
+    if num == _NINF:
+        return num
+    a = num - _end_weight(logfs, kern, i, s, c, m, memo)
+    return a if a < 0.0 else 0.0
+
+
+def _end_weight(logfs: list, kern: list, i: int, p: int, c: int, m: int, memo: dict) -> float:
+    """Log weight of end ``p`` of an ``m``-step path whose next point is ``p + c``.
+
+    Its logf, the stage-(d-1) kernel to the point at distance d < m, then
+    log(1 - alpha) of its paths of 1 to m - 1 steps, in that order; a -inf
+    neighbour term returns -inf at once.
+    """
+    f = logfs[p]
+    w = _log1mexp(logfs[p + c] - f)
+    if w == _NINF:
+        return w
+    f += kern[0][p if c > 0 else p - 1][i]
+    if m == 2:
+        return f + w
+    far = range(2, m)
+    for d in far:
+        f += kern[d - 1][p if c > 0 else p - d][i]
+    f += w
+    for d in far:
+        key = (p, p + c * d)
+        a = memo.get(key)
+        if a is None:
+            a = memo[key] = dr_log_alpha(logfs, kern, i, p, key[1], memo)
+        f += _log1mexp(a)
+    return f
+
+
 def dr_log_alpha2(
     logf_x: float,
     logf_y1: float,
@@ -128,66 +182,8 @@ def dr_log_alpha2(
     logq_y2_y1: float,
     logq_x_y1: float,
 ) -> float:
-    """Log acceptance probability of the first delayed-rejection stage.
-
-    ``y1`` is the rejected stage-0 candidate, ``y2`` the stage-1
-    candidate; the ``logq`` values are stage-0 Gaussian kernel densities
-    between the named points. Detailed balance holds because the path
-    x -> y1 -> y2 and its reversal weigh the same kernels.
-    """
-    if logf_y2 == -math.inf:
-        return -math.inf
-    num = logf_y2 + logq_y2_y1 + _log1mexp(logf_y1 - logf_y2)
-    den = logf_x + logq_x_y1 + _log1mexp(logf_y1 - logf_x)
-    if num == -math.inf:
-        return -math.inf
-    if den == -math.inf:
-        return 0.0
-    return min(0.0, num - den)
-
-
-def _dr2_half(logf_end: float, logf_mid: float, logq: float) -> float:
-    # log[ pi(end) * q1(end, mid) * (1 - alpha1(end -> mid)) ]
-    if logf_end == -math.inf:
-        return -math.inf
-    return logf_end + logq + _log1mexp(logf_mid - logf_end)
-
-
-def _dr_log_alpha3(
-    logf_x: float,
-    logf_y1: float,
-    logf_y2: float,
-    logf_y3: float,
-    k0_x_y1: float,
-    k0_y3_y2: float,
-    k0_y2_y1: float,
-    k1_x_y2: float,
-    k1_y3_y1: float,
-    log_alpha2_fwd: float,
-) -> float:
-    """Second delayed-rejection stage (third candidate), Mira's recursion."""
-    if logf_y3 == -math.inf:
-        return -math.inf
-    rev_num = _dr2_half(logf_y1, logf_y2, k0_y2_y1)
-    rev_den = _dr2_half(logf_y3, logf_y2, k0_y3_y2)
-    log_alpha2_rev = -math.inf if rev_num == -math.inf else min(0.0, rev_num - rev_den)
-    num = (
-        logf_y3
-        + k0_y3_y2
-        + k1_y3_y1
-        + _log1mexp(logf_y2 - logf_y3)
-        + _log1mexp(log_alpha2_rev)
-    )
-    if num == -math.inf:
-        return -math.inf
-    den = (
-        logf_x
-        + k0_x_y1
-        + k1_x_y2
-        + _log1mexp(logf_y1 - logf_x)
-        + _log1mexp(log_alpha2_fwd)
-    )
-    return min(0.0, num - den)
+    """``dr_log_alpha`` of the path x -> y1 -> y2, from its stage-0 kernel terms."""
+    return dr_log_alpha([logf_x, logf_y1, logf_y2], [[[logq_x_y1], [logq_y2_y1]]], 0, 0, 2, {})
 
 
 def _bad_value(logf: float, where: str) -> NumericalError:
@@ -219,23 +215,6 @@ def _tape_slots(spec: SimSpec, state: SamplerState, rank: int, iteration: int) -
     return min(max(slots, _TAPE_FIRST), _TAPE_CAP)
 
 
-def _tape(rng: SplitMix64, prop: ProposalState, spec: SimSpec, state: SamplerState,
-          rank: int, iteration: int) -> KernelTape:
-    """The stream's kernel tape for ``prop``, replaced when spent or stale.
-
-    A new proposal re-derives the slots already peeked. A spent tape is
-    followed by one of ``_tape_slots`` slots.
-    """
-    old = rng.tape
-    stages = spec.dr_stage_count
-    if old is not None and old.i < old.n and old.stages == stages:
-        tape = old.rebased(prop)
-    else:
-        tape = KernelTape.peek(prop, rng, stages, _tape_slots(spec, state, rank, iteration))
-    rng.tape = tape
-    return tape
-
-
 def _attempt(
     current: np.ndarray,
     current_logf: float,
@@ -255,65 +234,69 @@ def _attempt(
     nothing else. The steps, the log uniforms, the kernel terms and the
     stream's position after the slots used come from the stream's
     ``KernelTape``; a precomputed ``log 0 = -inf`` gives the verdict
-    ``u < alpha`` would; a new tape is sized from ``state`` and ``rank``
-    (see ``_tape_slots``). A target with a ``batch`` form is evaluated at
-    every stage's candidate in one call; otherwise each stage reached
-    makes one call. Either way the verdict is the same. A NaN or ``+inf``
-    target value at a stage the attempt reaches raises ``NumericalError``.
+    ``u < alpha`` would. A new proposal re-derives the slots already
+    peeked; a spent tape is followed by one of ``_tape_slots`` slots,
+    sized from ``state`` and ``rank``. A target with a ``batch`` form is
+    evaluated at every stage's candidate in one call; otherwise each stage
+    reached makes one call. Either way the verdict is the same. A NaN or
+    ``+inf`` target value at a stage the attempt reaches raises
+    ``NumericalError``.
     """
     stages = spec.dr_stage_count
     tape = rng.tape
     if tape is None or tape.prop is not prop or tape.i >= tape.n or tape.stages != stages:
-        tape = _tape(rng, prop, spec, state, rank, iteration_hint)
+        if tape is not None and tape.i < tape.n and tape.stages == stages:
+            tape = tape.rebased(prop)
+        else:
+            slots = _tape_slots(spec, state, rank, iteration_hint)
+            tape = KernelTape.peek(prop, rng, stages, slots)
+        rng.tape = tape
     i = tape.i
     logu = tape.logu
     batch = stages and target.batch is not None
     if batch:
         ys = current + tape.ys[i]  # every stage's candidate in one add
         fs = target(ys)
-        y1, f1 = ys[0], fs[0]
+        f = fs[0]
     else:
         # One add per stage reached: a 1-D add costs about a third of the
         # broadcast add that forms every candidate.
-        y1 = current + tape.ys[i, 0]
-        f1 = target(y1)
-    if not f1 < _INF:  # NaN or +inf, in one comparison
-        raise _bad_value(f1, f"near iteration {iteration_hint}")
-    if logu[i] < (f1 - current_logf if f1 < current_logf else 0.0):
-        verdict = (True, y1, f1, 0, 1)
-    elif stages < 1:
-        verdict = _REJECTED[0]
-    else:
+        y = current + tape.ys[i, 0]
+        f = target(y)
+    if not f < _INF:  # NaN or +inf, in one comparison
+        raise _bad_value(f, f"near iteration {iteration_hint}")
+    if logu[i] < (f - current_logf if f < current_logf else 0.0):
+        verdict = (True, ys[0] if batch else y, f, 0, 1)
+    elif stages:
+        # Point e is the stage-(e - 1) candidate, on slot i + e - 1; the
+        # tape's logfs and memo are reused from attempt to attempt.
+        logfs, memo = tape.logfs, tape.memo
+        logfs[0] = current_logf
         if batch:
-            y2, f2 = ys[1], fs[1]
+            logfs[1:] = fs
         else:
-            y2 = current + tape.ys[i, 1]
-            f2 = target(y2)
-        if not f2 < _INF:
-            raise _bad_value(f2, f"near iteration {iteration_hint}")
-        k0_x_y1 = tape.k0_x_y1[i]
-        k0_y2_y1 = tape.k0_y2_y1[i]
-        la2 = dr_log_alpha2(current_logf, f1, f2, k0_y2_y1, k0_x_y1)
-        if logu[i + 1] < la2:
-            verdict = (True, y2, f2, 1, 2)
-        elif stages < 2:
-            verdict = _REJECTED[1]
-        else:
+            logfs[1] = f
+        memo.clear()
+        kern, e = tape.kern, 1
+        while e <= stages:
+            e += 1
             if batch:
-                y3, f3 = ys[2], fs[2]
+                f = logfs[e]
             else:
-                y3 = current + tape.ys[i, 2]
-                f3 = target(y3)
-            if not f3 < _INF:
-                raise _bad_value(f3, f"near iteration {iteration_hint}")
-            la3 = _dr_log_alpha3(
-                current_logf, f1, f2, f3, k0_x_y1, tape.k0_y3_y2[i], k0_y2_y1,
-                tape.k1_x_y2[i], tape.k1_y3_y1[i], la2,
-            )
-            if logu[i + 2] < la3:
-                verdict = (True, y3, f3, 2, 3)
-            else:
-                verdict = _REJECTED[2]
+                y = current + tape.ys[i, e - 1]
+                f = logfs[e] = target(y)
+            if not f < _INF:
+                raise _bad_value(f, f"near iteration {iteration_hint}")
+            la = dr_log_alpha(logfs, kern, i, 0, e, memo)
+            if logu[i + e - 1] < la:
+                verdict = (True, ys[e - 1] if batch else y, f, e - 1, e)
+                break
+            if e <= stages:  # a later stage's path reuses it
+                memo[0, e] = la
+        else:
+            verdict = _REJECTED[stages]
+    else:
+        verdict = _REJECTED[0]
     i += verdict[4]
     tape.i = i
     rng.state = tape.states[i]

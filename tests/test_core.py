@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import dramforge as df
 from dramforge import BuiltinTarget, SimSpec, UsageError, build_target, cli
-from dramforge.core import SplitMix64
+from dramforge.core import MAX_DR_STAGES, SplitMix64
 
 MVN4_CFG = os.path.join(os.path.dirname(__file__), "..", "configs", "mvn4.cfg")
 
@@ -494,7 +494,7 @@ class TestSimSpec:
             {"ndim": 0},
             {"ndim": 2, "chain_size": 0},
             {"ndim": 2, "seed": -1},
-            {"ndim": 2, "dr_stage_count": 3},
+            {"ndim": 2, "dr_stage_count": MAX_DR_STAGES + 1},
             {"ndim": 2, "dr_scale_factor": 1.0},
             {"ndim": 2, "proposal_scale": 0.0},
             {"ndim": 2, "chain_format": "tsv"},
@@ -503,12 +503,19 @@ class TestSimSpec:
             {"ndim": 2, "start_point": [1.0, np.inf]},
             {"ndim": 2, "start_point": [1.0]},
             {"ndim": 2, "target_acceptance_window": (0.5, 0.2)},
+            {"ndim": 2, "dr_stage_count": -1},
         ],
     )
     def test_invalid_specs_rejected(self, kwargs):
         kwargs.setdefault("output_prefix", "x")
         with pytest.raises(UsageError):
             SimSpec(**kwargs)
+
+    def test_dr_stage_count_range(self):
+        assert SimSpec(ndim=2, output_prefix="x", dr_stage_count=MAX_DR_STAGES).dr_stage_count \
+            == MAX_DR_STAGES
+        with pytest.raises(UsageError, match=f"\\[0, {MAX_DR_STAGES}\\]"):
+            SimSpec(ndim=2, output_prefix="x", dr_stage_count=MAX_DR_STAGES + 1)
 
     def test_empty_prefix_rejected(self):
         with pytest.raises(UsageError):

@@ -1,3 +1,4 @@
+import itertools
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from dramforge import NumericalError, proposal
-from dramforge.core import SplitMix64
+from dramforge.core import MAX_DR_STAGES, SplitMix64
 from dramforge.proposal import (
     EPS_FLOOR,
     KernelTape,
@@ -392,14 +393,15 @@ class TestKernelTape:
         if cached:
             rng.gauss()
         mirror = rng.copy()
-        tape = KernelTape.peek(prop, rng, 2, 20)
-        assert tape.n == 20 and len(tape.logu) == 22
+        stages = MAX_DR_STAGES
+        tape = KernelTape.peek(prop, rng, stages, 20)
+        assert tape.n == 20 and len(tape.logu) == 20 + stages
         x = np.linspace(-1.0, 2.0, ndim)
-        for s in range(22):
+        for s in range(20 + stages):
             # Slot s at every stage: the same Gaussians, scaled per stage.
             # Stage j's step on slot s belongs to the attempt starting at s - j.
             at_slot = mirror.getstate()
-            for j in range(3):
+            for j in range(stages + 1):
                 probe = SplitMix64.from_state(at_slot)
                 want = propose(prop, x, j, probe)
                 if 0 <= s - j < 20:
@@ -408,22 +410,23 @@ class TestKernelTape:
             mirror = probe
             u = mirror.uniform()
             assert tape.logu[s] == (math.log(u) if u > 0.0 else -math.inf)
+        # Distance dist has one column per pair (a, a + dist).
+        assert [[len(col) for col in block] for block in tape.kern] == \
+            [[20] * (stages + 2 - dist) for dist in range(1, stages + 1)]
         for i in range(20):
-            a, b, c = tape.ys[i]
-            assert tape.k0_x_y1[i] == log_kernel(prop, a, 0)
-            assert tape.k0_y2_y1[i] == log_kernel(prop, a - b, 0)
-            assert tape.k0_y3_y2[i] == log_kernel(prop, b - c, 0)
-            assert tape.k1_x_y2[i] == log_kernel(prop, b, 1)
-            assert tape.k1_y3_y1[i] == log_kernel(prop, a - c, 1)
-            # The same kernels at the differences of the candidates
-            # themselves, as the DR algebra states them, up to rounding.
-            y1, y2, y3 = x + a, x + b, x + c
-            for got, delta, stage in (
-                (tape.k0_x_y1[i], y1 - x, 0), (tape.k0_y2_y1[i], y1 - y2, 0),
-                (tape.k0_y3_y2[i], y2 - y3, 0), (tape.k1_x_y2[i], y2 - x, 1),
-                (tape.k1_y3_y1[i], y1 - y3, 1),
-            ):
-                assert got == pytest.approx(log_kernel(prop, delta, stage), rel=1e-12)
+            # Point 0 is x and point b the stage-(b-1) candidate, x + steps[b].
+            steps = [np.zeros(ndim), *tape.ys[i]]
+            points = [x + step for step in steps]
+            for a, b in itertools.combinations(range(stages + 2), 2):
+                if b - a > stages:
+                    continue
+                got = tape.kern[b - a - 1][a][i]
+                delta = steps[b] if a == 0 else steps[a] - steps[b]
+                assert got == log_kernel(prop, delta, b - a - 1)
+                # The same kernel at the difference of the candidates
+                # themselves, as the DR algebra states it, up to rounding.
+                want = log_kernel(prop, points[a] - points[b], b - a - 1)
+                assert got == pytest.approx(want, rel=1e-12)
 
     def test_log_kernel_is_the_gaussian_log_density(self):
         prop = random_proposal(7, 3)
@@ -437,7 +440,7 @@ class TestKernelTape:
     @settings(max_examples=40, deadline=None)
     @given(
         ndim=st.integers(1, 6),
-        stages=st.integers(0, 2),
+        stages=st.integers(0, MAX_DR_STAGES),
         offset=st.integers(0, 30),
         sizes=st.lists(st.integers(1, 25), min_size=1, max_size=4),
     )
@@ -460,10 +463,7 @@ class TestKernelTape:
                 assert tape.n == k
                 assert tape.logu[:k] == whole.logu[at : at + k]
                 assert tape.ys[:k].tobytes() == whole.ys[at : at + k].tobytes()
-                for name in KERNEL_TERMS[: (0, 2, 5)[stages]]:
-                    assert getattr(tape, name) == getattr(whole, name)[at : at + k]
+                assert tape.kern == [[col[at : at + k] for col in block] for block in whole.kern]
             advance_slots(rng, k, ndim)
             at += k
 
-
-KERNEL_TERMS = ("k0_x_y1", "k0_y2_y1", "k0_y3_y2", "k1_x_y2", "k1_y3_y1")

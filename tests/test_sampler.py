@@ -16,15 +16,15 @@ from dramforge import NumericalError, ResumeRefused, RunAlreadyComplete, SimSpec
 from dramforge import sampler
 from dramforge.chainio import (ChainWriter, ProgressWriter, RestartWriter, spec_echo_lines,
                                write_chain)
-from dramforge.core import SplitMix64
+from dramforge.core import MAX_DR_STAGES, SplitMix64
 from dramforge.proposal import initial_proposal
 from dramforge.refinement import refine
 from dramforge.sampler import (
-    _dr_log_alpha3,
     _emit_live,
     _log1mexp,
     adapt_if_due,
     detect_burnin,
+    dr_log_alpha,
     dr_log_alpha2,
     init_state,
     metropolis_log_alpha,
@@ -145,8 +145,9 @@ class TestStep:
 
 
 def scalar_attempt(x, fx, prop, stages, target, rng):
-    """DR attempt drawn one deviate at a time: ``propose``, candidate
-    differences for the kernel terms, and ``u < alpha`` on a fresh uniform.
+    """DR attempt drawn one deviate at a time: ``propose``, kernel terms from
+    ``log_kernel`` at candidate differences, ``dr_log_alpha``, and
+    ``u < alpha`` on a fresh uniform.
     Returns ``(accepted, stage, stages_attempted, point)``.
     """
     from dramforge.proposal import log_kernel, propose
@@ -156,33 +157,26 @@ def scalar_attempt(x, fx, prop, stages, target, rng):
         return log_alpha >= 0.0 or (log_alpha > -math.inf if u == 0.0
                                     else math.log(u) < log_alpha)
 
-    y1 = propose(prop, x, 0, rng)
-    f1 = target(y1)
-    if accepts(min(0.0, f1 - fx)):
-        return True, 0, 1, y1
-    if stages < 1:
-        return False, 0, 1, None
-    y2 = propose(prop, x, 1, rng)
-    f2 = target(y2)
-    k0_y2_y1, k0_x_y1 = log_kernel(prop, y1 - y2, 0), log_kernel(prop, y1 - x, 0)
-    la2 = dr_log_alpha2(fx, f1, f2, k0_y2_y1, k0_x_y1)
-    if accepts(la2):
-        return True, 1, 2, y2
-    if stages < 2:
-        return False, 0, 2, None
-    y3 = propose(prop, x, 2, rng)
-    f3 = target(y3)
-    la3 = _dr_log_alpha3(fx, f1, f2, f3, k0_x_y1, log_kernel(prop, y2 - y3, 0), k0_y2_y1,
-                         log_kernel(prop, y2 - x, 1), log_kernel(prop, y1 - y3, 1), la2)
-    if accepts(la3):
-        return True, 2, 3, y3
-    return False, 0, 3, None
+    # Point 0 is x and point e the stage-(e-1) candidate; the kernel terms
+    # are laid out as one attempt's KernelTape columns, at index 0.
+    points, logfs = [x], [fx]
+    kern = [[[None] for a in range(stages + 2 - dist)] for dist in range(1, stages + 1)]
+    for stage in range(stages + 1):
+        y = propose(prop, x, stage, rng)
+        points.append(y)
+        logfs.append(target(y))
+        e = stage + 1
+        for dist in range(1, min(e, stages) + 1):
+            kern[dist - 1][e - dist][0] = log_kernel(prop, points[e - dist] - y, dist - 1)
+        if accepts(dr_log_alpha(logfs, kern, 0, 0, e, {})):
+            return True, stage, e, y
+    return False, 0, stages + 1, None
 
 
 class TestKernelTapeSteps:
     """Steps served from the kernel tape decide as scalar draws would."""
 
-    @pytest.mark.parametrize("stages", [0, 1, 2])
+    @pytest.mark.parametrize("stages", range(MAX_DR_STAGES + 1))
     @pytest.mark.parametrize("ndim", [1, 3, 4])
     def test_verdicts_match_scalar_draws(self, stages, ndim):
         # A banana with a hole: some candidates are outside the support.
@@ -606,33 +600,32 @@ def dr_transition_matrix(logf, logq, stages):
     ``logf[s]`` is state s's log-density (-inf off the support) and
     ``logq[k][d]`` the log-probability that stage k's kernel moves d
     places around the ring (symmetric: ``logq[k][d] == logq[k][-d]``).
-    Every candidate path from every state goes through the sampler's own
-    acceptance functions. The row of a state off the support stays 0:
-    pi weighs it by 0.
+    Every candidate path x, y1, y2, ... from every state is walked depth
+    first, and each stage's acceptance goes through the sampler's own
+    ``dr_log_alpha``. The row of a state off the support stays 0: pi
+    weighs it by 0.
     """
     n = len(logf)
     P = np.zeros((n, n))
+
+    def walk(path, reach):
+        # ``path`` is x and the candidates so far; ``reach`` is the
+        # probability of drawing them and rejecting all but the last.
+        e = len(path) - 1
+        kern = [[[logq[dist - 1][(path[a + dist] - path[a]) % n]] for a in range(e + 1 - dist)]
+                for dist in range(1, e)]
+        la = dr_log_alpha([logf[y] for y in path], kern, 0, 0, e, {})
+        P[path[0], path[-1]] += reach * math.exp(la)
+        if e <= stages:
+            reach *= -math.expm1(la)
+            for y in range(n):
+                walk(path + [y], reach * math.exp(logq[e][(y - path[0]) % n]))
+
     for x in range(n):
-        fx = logf[x]
-        if fx == -math.inf:
+        if logf[x] == -math.inf:
             continue
         for y1 in range(n):
-            k0_x_y1 = logq[0][(y1 - x) % n]
-            la1 = metropolis_log_alpha(fx, logf[y1])
-            P[x, y1] += math.exp(k0_x_y1 + la1)
-            reach1 = math.exp(k0_x_y1) * -math.expm1(la1)  # stage 0 tried y1, rejected
-            for y2 in range(n if stages >= 1 else 0):
-                k0_y2_y1 = logq[0][(y1 - y2) % n]
-                k1_x_y2 = logq[1][(y2 - x) % n]
-                la2 = dr_log_alpha2(fx, logf[y1], logf[y2], k0_y2_y1, k0_x_y1)
-                P[x, y2] += reach1 * math.exp(k1_x_y2 + la2)
-                reach2 = reach1 * math.exp(k1_x_y2) * -math.expm1(la2)
-                for y3 in range(n if stages >= 2 else 0):
-                    la3 = _dr_log_alpha3(
-                        fx, logf[y1], logf[y2], logf[y3], k0_x_y1, logq[0][(y2 - y3) % n],
-                        k0_y2_y1, k1_x_y2, logq[1][(y1 - y3) % n], la2,
-                    )
-                    P[x, y3] += reach2 * math.exp(logq[2][(y3 - x) % n] + la3)
+            walk([x, y1], math.exp(logq[0][(y1 - x) % n]))
         P[x, x] += 1.0 - P[x].sum()
     return P
 
@@ -648,8 +641,8 @@ class TestDelayedRejectionExact:
     factor leaves a flux imbalance of order 1e-3.
     """
 
-    @pytest.mark.parametrize("n_states", [5, 6, 7])
-    @pytest.mark.parametrize("stages", [1, 2])
+    @pytest.mark.parametrize("stages, n_states",
+                             [(k, s) for k in (1, 2, 3) for s in (5, 6, 7)] + [(4, 5)])
     @pytest.mark.parametrize("seed", range(4))
     def test_detailed_balance_holds_exactly(self, n_states, stages, seed):
         rng = np.random.default_rng([seed, n_states, stages])
