@@ -1,13 +1,14 @@
 """Readers and writers for the five output files, plus checkpoint records.
 
 Files per run prefix: chain (compact or verbose, ascii or binary),
-restart, sample, report, progress. Three tables fix the record
-layouts. ``chain_row_dtype`` is the chain row: the binary file row and
-the row of ``CompactChain``, the one in-memory row store, which the
-sampler appends to and the readers fill. ``CHECKPOINT_FIELDS`` lists the
-restart checkpoint fields in record order; it drives the ascii codec and
-``checkpoint_dtype``, the binary record. ``REPORT_FIELDS`` lists the
-report's statistics. Every ``key = value``
+restart, sample, report, progress. ``chain_row_dtype`` is the chain
+row: the binary file row and the row of ``CompactChain``, the one
+in-memory row store, which the sampler appends to and the readers fill.
+The restart checkpoint (``RestartCheckpoint``) and the report's sections
+(``ReportStats``, ``ParallelStats``) are dataclasses whose fields carry
+their codec kind, in record order; ``CHECKPOINT_FIELDS`` and
+``REPORT_FIELDS`` list them. The first drives the ascii codec and
+``checkpoint_dtype``, the binary record. Every ``key = value``
 text (ascii restart, binary spec echo, report, CLI config) is read by
 ``read_sections`` and its fields by one per-kind codec.
 ASCII reals carry 17 significant digits so every 64-bit float round-trips
@@ -23,6 +24,7 @@ by ``_parse_rows``.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 from dataclasses import dataclass
 from functools import lru_cache
@@ -30,7 +32,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import SIMSPEC_FIELDS, ResumeRefused, SimSpec, UsageError
+from .core import SIMSPEC_FIELDS, ResumeRefused, SimSpec, UsageError, codec, codec_fields
 
 CHAIN_MAGIC = b"DRMF"
 RESTART_MAGIC = b"DRRS"
@@ -742,34 +744,54 @@ def spec_from_echo(pairs, provenance: dict | None = None) -> SimSpec:
 # Restart checkpoints
 
 
+@dataclass
+class RestartCheckpoint:
+    """Everything needed to continue a run exactly as if never stopped.
+
+    The fields are declared in record order, each with its codec kind;
+    ``CHECKPOINT_FIELDS`` lists them. The last ``_V2_FIELD_COUNT``, the
+    chain file's byte sizes at this checkpoint and the epsilon doublings
+    so far, are not in a version-1 record: its sizes read as None and its
+    count as 0.
+    """
+
+    checkpoint_index: int = codec("section")
+    iteration: int = codec("u64")
+    rows_emitted: int = codec("u64")
+    measure: float = codec("f64")
+    pending_weight: int = codec("u64")
+    current_logf: float = codec("f64")
+    current_state: np.ndarray = codec("vector")
+    live_dr_stage: int = codec("i32")
+    live_process_id: int = codec("i32")
+    rng_states: list[tuple[int, int, float | None]] = codec("rngs")
+    scale: float = codec("f64")
+    epsilon: float = codec("f64")
+    eps_rel: float = codec("f64")
+    dr_scale: float = codec("f64")
+    sample_count: int = codec("u64")
+    adaptation_count: int = codec("u64")
+    mean: np.ndarray = codec("vector")
+    cov: np.ndarray = codec("sym")
+    scatter: np.ndarray = codec("sym")
+    chain_compact_bytes: int | None = codec("u64", None)
+    chain_verbose_bytes: int | None = codec("u64", None)
+    eps_inflations: int = codec("u64", 0)
+
+    def __eq__(self, other):
+        if not isinstance(other, RestartCheckpoint):
+            return NotImplemented
+        for name, kind in CHECKPOINT_FIELDS:
+            a, b = getattr(self, name), getattr(other, name)
+            if not (np.array_equal(a, b) if kind in _ARRAY_KINDS else a == b):
+                return False
+        return True
+
+
 # (name, kind) of every checkpoint field, in record order; this one table
 # drives the ascii codec (the text kinds above), the binary record
-# (``checkpoint_dtype``) and RestartCheckpoint equality. A version-1 record
-# holds all but the last _V2_FIELD_COUNT fields.
-CHECKPOINT_FIELDS = (
-    ("checkpoint_index", "section"),
-    ("iteration", "u64"),
-    ("rows_emitted", "u64"),
-    ("measure", "f64"),
-    ("pending_weight", "u64"),
-    ("current_logf", "f64"),
-    ("current_state", "vector"),
-    ("live_dr_stage", "i32"),
-    ("live_process_id", "i32"),
-    ("rng_states", "rngs"),
-    ("scale", "f64"),
-    ("epsilon", "f64"),
-    ("eps_rel", "f64"),
-    ("dr_scale", "f64"),
-    ("sample_count", "u64"),
-    ("adaptation_count", "u64"),
-    ("mean", "vector"),
-    ("cov", "sym"),
-    ("scatter", "sym"),
-    ("chain_compact_bytes", "u64"),
-    ("chain_verbose_bytes", "u64"),
-    ("eps_inflations", "u64"),
-)
+# (``checkpoint_dtype``) and RestartCheckpoint equality.
+CHECKPOINT_FIELDS = codec_fields(RestartCheckpoint)
 _V2_FIELD_COUNT = 3
 
 
@@ -805,46 +827,6 @@ def checkpoint_dtype(ndim: int, n_streams: int, version: int = FORMAT_VERSION) -
         else:
             fields.append((name, *kinds[kind]))
     return np.dtype(fields)
-
-
-@dataclass
-class RestartCheckpoint:
-    """Everything needed to continue a run exactly as if never stopped."""
-
-    checkpoint_index: int
-    iteration: int
-    rows_emitted: int
-    measure: float
-    rng_states: list[tuple[int, int, float | None]]
-    pending_weight: int
-    current_logf: float
-    current_state: np.ndarray
-    live_dr_stage: int
-    live_process_id: int
-    mean: np.ndarray
-    cov: np.ndarray
-    scatter: np.ndarray
-    scale: float
-    epsilon: float
-    eps_rel: float
-    dr_scale: float
-    sample_count: int
-    adaptation_count: int
-    # The chain file's byte sizes at this checkpoint, and the epsilon
-    # doublings so far. A version-1 record holds none of them: its sizes
-    # read as None and its count as 0.
-    chain_compact_bytes: int | None = None
-    chain_verbose_bytes: int | None = None
-    eps_inflations: int = 0
-
-    def __eq__(self, other):
-        if not isinstance(other, RestartCheckpoint):
-            return NotImplemented
-        for name, kind in CHECKPOINT_FIELDS:
-            a, b = getattr(self, name), getattr(other, name)
-            if not (np.array_equal(a, b) if kind in _ARRAY_KINDS else a == b):
-                return False
-        return True
 
 
 # Built once per ndim; callers only index with the arrays.
@@ -1086,55 +1068,40 @@ def read_sample(path: str) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class ParallelStats:
-    """Fork-join post-processing block for the report file."""
+    """Fork-join post-processing block for the report file: its [parallelism] section."""
 
-    mu: float
-    fitted_p: float
-    fit_distance: float
-    optimal_workers: int
-    speedup: list[float]  # S(1..N)
+    mu: float = codec("f64", key="MeanAcceptancePerCandidate")
+    fitted_p: float = codec("f64", key="FittedGeometricP")
+    fit_distance: float = codec("f64", key="FitDistanceTV")
+    optimal_workers: int = codec("int", key="PredictedOptimalWorkers")
+    speedup: list[float] = codec("series", key="PredictedSpeedup")  # S(1..N)
 
 
 @dataclass
 class ReportStats:
-    """Everything echoed and summarized in the report file."""
+    """Everything echoed and summarized in the report file; its [stats] section."""
 
     spec: SimSpec
-    accepted_count: int
-    mean_accept_rate: float
-    burnin_loc: int
-    iac_history: list[float]
-    ess: float
-    compact_bytes: int
-    verbose_bytes: int
-    size_ratio: float
-    eps_inflations: int = 0
+    accepted_count: int = codec("int")
+    mean_accept_rate: float = codec("f64")
+    burnin_loc: int = codec("int")
+    iac_history: list[float] = codec("floats")
+    ess: float = codec("f64")
+    compact_bytes: int = codec("int")
+    verbose_bytes: int = codec("int")
+    size_ratio: float = codec("f64")
+    eps_inflations: int = codec("int", 0)
     parallel: ParallelStats | None = None
 
 
 # The report's run statistics: per section, the (attribute, kind, key) of
-# each field in line order. [stats] holds ReportStats fields; [parallelism]
-# holds ReportStats.parallel and is written for fork-join runs only. A
+# each field in line order, the key the attribute's name unless its field
+# names another. [parallelism] is written for fork-join runs only. A
 # version-1 report has no eps_inflations, which then reads as 0.
 REPORT_FIELDS = {
-    "stats": (
-        ("accepted_count", "int", "accepted_count"),
-        ("mean_accept_rate", "f64", "mean_accept_rate"),
-        ("burnin_loc", "int", "burnin_loc"),
-        ("iac_history", "floats", "iac_history"),
-        ("ess", "f64", "ess"),
-        ("compact_bytes", "int", "compact_bytes"),
-        ("verbose_bytes", "int", "verbose_bytes"),
-        ("size_ratio", "f64", "size_ratio"),
-        ("eps_inflations", "int", "eps_inflations"),
-    ),
-    "parallelism": (
-        ("mu", "f64", "MeanAcceptancePerCandidate"),
-        ("fitted_p", "f64", "FittedGeometricP"),
-        ("fit_distance", "f64", "FitDistanceTV"),
-        ("optimal_workers", "int", "PredictedOptimalWorkers"),
-        ("speedup", "series", "PredictedSpeedup"),
-    ),
+    section: tuple((f.name, f.metadata["kind"], f.metadata.get("key", f.name))
+                   for f in dataclasses.fields(record) if "kind" in f.metadata)
+    for section, record in (("stats", ReportStats), ("parallelism", ParallelStats))
 }
 
 

@@ -10,7 +10,7 @@ from a checkpoint.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -434,45 +434,24 @@ CHAIN_FORMATS = ("compact", "verbose")
 FILE_ENCODINGS = ("ascii", "binary")
 PARALLELISM_MODES = ("none", "single_chain", "multi_chain")
 
-# (name, kind) for every SimSpec field, in echo order. The kinds are those
-# of the chainio text codec: int, u64, f64, str, vector, window.
-SIMSPEC_FIELDS = (
-    ("ndim", "int"),
-    ("chain_size", "int"),
-    ("start_point", "vector"),
-    ("seed", "u64"),
-    ("output_prefix", "str"),
-    ("chain_format", "str"),
-    ("file_encoding", "str"),
-    ("adaptation_period", "int"),
-    ("greedy_adaptation_count", "int"),
-    ("dr_stage_count", "int"),
-    ("dr_scale_factor", "f64"),
-    ("proposal_scale", "f64"),
-    ("cov_epsilon", "f64"),
-    ("parallelism", "str"),
-    ("num_workers", "int"),
-    ("target_acceptance_window", "window"),
-)
+
+# The records that chainio writes (the spec echo, a restart checkpoint, the
+# report's sections) are dataclasses whose fields carry their codec kind in
+# their metadata; the kinds are those of chainio's text codec.
+def codec(kind: str, default=MISSING, **metadata):
+    """A record field that chainio writes as ``kind``; ``metadata`` joins the kind."""
+    return field(default=default, metadata={"kind": kind, **metadata})
 
 
-# Default of every optional SimSpec field; a callable derives it from ndim.
-_SIMSPEC_DEFAULTS = {
-    "chain_size": 10_000,
-    "start_point": np.zeros,
-    "seed": 0,
-    "chain_format": "compact",
-    "file_encoding": "ascii",
-    "adaptation_period": lambda ndim: 100 * ndim,
-    "greedy_adaptation_count": 0,
-    "dr_stage_count": 1,
-    "dr_scale_factor": 0.5,
-    "proposal_scale": lambda ndim: 2.38 / math.sqrt(ndim),
-    "cov_epsilon": 1e-12,
-    "parallelism": "none",
-    "num_workers": 1,
-    "target_acceptance_window": None,
-}
+def codec_fields(record) -> tuple:
+    """(name, kind) of each ``codec`` field of the dataclass ``record``, in declaration order."""
+    return tuple((f.name, f.metadata["kind"]) for f in fields(record) if "kind" in f.metadata)
+
+
+def _optional(kind: str, default):
+    """An optional SimSpec field: None takes ``default``, which a callable derives from ndim."""
+    return field(default=None, metadata={"kind": kind, "default": default})
+
 
 # Normalizing conversion per SIMSPEC_FIELDS kind; validation normalizes the
 # window, and strings are kept as given.
@@ -492,25 +471,26 @@ class SimSpec:
     field, whether the final value came from the user or from a default.
     ``chain_size`` counts verbose iterations: the start point occupies the
     first slot and every later slot is one proposal attempt, so the chain
-    row weights always sum to exactly ``chain_size``.
+    row weights always sum to exactly ``chain_size``. The fields are
+    declared in echo order; ``output_prefix`` is keyword-only.
     """
 
-    ndim: int
-    output_prefix: str
-    chain_size: int | None = None
-    start_point: np.ndarray | None = None
-    seed: int | None = None
-    chain_format: str | None = None
-    file_encoding: str | None = None
-    adaptation_period: int | None = None
-    greedy_adaptation_count: int | None = None
-    dr_stage_count: int | None = None
-    dr_scale_factor: float | None = None
-    proposal_scale: float | None = None
-    cov_epsilon: float | None = None
-    parallelism: str | None = None
-    num_workers: int | None = None
-    target_acceptance_window: tuple[float, float] | None = None
+    ndim: int = codec("int")
+    chain_size: int | None = _optional("int", 10_000)
+    start_point: np.ndarray | None = _optional("vector", np.zeros)
+    seed: int | None = _optional("u64", 0)
+    output_prefix: str = field(kw_only=True, metadata={"kind": "str"})
+    chain_format: str | None = _optional("str", "compact")
+    file_encoding: str | None = _optional("str", "ascii")
+    adaptation_period: int | None = _optional("int", lambda ndim: 100 * ndim)
+    greedy_adaptation_count: int | None = _optional("int", 0)
+    dr_stage_count: int | None = _optional("int", 1)
+    dr_scale_factor: float | None = _optional("f64", 0.5)
+    proposal_scale: float | None = _optional("f64", lambda ndim: 2.38 / math.sqrt(ndim))
+    cov_epsilon: float | None = _optional("f64", 1e-12)
+    parallelism: str | None = _optional("str", "none")
+    num_workers: int | None = _optional("int", 1)
+    target_acceptance_window: tuple[float, float] | None = _optional("window", None)
     provenance: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
@@ -594,3 +574,10 @@ class SimSpec:
             if not same:
                 names.append(name)
         return names
+
+
+# (name, kind) for every SimSpec field, in echo order.
+SIMSPEC_FIELDS = codec_fields(SimSpec)
+# Default of every optional SimSpec field; a callable derives it from ndim.
+_SIMSPEC_DEFAULTS = {f.name: f.metadata["default"] for f in fields(SimSpec)
+                     if "default" in f.metadata}

@@ -32,16 +32,16 @@ class ProposalState:
     recursion exactly associative, which checkpoint resume relies on.
     ``chol_lower`` factors ``scale**2 * cov + epsilon * I``; its inverse
     and log-determinant are cached because the delayed-rejection kernel
-    evaluates them in the per-iteration hot path. ``eps_inflations`` counts
-    every epsilon doubling ``factorize`` has made since the run began.
+    evaluates them in the per-iteration hot path. ``factorize`` sets the
+    three. ``eps_inflations`` counts every epsilon doubling ``factorize``
+    has made since the run began. A state is a value: a new proposal is a
+    new state (``dataclasses.replace``), and no state's fields or arrays
+    change once it is made.
     """
 
     mean: np.ndarray
     scatter: np.ndarray
     cov: np.ndarray
-    chol_lower: np.ndarray
-    chol_inv: np.ndarray
-    chol_logdet: float
     scale: float
     epsilon: float
     eps_rel: float
@@ -49,20 +49,13 @@ class ProposalState:
     sample_count: int
     adaptation_count: int
     eps_inflations: int = 0
+    chol_lower: np.ndarray | None = None
+    chol_inv: np.ndarray | None = None
+    chol_logdet: float = 0.0
 
     @property
     def ndim(self) -> int:
         return self.mean.size
-
-    def copy(self) -> "ProposalState":
-        return replace(
-            self,
-            mean=self.mean.copy(),
-            scatter=self.scatter.copy(),
-            cov=self.cov.copy(),
-            chol_lower=self.chol_lower.copy(),
-            chol_inv=self.chol_inv.copy(),
-        )
 
 
 def initial_proposal(
@@ -76,9 +69,6 @@ def initial_proposal(
         mean=np.zeros(ndim),
         scatter=np.zeros((ndim, ndim)),
         cov=np.eye(ndim),
-        chol_lower=np.zeros((ndim, ndim)),
-        chol_inv=np.zeros((ndim, ndim)),
-        chol_logdet=0.0,
         scale=float(scale),
         epsilon=max(eps_rel, EPS_FLOOR),
         eps_rel=float(eps_rel),

@@ -60,21 +60,26 @@ def weighted_acf(values, weights, max_lag: int) -> np.ndarray:
 
 
 def autocorrelation(series: np.ndarray, max_lag: int) -> np.ndarray:
-    """FFT autocorrelation of a plain series with unbiased 1/(N-k) scaling."""
+    """FFT autocorrelation of a plain series with unbiased 1/(N-k) scaling.
+
+    The variance is the FFT's own lag-0 term, not a BLAS dot product,
+    whose summation order depends on the BLAS thread count: the result is
+    the same bits under any ``OPENBLAS_NUM_THREADS``.
+    """
     x = np.asarray(series, dtype=float).reshape(-1)
     n = x.size
     if n < 2:
         raise ValueError("series must have at least 2 elements")
     max_lag = min(max_lag, n - 1)
     dev = x - x.mean()
-    c0 = float(dev @ dev) / n
+    m = 1 << (2 * n - 1).bit_length()
+    f = np.fft.rfft(dev, m)
+    raw = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1]
+    c0 = float(raw[0]) / n
     rho = np.zeros(max_lag + 1)
     rho[0] = 1.0
     if c0 == 0.0:
         return rho
-    m = 1 << (2 * n - 1).bit_length()
-    f = np.fft.rfft(dev, m)
-    raw = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1]
     lags = np.arange(1, max_lag + 1)
     rho[1:] = raw[1:] / (n - lags) / c0
     return rho

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import refinement
 from .chainio import (
+    CHECKPOINT_FIELDS,
     ChainWriter,
     CompactChain,
     ParallelStats,
@@ -405,14 +406,11 @@ def adapt_if_due(state: SamplerState, spec: SimSpec) -> SamplerState:
     old = state.proposal
     rows = state.rows
     new_states = rows.states[state.absorbed_rows :]
-    greedy = old.adaptation_count < spec.greedy_adaptation_count
     new = old
     if len(new_states) > 0:
-        if greedy:
-            fresh = old.copy()
-            fresh.mean = np.zeros(rows.ndim)
-            fresh.scatter = np.zeros((rows.ndim, rows.ndim))
-            fresh.sample_count = 0
+        if old.adaptation_count < spec.greedy_adaptation_count:
+            fresh = replace(old, mean=np.zeros(rows.ndim),
+                            scatter=np.zeros((rows.ndim, rows.ndim)), sample_count=0)
             new = update_mean_cov(fresh, new_states, [1] * len(new_states))
         else:
             new = update_mean_cov(old, new_states, rows.weight[state.absorbed_rows :])
@@ -421,13 +419,9 @@ def adapt_if_due(state: SamplerState, spec: SimSpec) -> SamplerState:
         rate = state.accepted_count / state.iteration
         nudge = 0.9 if rate < lo else 1.1 if rate > hi else None
         if nudge is not None:
-            new = new.copy() if new is old else new
-            new.scale *= nudge
-            new = factorize(new)
+            new = factorize(replace(new, scale=new.scale * nudge))
     measure = adaptation_measure(old, new) if new is not old else 0.0
-    new = new.copy() if new is old else new
-    new.adaptation_count = old.adaptation_count + 1
-    state.proposal = new
+    state.proposal = replace(new, adaptation_count=old.adaptation_count + 1)
     state.absorbed_rows = rows.n_rows
     state.last_measure = measure
     return state
@@ -468,32 +462,26 @@ def init_state(spec: SimSpec, target: TargetDensity) -> SamplerState:
     )
 
 
+# The checkpoint fields that are fields of the same name of the proposal,
+# and of the sampler state; the checkpoint stores their values as they are.
+_PROPOSAL_CK = tuple(name for name, _ in CHECKPOINT_FIELDS
+                     if name in ProposalState.__dataclass_fields__)
+_STATE_CK = tuple(name for name, _ in CHECKPOINT_FIELDS
+                  if name in SamplerState.__dataclass_fields__)
+
+
 def _make_checkpoint(state: SamplerState, chain_bytes: tuple[int, int]) -> RestartCheckpoint:
     """The checkpoint of ``state``, whose rows take ``chain_bytes`` (compact, verbose) on disk."""
-    prop = state.proposal
     ck = RestartCheckpoint(
         checkpoint_index=state.checkpoint_count,
-        iteration=state.iteration,
         rows_emitted=state.rows.n_rows,
         measure=state.last_measure,
-        rng_states=[rng.getstate() for rng in state.rngs],
-        pending_weight=state.pending_weight,
-        current_logf=state.current_logf,
         current_state=state.current.copy(),
-        live_dr_stage=state.live_dr_stage,
-        live_process_id=state.live_process_id,
-        mean=prop.mean.copy(),
-        cov=prop.cov.copy(),
-        scatter=prop.scatter.copy(),
-        scale=prop.scale,
-        epsilon=prop.epsilon,
-        eps_rel=prop.eps_rel,
-        dr_scale=prop.dr_scale,
-        sample_count=prop.sample_count,
-        adaptation_count=prop.adaptation_count,
+        rng_states=[rng.getstate() for rng in state.rngs],
         chain_compact_bytes=chain_bytes[0],
         chain_verbose_bytes=chain_bytes[1],
-        eps_inflations=prop.eps_inflations,
+        **{name: getattr(state, name) for name in _STATE_CK},
+        **{name: getattr(state.proposal, name) for name in _PROPOSAL_CK},
     )
     state.checkpoint_count += 1
     return ck
@@ -505,21 +493,7 @@ def checkpoint_proposal(ck: RestartCheckpoint) -> ProposalState:
     The checkpointed epsilon already factorized, so ``factorize`` succeeds
     on its first try and keeps it.
     """
-    return factorize(ProposalState(
-        mean=ck.mean.copy(),
-        scatter=ck.scatter.copy(),
-        cov=ck.cov.copy(),
-        chol_lower=None,
-        chol_inv=None,
-        chol_logdet=0.0,
-        scale=ck.scale,
-        epsilon=ck.epsilon,
-        eps_rel=ck.eps_rel,
-        dr_scale=ck.dr_scale,
-        sample_count=ck.sample_count,
-        adaptation_count=ck.adaptation_count,
-        eps_inflations=ck.eps_inflations,
-    ))
+    return factorize(ProposalState(**{name: getattr(ck, name) for name in _PROPOSAL_CK}))
 
 
 @dataclass
@@ -761,20 +735,16 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
 
     state = SamplerState(
         current=ck.current_state.copy(),
-        current_logf=ck.current_logf,
-        iteration=ck.iteration,
         accepted_count=ck.rows_emitted,
         proposal=checkpoint_proposal(ck),
         rngs=[SplitMix64.from_state(s) for s in ck.rng_states],
-        pending_weight=ck.pending_weight,
-        live_dr_stage=ck.live_dr_stage,
-        live_process_id=ck.live_process_id,
         rows=kept,
         absorbed_rows=ck.rows_emitted,
         last_measure=ck.measure,
         max_logf=float(kept.logf.max()) if kept.n_rows else -math.inf,
         burnin_loc=detect_burnin(kept, spec.ndim) if kept.n_rows else 0,
         checkpoint_count=ck.checkpoint_index + 1,
+        **{name: getattr(ck, name) for name in _STATE_CK},
     )
     run = _Run(spec, target, state, on_checkpoint=on_checkpoint,
                chain_bytes=(ck.chain_compact_bytes, ck.chain_verbose_bytes))

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 import dramforge as df
 from dramforge import CompactChain, ParseError, SimSpec
 from dramforge.chainio import (
+    CHECKPOINT_FIELDS,
+    REPORT_FIELDS,
     ChainWriter,
     _ascii_block,
     RestartCheckpoint,
@@ -554,6 +556,78 @@ class TestSpecEcho:
         keys = [ln.split("=")[0].strip() for ln in lines]
         assert sorted(keys) == sorted(name for name, _ in df.core.SIMSPEC_FIELDS)
         assert len(keys) == len(set(keys))
+
+
+class TestRecordTables:
+    """The field tables, pinned as literals: a reordered, renamed or re-kinded
+    field of a record's declaration fails here by name, before any byte pin."""
+
+    def test_spec_echo_fields(self):
+        assert df.core.SIMSPEC_FIELDS == (
+            ("ndim", "int"),
+            ("chain_size", "int"),
+            ("start_point", "vector"),
+            ("seed", "u64"),
+            ("output_prefix", "str"),
+            ("chain_format", "str"),
+            ("file_encoding", "str"),
+            ("adaptation_period", "int"),
+            ("greedy_adaptation_count", "int"),
+            ("dr_stage_count", "int"),
+            ("dr_scale_factor", "f64"),
+            ("proposal_scale", "f64"),
+            ("cov_epsilon", "f64"),
+            ("parallelism", "str"),
+            ("num_workers", "int"),
+            ("target_acceptance_window", "window"),
+        )
+
+    def test_checkpoint_fields(self):
+        assert CHECKPOINT_FIELDS == (
+            ("checkpoint_index", "section"),
+            ("iteration", "u64"),
+            ("rows_emitted", "u64"),
+            ("measure", "f64"),
+            ("pending_weight", "u64"),
+            ("current_logf", "f64"),
+            ("current_state", "vector"),
+            ("live_dr_stage", "i32"),
+            ("live_process_id", "i32"),
+            ("rng_states", "rngs"),
+            ("scale", "f64"),
+            ("epsilon", "f64"),
+            ("eps_rel", "f64"),
+            ("dr_scale", "f64"),
+            ("sample_count", "u64"),
+            ("adaptation_count", "u64"),
+            ("mean", "vector"),
+            ("cov", "sym"),
+            ("scatter", "sym"),
+            ("chain_compact_bytes", "u64"),
+            ("chain_verbose_bytes", "u64"),
+            ("eps_inflations", "u64"),
+        )
+
+    def test_report_fields(self):
+        assert list(REPORT_FIELDS) == ["stats", "parallelism"]
+        assert REPORT_FIELDS["stats"] == (
+            ("accepted_count", "int", "accepted_count"),
+            ("mean_accept_rate", "f64", "mean_accept_rate"),
+            ("burnin_loc", "int", "burnin_loc"),
+            ("iac_history", "floats", "iac_history"),
+            ("ess", "f64", "ess"),
+            ("compact_bytes", "int", "compact_bytes"),
+            ("verbose_bytes", "int", "verbose_bytes"),
+            ("size_ratio", "f64", "size_ratio"),
+            ("eps_inflations", "int", "eps_inflations"),
+        )
+        assert REPORT_FIELDS["parallelism"] == (
+            ("mu", "f64", "MeanAcceptancePerCandidate"),
+            ("fitted_p", "f64", "FittedGeometricP"),
+            ("fit_distance", "f64", "FitDistanceTV"),
+            ("optimal_workers", "int", "PredictedOptimalWorkers"),
+            ("speedup", "series", "PredictedSpeedup"),
+        )
 
 
 class TestSampleAndReport:

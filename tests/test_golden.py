@@ -56,8 +56,8 @@ VERBOSE_MVN4 = "7af99a98fff40b8e72867f01f99dec32f17aaab115bb9ce2f5f0292fe75869a9
 # The serial mvn4 run's refined sample and report (output prefix "mvn4"):
 # they pin the burn-in, every refinement pass and the ESS.
 SERIAL_MVN4_SAMPLE = "86bfa0f687543ba31599bb73a2c26dc2fcea5856d136230418536ae629637aaf"
-SERIAL_MVN4_REPORT = "3da4e6b217ca4f9f6a66e34a40cb2e67fe6862908d03868587231f99e829b66c"
-SERIAL_MVN4_REPORT_V1 = "44833a313b594ca391e5e8138fd3004b29ca17767a65f162def33ce845a59ec9"
+SERIAL_MVN4_REPORT = "864686ef71b8cc31c7668925c35bf61415c028750bfbd3f1e793885bd9ec8663"
+SERIAL_MVN4_REPORT_V1 = "4b654eff7980c0e4877cfa0614c7416282ab9e32987b8e40b38ba35e97ea0ecb"
 
 # sha256 of the decision columns (process_id, dr_stage, weight; one "<i8"
 # array per column, in that order) of the chains above, as read back from

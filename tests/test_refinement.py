@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -143,6 +146,30 @@ class TestWeightedAcf:
             weighted_acf([1.0, 2.0], [1, 1], 5)  # max_lag >= total
         with pytest.raises(ValueError):
             weighted_acf([1.0, 2.0], [0, 1], 1)
+
+
+def test_autocorrelation_bits_do_not_depend_on_blas_threads():
+    # At these lengths OpenBLAS splits a dot product over its threads, and
+    # the thread count then sets the summation order; the FFT's does not.
+    # On a one-core host OpenBLAS runs one thread either way.
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from dramforge.refinement import autocorrelation\n"
+        "for n in (20_000, 50_000):\n"
+        "    x = np.cumsum(np.random.default_rng(3).normal(size=n))\n"
+        "    print(hashlib.sha256(autocorrelation(x, n - 1).tobytes()).hexdigest())\n"
+    )
+    # The children import dramforge from this checkout's src, as this process does.
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    pythonpath = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    outs = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                       env=dict(os.environ, PYTHONPATH=pythonpath, OPENBLAS_NUM_THREADS=threads))
+        .stdout
+        for threads in ("1", "2")
+    ]
+    assert outs[0] == outs[1] and len(outs[0].split()) == 2
 
 
 class TestIntegratedAutocorrelation:

@@ -337,6 +337,29 @@ class TestAdaptIfDue:
         assert state.proposal is prop
         assert state.proposal.adaptation_count == 0
 
+    def test_scale_nudge_without_new_rows_leaves_the_old_proposal(self, mvn4):
+        # No row was emitted in the period, and the acceptance rate 0 lies
+        # below the window: the only change is the scale's nudge.
+        spec = SimSpec(ndim=4, output_prefix="x", seed=1, adaptation_period=10,
+                       target_acceptance_window=(0.2, 0.3))
+        state = init_state(spec, mvn4)
+        state.iteration = 10
+        old = state.proposal
+        before = {name: np.copy(value) if isinstance(value, np.ndarray) else value
+                  for name, value in vars(old).items()}
+        adapt_if_due(state, spec)
+        new = state.proposal
+        assert new.scale == old.scale * 0.9
+        assert new.adaptation_count == 1
+        assert state.last_measure > 0.0
+        assert vars(old).keys() == before.keys()
+        for name, value in before.items():
+            now = getattr(old, name)
+            if isinstance(value, np.ndarray):
+                assert now.tobytes() == value.tobytes(), name
+            else:
+                assert now == value, name
+
     def test_first_adaptation_matches_weighted_covariance(self, mvn4):
         spec = SimSpec(ndim=2, output_prefix="x", seed=1, adaptation_period=10)
         target2 = df.TargetDensity(2, lambda x: -0.5 * float(x @ x))
