@@ -118,19 +118,13 @@ def _chain_header(ndim: int) -> list[str]:
     return list(CHAIN_COLUMNS) + [f"Var{i + 1}" for i in range(ndim)]
 
 
-class _Column:
+def _column(field: str) -> property:
     """A chain column: one row field, viewed over the rows the chain holds."""
 
-    def __init__(self, field: str):
-        self.field = field
+    def set_column(chain, values):
+        chain.records[field] = values
 
-    def __get__(self, chain, owner=None):
-        if chain is None:
-            return self
-        return chain.records[self.field]
-
-    def __set__(self, chain, values):
-        chain.records[self.field] = values
+    return property(lambda chain: chain.records[field], set_column)
 
 
 # Rows formatted by one %-format; it bounds the text held at once when a
@@ -152,14 +146,14 @@ class CompactChain:
     attribute (``weight``, ``states``, ...) is a view of one row field.
     """
 
-    process_id = _Column("process_id")
-    dr_stage = _Column("dr_stage")
-    mean_accept_rate = _Column("mean_accept_rate")
-    adaptation_measure = _Column("adaptation_measure")
-    burnin_loc = _Column("burnin_loc")
-    weight = _Column("weight")
-    logf = _Column("logf")
-    states = _Column("state")
+    process_id = _column("process_id")
+    dr_stage = _column("dr_stage")
+    mean_accept_rate = _column("mean_accept_rate")
+    adaptation_measure = _column("adaptation_measure")
+    burnin_loc = _column("burnin_loc")
+    weight = _column("weight")
+    logf = _column("logf")
+    states = _column("state")
 
     def __init__(
         self,
@@ -269,12 +263,8 @@ class CompactChain:
 
 
 def _ascii_format(ndim: int) -> str:
-    """The %-format of one ascii chain line: ints as ``%d``, floats as fmt_float.
-
-    The adaptation measure goes through ``%s``: ``_ascii_block`` formats
-    it once per distinct value.
-    """
-    return "%d,%d,%.17g,%s,%d,%d,%.17g" + ",%.17g" * ndim + "\n"
+    """The %-format of one ascii chain line: ints as ``%d``, floats as fmt_float."""
+    return "%d,%d,%.17g,%.17g,%d,%d,%.17g" + ",%.17g" * ndim + "\n"
 
 
 def _format_rows(row_format: str, columns: list[list]) -> str:
@@ -288,20 +278,6 @@ def _format_rows(row_format: str, columns: list[list]) -> str:
     for j, column in enumerate(columns):
         flat[j::width] = column
     return (row_format * n) % tuple(flat)
-
-
-def _measure_texts(measures: np.ndarray) -> list[str]:
-    """``fmt_float(m)`` for each measure ``m``, formatted once per distinct value.
-
-    A measure is the same for every row of an adaptation period. Values
-    are told apart by their bits, since -0.0 and 0.0 compare equal but
-    print differently.
-    """
-    bits = measures.view("<i8").tolist()
-    distinct = list(dict.fromkeys(bits))
-    values = np.array(distinct, "<i8").view("<f8").tolist()
-    texts = dict(zip(distinct, map(fmt_float, values)))
-    return list(map(texts.__getitem__, bits))
 
 
 # 10**1 .. 10**18: a weight w >= 1 has one digit more than the number of these <= w.
@@ -319,11 +295,10 @@ def _ascii_block(records: np.ndarray, weight_one: bool) -> tuple[bytes, int, int
     n = records.size
     weights = records["weight"]
     weight_list = weights.tolist()
-    # The columns in line order: the fields before the weight (the measure
-    # as text), the weight, logf, then one column per state coordinate.
-    columns = [records[name].tolist() for name in _ROW_FIELDS[:3]]
-    columns += [_measure_texts(records["adaptation_measure"]), records["burnin_loc"].tolist(),
-                [1] * n if weight_one else weight_list, records["logf"].tolist(),
+    # The columns in line order: the fields before the weight, the weight,
+    # logf, then one column per state coordinate.
+    columns = [records[name].tolist() for name in _ROW_FIELDS[:5]]
+    columns += [[1] * n if weight_one else weight_list, records["logf"].tolist(),
                 *records["state"].T.tolist()]
     text = _format_rows(_ascii_format(records.dtype["state"].shape[0]), columns).encode("ascii")
     lengths = np.diff(np.flatnonzero(np.frombuffer(text, np.uint8) == ord("\n")), prepend=-1)
@@ -592,11 +567,15 @@ class Section(dict):
         self.path = path
         self.name = name
         self.line = line
-        self.key_lines: dict[str, int] = {}
+        self.key_lines: dict[str, int | str] = {}
 
     def where(self, key: str | None = None) -> str:
-        """``path:line`` of ``key``, or of the section's start without it."""
-        return f"{self.path}:{self.key_lines.get(key, self.line)}"
+        """``path:line`` of ``key``, or of the section's start without it.
+
+        A key whose line is a text (``"--set"``) was read there, not from the file.
+        """
+        line = self.key_lines.get(key, self.line)
+        return f"{self.path}:{line}" if isinstance(line, int) else line
 
 
 def read_sections(path: str, lines: list[str], implicit: str | None = None) -> list[Section]:
@@ -640,7 +619,8 @@ def read_sections(path: str, lines: list[str], implicit: str | None = None) -> l
 #   series   one "<key>(i) = value" line per item, i = 1..N
 # Values: int, i32 and u64 in decimal; f64 at 17 significant digits; vector,
 # floats and window as comma-separated f64, where an empty floats list and a
-# window of None read "none"; str as is.
+# window of None read "none"; str as is. A matrix, read only (from a config),
+# is ";"-separated rows of comma-separated f64; blank rows are skipped.
 def _floats(text: str) -> list[float]:
     return [float(v) for v in text.split(",")]
 
@@ -660,6 +640,8 @@ def _rng_state(text: str) -> tuple[int, int, float | None]:
 _TEXT_PARSE = {
     "section": int, "int": int, "i32": int, "u64": int, "f64": float, "str": str,
     "vector": lambda text: np.array(_floats(text)),
+    "matrix": lambda text: np.array([_floats(row) for row in text.split(";") if row.strip()],
+                                    dtype=float),
     "floats": lambda text: [] if text == "none" else _floats(text),
     "window": _window,
 }

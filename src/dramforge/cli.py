@@ -19,6 +19,8 @@ import numpy as np
 
 from .chainio import (
     ParseError,
+    Section,
+    _fail,
     _field_parse,
     _format_rows,
     fmt_float,
@@ -54,12 +56,13 @@ EXIT_RUNTIME = 3
 EXIT_REFUSED = 4
 
 
-def parse_config(path: str) -> tuple[dict, dict]:
+def parse_config(path: str) -> tuple[Section, Section]:
     """Flat key=value config with a [target] section.
 
-    Returns (spec_pairs, target_pairs) of raw strings. Unknown keys and
-    sections, keys given twice and malformed lines are rejected with their
-    line number.
+    Returns (spec_pairs, target_pairs): the raw strings of the keys before
+    the first section, and those of every [target] section merged, each
+    key with its line. Unknown keys and sections, keys given twice and
+    malformed lines are rejected with their line number.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -70,7 +73,7 @@ def parse_config(path: str) -> tuple[dict, dict]:
     for key in spec:
         if key not in _SPEC_KINDS:
             raise ParseError(f"{spec.where(key)}: unknown simulation key {key!r}")
-    target_pairs: dict[str, str] = {}
+    target_pairs = Section(path, "target", rest[0].line if rest else len(lines))
     for section in rest:
         if section.name != "target":
             raise ParseError(f"{section.where()}: unknown section [{section.name}]")
@@ -80,7 +83,8 @@ def parse_config(path: str) -> tuple[dict, dict]:
             if key in target_pairs:
                 raise ParseError(f"{section.where(key)}: [target] key {key!r} given twice")
         target_pairs.update(section)
-    return dict(spec), target_pairs
+        target_pairs.key_lines.update(section.key_lines)
+    return spec, target_pairs
 
 
 def _target_key_kinds(key: str) -> tuple:
@@ -98,42 +102,40 @@ def _target_key_kinds(key: str) -> tuple:
     return ()
 
 
-def _parse_matrix(text: str) -> np.ndarray:
-    rows = [[float(v) for v in row.split(",")] for row in text.split(";") if row.strip()]
-    return np.array(rows, dtype=float)
-
-
 def build_spec(spec_pairs: dict) -> SimSpec:
     kwargs = {key: _field_parse(key, _SPEC_KINDS[key], spec_pairs) for key in spec_pairs}
     if "ndim" not in kwargs:
         raise UsageError("config must set ndim")
     if "output_prefix" not in kwargs:
         raise UsageError("config must set output_prefix")
-    out_dir = os.environ.get("DRAMFORGE_OUT")
-    if out_dir:
-        kwargs["output_prefix"] = os.path.join(
-            out_dir, os.path.basename(kwargs["output_prefix"])
-        )
+    kwargs["output_prefix"] = _out_prefix(kwargs["output_prefix"])
     return SimSpec(**kwargs)
 
 
+def _out_prefix(prefix: str) -> str:
+    """``prefix`` moved into the directory ``DRAMFORGE_OUT`` names, when it is set."""
+    out_dir = os.environ.get("DRAMFORGE_OUT")
+    return os.path.join(out_dir, os.path.basename(prefix)) if out_dir else prefix
+
+
 def build_cli_target(target_pairs: dict, ndim: int) -> BuiltinTarget:
+    """The target of ``target_pairs`` (a Section, or a plain dict), each value read by its kind."""
     kind = target_pairs.get("kind", "mvn")
     if kind not in _TARGET_KINDS:
-        raise UsageError(f"target kind must be one of {_TARGET_KINDS}, got {kind!r}")
+        raise _fail(target_pairs, "kind", f"target kind must be one of {_TARGET_KINDS}, "
+                                          f"got {kind!r}")
     for key in target_pairs:
         if kind not in _target_key_kinds(key):
-            raise UsageError(f"target key {key!r} is not used by kind {kind!r}")
+            raise _fail(target_pairs, key, f"target key {key!r} is not used by kind {kind!r}")
+
+    def read(key: str, codec_kind: str, default=None):
+        return _field_parse(key, codec_kind, target_pairs) if key in target_pairs else default
+
     if kind == "mvn":
-        mean = target_pairs.get("mean")
-        mean = np.zeros(ndim) if mean is None else np.array([float(v) for v in mean.split(",")])
-        cov = _parse_matrix(target_pairs["cov"]) if "cov" in target_pairs else None
-        return BuiltinTarget("mvn", {"mean": mean, "cov": cov})
+        mean = read("mean", "vector", np.zeros(ndim))
+        return BuiltinTarget("mvn", {"mean": mean, "cov": read("cov", "matrix")})
     if kind == "rosenbrock":
-        return BuiltinTarget(
-            "rosenbrock",
-            {"ndim": ndim, "scale": float(target_pairs.get("scale", "100.0"))},
-        )
+        return BuiltinTarget("rosenbrock", {"ndim": ndim, "scale": read("scale", "f64", 100.0)})
     present = {int(key[len("component"):].partition("_")[0])
                for key in target_pairs if key.startswith("component")}
     if not present:
@@ -147,28 +149,29 @@ def build_cli_target(target_pairs: dict, ndim: int) -> BuiltinTarget:
             if key + needed not in target_pairs:
                 raise UsageError(f"gauss_mixture target has no {key + needed} "
                                  f"(components 1..{max(present)} each need one)")
-        weights.append(float(target_pairs[key + "weight"]))
-        means.append(np.array([float(v) for v in target_pairs[key + "mean"].split(",")]))
-        cov = target_pairs.get(key + "cov")
-        covs.append(np.eye(ndim) if cov is None else _parse_matrix(cov))
+        weights.append(read(key + "weight", "f64"))
+        means.append(read(key + "mean", "vector"))
+        covs.append(read(key + "cov", "matrix", np.eye(ndim)))
     return BuiltinTarget("gauss_mixture", {"weights": weights, "means": means, "covs": covs})
 
 
-def _apply_overrides(spec_pairs: dict, target_pairs: dict, overrides: list[str]) -> None:
+def _apply_overrides(spec_pairs: Section, target_pairs: Section, overrides: list[str]) -> None:
+    """Set each ``key=value`` of ``overrides``; its value's errors then name ``--set``."""
     for item in overrides:
         if "=" not in item:
             raise UsageError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         key, value = key.strip(), value.strip()
         if key.startswith("target."):
-            tkey = key[len("target."):]
-            if not _target_key_kinds(tkey):
-                raise UsageError(f"--set: unknown target key {tkey!r}")
-            target_pairs[tkey] = value
+            key, pairs = key[len("target."):], target_pairs
+            if not _target_key_kinds(key):
+                raise UsageError(f"--set: unknown target key {key!r}")
         elif key in _SPEC_KINDS:
-            spec_pairs[key] = value
+            pairs = spec_pairs
         else:
             raise UsageError(f"--set: unknown simulation key {key!r}")
+        pairs[key] = value
+        pairs.key_lines[key] = "--set"
 
 
 def _run(spec: SimSpec, target) -> None:
@@ -239,15 +242,11 @@ def _write_gnuplot(path: str, title: str, plots: list[str]) -> None:
 
 def _postproc_stats(prefix: str, report) -> str:
     csv_path = f"{prefix}_stats.csv"
-    with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("metric,value\n")
-        fh.write(f"ess,{fmt_float(report.ess)}\n")
-        for i, tau in enumerate(report.iac_history, start=1):
-            fh.write(f"iac_pass{i},{fmt_float(tau)}\n")
-        fh.write(f"mean_accept_rate,{fmt_float(report.mean_accept_rate)}\n")
-        fh.write(f"accepted_count,{report.accepted_count}\n")
-        fh.write(f"burnin_loc,{report.burnin_loc}\n")
-        fh.write(f"size_ratio,{fmt_float(report.size_ratio)}\n")
+    passes = [f"iac_pass{i}" for i in range(1, len(report.iac_history) + 1)]
+    metrics = ["ess", *passes, "mean_accept_rate", "accepted_count", "burnin_loc", "size_ratio"]
+    values = [*map(fmt_float, [report.ess, *report.iac_history, report.mean_accept_rate]),
+              report.accepted_count, report.burnin_loc, fmt_float(report.size_ratio)]
+    _write_csv(csv_path, ["metric", "value"], "%s,%s\n", [metrics, values])
     _write_gnuplot(
         f"{prefix}_stats.gp", "run statistics",
         [f"'{csv_path}' using 0:2:xtic(1) with boxes"],
@@ -312,10 +311,7 @@ def _postproc_contrib(prefix: str, chain, n_workers: int) -> str:
 
 
 def cmd_postproc(args) -> int:
-    prefix = args.prefix
-    out_dir = os.environ.get("DRAMFORGE_OUT")
-    if out_dir:
-        prefix = os.path.join(out_dir, os.path.basename(prefix))
+    prefix = _out_prefix(args.prefix)
     try:
         report = read_report(f"{prefix}_report.txt")
         spec = report.spec

@@ -99,8 +99,6 @@ def kolmogorov_sf(x: float) -> float:
     Alternating series 2 * sum (-1)^(j-1) exp(-2 j^2 x^2); terms below
     1e-18 stop the sum. Near zero the value saturates at 1.
     """
-    if x <= 0.0:
-        return 1.0
     if x < 0.01:
         return 1.0
     total = 0.0

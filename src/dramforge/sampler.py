@@ -100,10 +100,6 @@ class SamplerState:
     burnin_loc: int
     checkpoint_count: int
 
-    @property
-    def rng(self) -> SplitMix64:
-        return self.rngs[0]
-
 
 def metropolis_log_alpha(logf_current: float, logf_proposed: float) -> float:
     """Symmetric-proposal Metropolis log acceptance probability."""
@@ -577,11 +573,7 @@ class _Run:
                     if i is not None:
                         writer.append(rows, i)
                 while next_progress <= state.iteration:
-                    self.progress.line(
-                        next_progress, state.accepted_count,
-                        state.accepted_count / state.iteration,
-                        state.last_measure, time.perf_counter() - self.t0,
-                    )
+                    self._progress_line(next_progress)
                     next_progress += PROGRESS_EVERY
                 if state.iteration % period == 0:
                     adapt_if_due(state, spec)
@@ -589,16 +581,20 @@ class _Run:
             writer.append(rows, _emit_live(state))
             writer.close()
             if state.iteration % PROGRESS_EVERY != 0:
-                self.progress.line(
-                    state.iteration, state.accepted_count,
-                    state.accepted_count / state.iteration,
-                    state.last_measure, time.perf_counter() - self.t0,
-                )
+                self._progress_line(state.iteration)
         finally:
             self.chain_writer.close()
             self.restart_writer.close()
             self.progress.close()
         return self._finalize()
+
+    def _progress_line(self, iteration: int) -> None:
+        """The progress line of ``iteration``, with the state's counts so far."""
+        state = self.state
+        self.progress.line(
+            iteration, state.accepted_count, state.accepted_count / state.iteration,
+            state.last_measure, time.perf_counter() - self.t0,
+        )
 
     def _finalize(self) -> SimulationOutputs:
         spec, state = self.spec, self.state

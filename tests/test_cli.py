@@ -2,10 +2,11 @@ import gc
 import hashlib
 import os
 
+import numpy as np
 import pytest
 
 import dramforge as df
-from dramforge.cli import main
+from dramforge.cli import build_cli_target, main, parse_config
 
 
 def sha(path):
@@ -150,6 +151,38 @@ class TestCmdRun:
     def test_invalid_value_is_config_error(self, run_dir, capsys):
         cfg = write_cfg(run_dir, run_dir / "out", extra="dr_stage_count = 7")
         assert main(["run", cfg]) == 2
+
+    @pytest.mark.parametrize("target, bad, key", [
+        ("kind = mvn", "seed = abc", "seed"),
+        ("kind = mvn\nmean = 0,0,0,0", "mean = 1,a,0,0", "mean"),
+        ("kind = gauss_mixture\n" + "".join(
+            f"component{i}_weight = 0.5\ncomponent{i}_mean = {i},0,0,0\n"
+            f"component{i}_cov = 1,0;0,1\n" for i in (1, 2)),
+         "component2_cov = 1,x;0,1", "component2_cov"),
+        ("kind = mvn\n[target]\nmean = 0,0,0,0", "mean = 1,a,0,0", "mean"),
+    ], ids=["spec", "target", "mixture", "second_target_section"])
+    def test_malformed_value_names_its_line(self, run_dir, capsys, target, bad, key):
+        cfg = write_cfg(run_dir, run_dir / "out", target=target)
+        lineno = _corrupt(cfg, key + " = ", bad)
+        assert main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert f"run.cfg:{lineno}:" in err and key in err
+        assert not (run_dir / "out_chain.txt").exists()
+
+    @pytest.mark.parametrize("item, key", [("target.mean=1,a,0,0", "mean"), ("seed=abc", "seed")])
+    def test_malformed_set_value_names_set(self, run_dir, capsys, item, key):
+        # The file holds the same key: its line must not be named.
+        cfg = write_cfg(run_dir, run_dir / "out", target="kind = mvn\nmean = 0,0,0,0")
+        assert main(["run", cfg, "--set", item]) == 2
+        err = capsys.readouterr().err
+        assert "--set" in err and key in err and "run.cfg" not in err
+        assert not (run_dir / "out_chain.txt").exists()
+
+    def test_cov_rows_skip_blank_rows(self, run_dir):
+        cfg = write_cfg(run_dir, run_dir / "out", target="kind = mvn\ncov = ;1,0.5; ;0.5,2;")
+        _, target_pairs = parse_config(cfg)
+        cov = build_cli_target(target_pairs, 2).params["cov"]
+        assert cov.dtype == float and np.array_equal(cov, [[1.0, 0.5], [0.5, 2.0]])
 
     @pytest.mark.parametrize("extra, target, lineno, key", [
         ("seed = 2", "kind = mvn", 6, "seed"),

@@ -192,7 +192,7 @@ class TestKernelTapeSteps:
         state = init_state(spec, target)
         stage_seen = set()
         while state.iteration < spec.chain_size:
-            mirror = state.rng.copy()
+            mirror = state.rngs[0].copy()
             x, fx, prop = state.current, state.current_logf, state.proposal
             accepted, stage, _, point = scalar_attempt(x, fx, prop, stages, target, mirror)
             _, row = step(state, target, spec)
@@ -201,7 +201,7 @@ class TestKernelTapeSteps:
                 stage_seen.add(stage)
                 assert state.live_dr_stage == stage
                 assert np.allclose(state.current, point, rtol=1e-13, atol=1e-15)
-            assert state.rng.getstate() == mirror.getstate()
+            assert state.rngs[0].getstate() == mirror.getstate()
             if state.iteration % spec.adaptation_period == 0:
                 adapt_if_due(state, spec)  # a new proposal mid-tape
         assert stage_seen == set(range(stages + 1))
@@ -214,15 +214,15 @@ class TestKernelTapeSteps:
             3, lambda x: 0.0 if np.array_equal(x, np.zeros(3)) else -math.inf
         )
         state = init_state(spec, reject_all)
-        mirror = state.rng.copy()
+        mirror = state.rngs[0].copy()
         for draw in ("gauss", "gauss", "uniform", "gauss", "next_uint64"):
             step(state, reject_all, spec)
             for _ in range(3):
                 for _ in range(3):
                     mirror.gauss()
                 mirror.uniform()
-            assert getattr(state.rng, draw)() == getattr(mirror, draw)()
-            assert state.rng.getstate() == mirror.getstate()
+            assert getattr(state.rngs[0], draw)() == getattr(mirror, draw)()
+            assert state.rngs[0].getstate() == mirror.getstate()
 
 
 class TestNonFiniteTarget:
