@@ -13,8 +13,8 @@ text (ascii restart, binary spec echo, report, CLI config) is read by
 ``read_sections`` and its fields by one per-kind codec.
 ASCII reals carry 17 significant digits so every 64-bit float round-trips
 exactly; binary layouts are little-endian and versioned by a 4-byte
-magic. Writers write format version 2; readers read versions 1 and 2,
-the header's version picking the layout. The chain and restart readers
+magic. Writers and readers take format version 2 only: a header of any
+other version is a ParseError. The chain and restart readers
 tolerate a truncated final row or record, because interrupts happen
 mid-write, and verbose chains are re-compacted on read. Every
 comma-separated table (chain, sample, postproc exports, convergence
@@ -64,13 +64,20 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def _check_version(path: str, what: str, version) -> None:
+    """ParseError unless ``version``, read from a ``what`` file's header, is FORMAT_VERSION."""
+    if str(version) != str(FORMAT_VERSION):
+        raise ParseError(f"{path}: {what} file of format version {version}: this release "
+                         f"reads version {FORMAT_VERSION} only, so the run must be started "
+                         "again (dramforge run --force)")
+
+
 def _read_header(path: str, blob: bytes, header: np.dtype, what: str) -> np.void:
-    """The header that starts ``blob``; ParseError if it is cut or of an unknown version."""
+    """The header that starts ``blob``; ParseError if it is cut or of another version."""
     if len(blob) < header.itemsize:
         raise ParseError(f"{path}: truncated {what} header")
     head = np.frombuffer(blob, header, 1)[0]
-    if head["version"] not in (1, FORMAT_VERSION):
-        raise ParseError(f"{path}: unsupported {what} format version {head['version']}")
+    _check_version(path, what, head["version"])
     return head
 
 
@@ -85,17 +92,15 @@ def output_paths(prefix: str, encoding: str) -> dict:
     }
 
 
-def chain_row_dtype(ndim: int, version: int = FORMAT_VERSION) -> np.dtype:
+def chain_row_dtype(ndim: int) -> np.dtype:
     """Layout of one chain row: a binary chain file row, and a row in memory.
 
     Packed little-endian fields in this order. The ascii columns are the
     same fields in the same order, with ``state`` spread over Var1..VarD.
     Indexing rows of this dtype yields records whose fields read as
-    attributes (``row.weight``). A version-1 binary row has one more f64,
-    ``reserved``, after ``adaptation_measure``; it was written as 0.0 and
-    is never read.
+    attributes (``row.weight``).
     """
-    fields = [
+    return np.dtype((np.record, [
         ("process_id", "<i4"),
         ("dr_stage", "<i4"),
         ("mean_accept_rate", "<f8"),
@@ -104,10 +109,7 @@ def chain_row_dtype(ndim: int, version: int = FORMAT_VERSION) -> np.dtype:
         ("weight", "<i8"),
         ("logf", "<f8"),
         ("state", "<f8", (ndim,)),
-    ]
-    if version == 1:
-        fields.insert(4, ("reserved", "<f8"))
-    return np.dtype((np.record, fields))
+    ]))
 
 
 # The row fields, in ascii column order.
@@ -407,37 +409,20 @@ def write_chain(chain: CompactChain, path: str, chain_format: str = "compact",
         writer.close()
 
 
-def prefix_byte_sizes(chain: CompactChain, encoding: str,
-                      row_counts: list[int]) -> list[tuple[int, int]]:
-    """The byte sizes ``(compact, verbose)`` of the chain's first ``n`` rows, for each ``n``.
-
-    ``row_counts`` must not decrease. Each row is sized once; the ascii
-    sizes come from the rows' compact lines, formatted as the writer
-    formats them.
-    """
-    if encoding == "ascii":
-        compact = verbose = len(",".join(chain.header)) + 1
-    else:
-        compact = verbose = _CHAIN_HEADER.itemsize
-    records, lo, sizes = chain.records, 0, []
-    for n in row_counts:
-        if encoding == "ascii":
-            for start in range(lo, n, _FORMAT_ROWS):
-                _, block_compact, block_verbose = _ascii_block(
-                    records[start : min(start + _FORMAT_ROWS, n)], False)
-                compact += block_compact
-                verbose += block_verbose
-        else:
-            compact += records.itemsize * (n - lo)
-            verbose += records.itemsize * int(records["weight"][lo:n].sum())
-        lo = n
-        sizes.append((compact, verbose))
-    return sizes
-
-
 def chain_byte_size(chain: CompactChain, chain_format: str, encoding: str) -> int:
-    """Byte size the chain would occupy on disk in the given format."""
-    return prefix_byte_sizes(chain, encoding, [chain.n_rows])[0][chain_format == "verbose"]
+    """Byte size the chain would occupy on disk in the given format.
+
+    The ascii size comes from the rows' compact lines, formatted as the
+    writer formats them.
+    """
+    records, verbose = chain.records, chain_format == "verbose"
+    if encoding == "binary":
+        return _CHAIN_HEADER.itemsize + records.itemsize * int(
+            records["weight"].sum() if verbose else records.size)
+    size = len(",".join(chain.header)) + 1
+    for start in range(0, records.size, _FORMAT_ROWS):
+        size += _ascii_block(records[start : start + _FORMAT_ROWS], False)[1 + verbose]
+    return size
 
 
 def cut_chain(path: str, sizes: tuple[int, int], chain_format: str, encoding: str) -> None:
@@ -542,16 +527,9 @@ def _binary_records(path: str) -> tuple[np.ndarray, bool]:
         blob = fh.read()
     header_len = _CHAIN_HEADER.itemsize
     head = _read_header(path, blob, _CHAIN_HEADER, "chain")
-    ndim, version = int(head["ndim"]), int(head["version"])
-    dtype = chain_row_dtype(ndim, version)
+    dtype = chain_row_dtype(int(head["ndim"]))
     n_complete, remainder = divmod(len(blob) - header_len, dtype.itemsize)
-    records = np.frombuffer(blob, dtype, n_complete, header_len)
-    if version == 1:
-        rows = np.zeros(n_complete, chain_row_dtype(ndim))
-        for name in _ROW_FIELDS:
-            rows[name] = records[name]
-        records = rows
-    return records, remainder != 0
+    return np.frombuffer(blob, dtype, n_complete, header_len), remainder != 0
 
 
 # ---------------------------------------------------------------------------
@@ -731,10 +709,7 @@ class RestartCheckpoint:
     """Everything needed to continue a run exactly as if never stopped.
 
     The fields are declared in record order, each with its codec kind;
-    ``CHECKPOINT_FIELDS`` lists them. The last ``_V2_FIELD_COUNT``, the
-    chain file's byte sizes at this checkpoint and the epsilon doublings
-    so far, are not in a version-1 record: its sizes read as None and its
-    count as 0.
+    ``CHECKPOINT_FIELDS`` lists them.
     """
 
     checkpoint_index: int = codec("section")
@@ -756,9 +731,9 @@ class RestartCheckpoint:
     mean: np.ndarray = codec("vector")
     cov: np.ndarray = codec("sym")
     scatter: np.ndarray = codec("sym")
-    chain_compact_bytes: int | None = codec("u64", None)
-    chain_verbose_bytes: int | None = codec("u64", None)
-    eps_inflations: int = codec("u64", 0)
+    chain_compact_bytes: int = codec("u64")
+    chain_verbose_bytes: int = codec("u64")
+    eps_inflations: int = codec("u64")
 
     def __eq__(self, other):
         if not isinstance(other, RestartCheckpoint):
@@ -774,13 +749,6 @@ class RestartCheckpoint:
 # drives the ascii codec (the text kinds above), the binary record
 # (``checkpoint_dtype``) and RestartCheckpoint equality.
 CHECKPOINT_FIELDS = codec_fields(RestartCheckpoint)
-_V2_FIELD_COUNT = 3
-
-
-def _checkpoint_fields(version: int) -> tuple:
-    """The CHECKPOINT_FIELDS a record of format ``version`` holds."""
-    return CHECKPOINT_FIELDS if version == FORMAT_VERSION else CHECKPOINT_FIELDS[:-_V2_FIELD_COUNT]
-
 
 _ARRAY_KINDS = ("vector", "sym")
 
@@ -789,11 +757,11 @@ _RNG_DTYPE = np.dtype([("state", "<u8"), ("stream", "<u8"), ("has_cache", "u1"),
                        ("cache", "<f8")])
 
 
-def checkpoint_dtype(ndim: int, n_streams: int, version: int = FORMAT_VERSION) -> np.dtype:
+def checkpoint_dtype(ndim: int, n_streams: int) -> np.dtype:
     """Layout of one binary restart record, the one definition of its bytes.
 
     Packed little-endian fields: the u32 ``length`` of the rest of the
-    record, then the ``CHECKPOINT_FIELDS`` of format ``version`` in order.
+    record, then the ``CHECKPOINT_FIELDS`` in order.
     Scalars take their kind's type (``section`` a u32, ``i32``, ``u64``,
     ``f64``), a ``vector`` ndim f64 values, and a ``sym`` matrix the
     ndim*(ndim+1)/2 f64 values of its upper triangle, row by row.
@@ -803,7 +771,7 @@ def checkpoint_dtype(ndim: int, n_streams: int, version: int = FORMAT_VERSION) -
     kinds = {"section": ("<u4",), "i32": ("<i4",), "u64": ("<u8",), "f64": ("<f8",),
              "vector": ("<f8", (ndim,)), "sym": ("<f8", (ndim * (ndim + 1) // 2,))}
     fields = [("length", "<u4")]
-    for name, kind in _checkpoint_fields(version):
+    for name, kind in CHECKPOINT_FIELDS:
         if kind == "rngs":
             fields += [("rng_count", "<u4"), (name, _RNG_DTYPE, (n_streams,))]
         else:
@@ -828,12 +796,12 @@ def _triu_unpack(flat: np.ndarray, ndim: int) -> np.ndarray:
     return mat
 
 
-def _text_version(path: str, lines: list[str], what: str) -> int:
-    """The format version that a text file's first line ``# dramforge <what> vN`` names."""
-    for version in (1, FORMAT_VERSION):
-        if lines and lines[0] == f"# dramforge {what} v{version}":
-            return version
-    raise ParseError(f"{path}:1: not a dramforge {what} file of version 1 or {FORMAT_VERSION}")
+def _check_text_version(path: str, lines: list[str], what: str) -> None:
+    """ParseError, naming line 1, unless it is ``# dramforge <what> v<FORMAT_VERSION>``."""
+    marker = f"# dramforge {what} v"
+    first = lines[0] if lines else ""
+    version = first[len(marker):] if first.startswith(marker) else "unknown"
+    _check_version(f"{path}:1", what, version)
 
 
 def _record_bytes(ck: RestartCheckpoint, ndim: int, encoding: str) -> bytes:
@@ -903,7 +871,7 @@ def _read_restart_ascii(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
         # Partial final line from an interrupt; the block it belongs to
         # will be dropped below for missing keys.
         lines.pop()
-    fields = _checkpoint_fields(_text_version(path, lines, "restart"))
+    _check_text_version(path, lines, "restart")
     sections = read_sections(path, lines)
     if not sections or sections[0].name != "spec":
         raise ParseError(f"{path}:1: missing [spec] section")
@@ -915,7 +883,8 @@ def _read_restart_ascii(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
             raise ParseError(f"{section.where()}: unexpected section [{section.name}]")
         try:
             checkpoints.append(RestartCheckpoint(**{
-                name: _field_parse(name, kind, section, spec.ndim) for name, kind in fields
+                name: _field_parse(name, kind, section, spec.ndim)
+                for name, kind in CHECKPOINT_FIELDS
             }))
         except ParseError:
             # A truncated trailing block is expected after an interrupt.
@@ -935,17 +904,17 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
     with open(path, "rb") as fh:
         blob = fh.read()
     head = _read_header(path, blob, _RESTART_HEADER, "restart")
-    ndim, version = int(head["ndim"]), int(head["version"])
+    ndim = int(head["ndim"])
     off = _RESTART_HEADER.itemsize + int(head["echo_bytes"])
     echo = blob[_RESTART_HEADER.itemsize : off].decode("utf-8").split("\n")
     spec = spec_from_echo(read_sections(path, echo, implicit="spec")[0])
-    fixed = checkpoint_dtype(ndim, 0, version)
+    fixed = checkpoint_dtype(ndim, 0)
     count_at = off + fixed.fields["rng_count"][1]
     n_streams = int.from_bytes(blob[count_at : count_at + 4], "little")
     size = fixed.itemsize + n_streams * _RNG_DTYPE.itemsize
     n_records, rest = divmod(len(blob) - off, size)
     # No record fits when the stream count is too large for the file.
-    dtype = checkpoint_dtype(ndim, n_streams, version) if n_records else fixed
+    dtype = checkpoint_dtype(ndim, n_streams) if n_records else fixed
     records = np.frombuffer(blob, dtype, n_records, off)
     bad = np.flatnonzero((records["length"] != size - 4)
                          | (records["rng_count"] != n_streams)).tolist()
@@ -959,11 +928,10 @@ def _read_restart_binary(path: str) -> tuple[SimSpec, list[RestartCheckpoint]]:
         # Every byte of the record is there, so this is no cut write.
         raise ParseError(f"{path}: restart record {i} at byte {off + i * size} is not a "
                          f"checkpoint of ndim {ndim} with {n_streams} streams")
-    fields = _checkpoint_fields(version)
-    return spec, [_checkpoint_of(record, ndim, fields) for record in records]
+    return spec, [_checkpoint_of(record, ndim) for record in records]
 
 
-def _checkpoint_of(record: np.void, ndim: int, fields: tuple) -> RestartCheckpoint:
+def _checkpoint_of(record: np.void, ndim: int) -> RestartCheckpoint:
     read = {
         "rngs": lambda v: [(s, stream, cache if has_cache else None)
                            for s, stream, has_cache, cache in v.tolist()],
@@ -971,15 +939,11 @@ def _checkpoint_of(record: np.void, ndim: int, fields: tuple) -> RestartCheckpoi
         "vector": lambda v: v.astype(float),
     }
     return RestartCheckpoint(**{name: read.get(kind, np.generic.item)(record[name])
-                                for name, kind in fields})
+                                for name, kind in CHECKPOINT_FIELDS})
 
 
 def restart_ends_with(path: str, spec: SimSpec, ck: RestartCheckpoint) -> bool:
-    """Whether the restart file at ``path`` ends with ``ck``'s record as this version writes it.
-
-    ``ck`` must hold every field of this version, as a record read from a
-    file of this version does.
-    """
+    """Whether the restart file at ``path`` ends with ``ck``'s record as it is written."""
     record = _record_bytes(ck, spec.ndim, spec.file_encoding)
     with open(path, "rb") as fh:
         end = fh.seek(0, os.SEEK_END)
@@ -1078,8 +1042,7 @@ class ReportStats:
 
 # The report's run statistics: per section, the (attribute, kind, key) of
 # each field in line order, the key the attribute's name unless its field
-# names another. [parallelism] is written for fork-join runs only. A
-# version-1 report has no eps_inflations, which then reads as 0.
+# names another. [parallelism] is written for fork-join runs only.
 REPORT_FIELDS = {
     section: tuple((f.name, f.metadata["kind"], f.metadata.get("key", f.name))
                    for f in dataclasses.fields(record) if "kind" in f.metadata)
@@ -1101,7 +1064,7 @@ def write_report(stats: ReportStats, path: str) -> None:
 def read_report(path: str) -> ReportStats:
     with open(path, "r", encoding="utf-8", newline="\n") as fh:
         lines = fh.read().split("\n")
-    version = _text_version(path, lines, "report")
+    _check_text_version(path, lines, "report")
     sections = {}
     for section in read_sections(path, lines):
         if section.name not in ("spec", *REPORT_FIELDS) or section.name in sections:
@@ -1118,8 +1081,7 @@ def read_report(path: str) -> ReportStats:
 
     def fields(pairs: Section) -> dict:
         return {attr: _field_parse(key, kind, pairs)
-                for attr, kind, key in REPORT_FIELDS[pairs.name]
-                if version == FORMAT_VERSION or key != "eps_inflations"}
+                for attr, kind, key in REPORT_FIELDS[pairs.name]}
 
     parallel = sections.get("parallelism")
     return ReportStats(

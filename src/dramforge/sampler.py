@@ -30,14 +30,12 @@ from .chainio import (
     cut_chain,
     inspect_outputs,
     output_paths,
-    prefix_byte_sizes,
     read_chain,
     read_report,
     read_restart,
     read_sample,
     restart_ends_with,
     rewrite_restart,
-    write_chain,
     write_report,
     write_sample,
 )
@@ -680,12 +678,6 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
     atomically, so an interrupt here loses no checkpoint; the rows past
     it are regenerated, and the finished chain file is identical to what
     the uninterrupted run would have written.
-
-    A version-1 prefix is upgraded once: the byte sizes its records lack
-    are computed from the kept rows, a binary chain is rewritten with
-    version-2 rows through ``<chain>.tmp``, and then the restart file is
-    rewritten. An interrupt between the two leaves a version-1 restart
-    file, so the next resume upgrades again.
     """
     if inspect_outputs(spec) == "complete":
         raise RunAlreadyComplete(
@@ -704,29 +696,17 @@ def resume(spec: SimSpec, target: TargetDensity, *, on_checkpoint=None) -> Simul
             f"(differing fields: {', '.join(mismatched)})"
         )
     # A checkpoint is usable when the chain file holds all its rows: enough
-    # of them and, for a version-2 record, enough bytes, which a verbose row
-    # cut among its repeats lacks.
+    # of them and enough bytes, which a verbose row cut among its repeats lacks.
     size = os.path.getsize(paths["chain"])
     verbose = spec.chain_format == "verbose"
-    usable = [i for i, r in enumerate(records) if r.rows_emitted <= disk_chain.n_rows and (
-        r.chain_compact_bytes is None
-        or (r.chain_compact_bytes, r.chain_verbose_bytes)[verbose] <= size)]
+    usable = [i for i, r in enumerate(records) if r.rows_emitted <= disk_chain.n_rows
+              and (r.chain_compact_bytes, r.chain_verbose_bytes)[verbose] <= size]
     if not usable:
         raise ResumeRefused("restart file holds no checkpoint covered by the chain file")
     records = records[: usable[-1] + 1]
     ck = records[-1]
     kept = disk_chain.sliced(ck.rows_emitted)
-    if ck.chain_compact_bytes is None:  # a version-1 record
-        sizes = prefix_byte_sizes(kept, spec.file_encoding, [r.rows_emitted for r in records])
-        records = [replace(r, chain_compact_bytes=c, chain_verbose_bytes=v)
-                   for r, (c, v) in zip(records, sizes)]
-        ck = records[-1]
-        if spec.file_encoding == "binary":
-            tmp = paths["chain"] + ".tmp"
-            write_chain(kept, tmp, spec.chain_format, "binary")
-            os.replace(tmp, paths["chain"])
-        rewrite_restart(paths["restart"], spec, records)
-    elif not restart_ends_with(paths["restart"], spec, ck):
+    if not restart_ends_with(paths["restart"], spec, ck):
         rewrite_restart(paths["restart"], spec, records)
 
     state = SamplerState(

@@ -18,7 +18,6 @@ from dramforge.chainio import (
     RestartWriter,
     chain_byte_size,
     fmt_float,
-    prefix_byte_sizes,
     read_restart,
     spec_echo_lines,
     spec_from_echo,
@@ -293,6 +292,11 @@ class TestFlushedWriter:
         return 20 + chain.n_rows * row_size, 20 + chain.total_weight * row_size
 
     @staticmethod
+    def _byte_sizes(chain, encoding):
+        """``(compact, verbose)`` sizes as ``chain_byte_size`` gives them."""
+        return tuple(chain_byte_size(chain, fmt, encoding) for fmt in ("compact", "verbose"))
+
+    @staticmethod
     def _write(writer, chain, rows, rng, share=0.1):
         """Append ``rows`` of ``chain``, flushing after a random ``share`` of them."""
         for i in rows:
@@ -315,7 +319,7 @@ class TestFlushedWriter:
             assert fh.read() == self._expected(chain, chain_format, encoding)
         sizes = self._sizes(chain, encoding)
         assert (writer.compact_bytes, writer.verbose_bytes) == sizes
-        assert prefix_byte_sizes(chain, encoding, [chain.n_rows]) == [sizes]
+        assert self._byte_sizes(chain, encoding) == sizes
 
     @pytest.mark.parametrize("encoding", ["ascii", "binary"])
     @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
@@ -328,7 +332,7 @@ class TestFlushedWriter:
         first.close()  # rows marked since the last flush are written too
         # As a resume does: cut the file back to the kept rows, then append.
         kept = chain.sliced(150)
-        [kept_sizes] = prefix_byte_sizes(kept, encoding, [kept.n_rows])
+        kept_sizes = self._byte_sizes(kept, encoding)
         os.truncate(path, kept_sizes[chain_format == "verbose"])
         second = ChainWriter(path, 3, chain_format, encoding, append=True,
                              initial_bytes=kept_sizes)
@@ -338,7 +342,7 @@ class TestFlushedWriter:
             assert fh.read() == self._expected(chain, chain_format, encoding)
         sizes = self._sizes(chain, encoding)
         assert (second.compact_bytes, second.verbose_bytes) == sizes
-        assert prefix_byte_sizes(chain, encoding, [chain.n_rows]) == [sizes]
+        assert self._byte_sizes(chain, encoding) == sizes
 
 
 class TestRowStore:
@@ -862,3 +866,57 @@ class TestParseErrors:
         for end in (first, first + 2, first + 40, len(blob) - 30, len(blob) - 1):
             open(path, "wb").write(blob[:end])
             assert read_restart(path)[1] == [], end
+
+
+def _refusal(path, what, version):
+    return (f"{path}: {what} file of format version {version}: this release reads version 2 "
+            "only, so the run must be started again (dramforge run --force)")
+
+
+class TestOtherFormatVersions:
+    """A file of any format version but 2 is refused with one ParseError."""
+
+    @staticmethod
+    def set_binary_version(path, version):
+        """Overwrite the u32 format version that follows a binary file's magic."""
+        with open(path, "r+b") as fh:
+            fh.seek(4)
+            fh.write(struct.pack("<I", version))
+
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_binary_chain(self, tmp_path, version):
+        path = str(tmp_path / "c.bin")
+        write_chain(random_chain(np.random.default_rng(16), 2, 6), path, "compact", "binary")
+        self.set_binary_version(path, version)
+        with pytest.raises(ParseError) as info:
+            df.read_chain(path)
+        assert str(info.value) == _refusal(path, "chain", version)
+
+    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
+    def test_restart(self, tmp_path, encoding):
+        path = str(tmp_path / "r")
+        writer = RestartWriter(path, SimSpec(ndim=2, output_prefix="p", file_encoding=encoding))
+        writer.append(make_checkpoint(np.random.default_rng(17), ndim=2))
+        writer.close()
+        where = path
+        if encoding == "binary":
+            self.set_binary_version(path, 1)
+        else:  # a text file's error names its line
+            _replace_line(path, "# dramforge restart v2", "# dramforge restart v1")
+            where += ":1"
+        with pytest.raises(ParseError) as info:
+            read_restart(path)
+        assert str(info.value) == _refusal(where, "restart", 1)
+
+    def test_report(self, tmp_path):
+        stats = df.ReportStats(
+            spec=SimSpec(ndim=2, output_prefix="x"), accepted_count=12, mean_accept_rate=0.25,
+            burnin_loc=3, iac_history=[2.5], ess=4.5, compact_bytes=100, verbose_bytes=300,
+            size_ratio=3.0,
+        )
+        path = str(tmp_path / "rep.txt")
+        write_report(stats, path)
+        _replace_line(path, "# dramforge report v2", "# dramforge report v1")
+        with pytest.raises(ParseError) as info:
+            df.read_report(path)
+        assert str(info.value) == _refusal(f"{path}:1", "report", 1)

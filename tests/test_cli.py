@@ -42,6 +42,12 @@ def _corrupt(path, old, new):
     return lineno
 
 
+def _refusal(path, what):
+    """The error that a version-1 file gets."""
+    return (f"error: {path}: {what} file of format version 1: this release reads version 2 "
+            "only, so the run must be started again (dramforge run --force)")
+
+
 @pytest.fixture
 def run_dir(tmp_path):
     return tmp_path
@@ -129,6 +135,37 @@ class TestCmdRun:
         _corrupt(prefix + "_restart.txt", "[checkpoint 0]", "[checkpoint 0")
         assert main(["run", write_cfg(run_dir, prefix), "--resume"]) == 2
         assert "out_restart.txt:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("encoding, refused, where", [("ascii", "restart", ":1"),
+                                                        ("binary", "chain", "")])
+    def test_resume_of_a_version1_prefix_is_input_error(self, run_dir, mvn4, capsys, encoding,
+                                                        refused, where):
+        # An ascii chain names no version, so its restart file is the one refused.
+        prefix = str(run_dir / "out")
+        spec = df.SimSpec(ndim=4, output_prefix=prefix, chain_size=2000, seed=17,
+                          file_encoding=encoding)
+
+        class Stop(Exception):
+            pass
+
+        def hook(iteration):
+            if iteration >= 1200:
+                raise Stop
+
+        with pytest.raises(Stop):
+            df.run_sampler(spec, mvn4, on_checkpoint=hook)
+        paths = df.output_paths(prefix, encoding)
+        if encoding == "ascii":
+            _corrupt(paths["restart"], "# dramforge restart v2", "# dramforge restart v1")
+        else:
+            for name in ("chain", "restart"):
+                with open(paths[name], "r+b") as fh:
+                    fh.seek(4)
+                    fh.write((1).to_bytes(4, "little"))
+        cfg = write_cfg(run_dir, prefix, extra=f"file_encoding = {encoding}")
+        assert main(["run", cfg, "--resume"]) == 2
+        assert _refusal(paths[refused] + where, refused) in capsys.readouterr().err
+        assert main(["run", cfg, "--force"]) == 0
 
     def test_resume_with_malformed_progress_line_is_input_error(self, run_dir, mvn4, capsys):
         prefix = str(run_dir / "out")
@@ -488,6 +525,14 @@ class TestCmdPostproc:
         lineno = _corrupt(finished + "_report.txt", "accepted_count = ", "accepted_count = x1214")
         assert main(["postproc", finished, "--what", "stats"]) == 2
         assert f"out_report.txt:{lineno}:" in capsys.readouterr().err
+
+    def test_version1_report_exit_2(self, run_dir, finished, capsys):
+        path = finished + "_report.txt"
+        _corrupt(path, "# dramforge report v2", "# dramforge report v1")
+        assert main(["postproc", finished, "--what", "stats"]) == 2
+        assert _refusal(path + ":1", "report") in capsys.readouterr().err
+        # The run's report marks it finished; no file is read to tell.
+        assert main(["run", write_cfg(run_dir, finished)]) == 4
 
     def test_malformed_sample_exit_2(self, finished, capsys):
         lineno = _corrupt(finished + "_sample.txt", "-", "abc,0,0,0,0")

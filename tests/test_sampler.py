@@ -31,7 +31,6 @@ from dramforge.sampler import (
     run_sampler,
     step,
 )
-from v1_files import to_v1
 
 
 def sha(path):
@@ -1098,47 +1097,6 @@ class TestUnfinishedRun:
         assert _progress_iterations(paths["progress"]) == want_progress
         assert not os.path.exists(paths["report"] + ".tmp")
         assert df.inspect_outputs(spec) == "complete"
-
-    @pytest.mark.parametrize("workers", [1, 8])
-    @pytest.mark.parametrize("encoding", ["ascii", "binary"])
-    @pytest.mark.parametrize("chain_format", ["compact", "verbose"])
-    def test_version1_prefix_resumes_to_uninterrupted_bytes(
-            self, mvn4, tmp_path, monkeypatch, uninterrupted, chain_format, encoding, workers):
-        # Stopped before checkpoint 2000 reached the restart file, with the
-        # chain flushed past it and its last row torn, then converted to
-        # version 1. A binary chain's upgrade is first interrupted before the
-        # restart file's; the next resume upgrades both.
-        spec = _finalize_spec(encoding, chain_format, workers)
-        want = uninterrupted(spec)[0]
-        monkeypatch.chdir(tmp_path)
-        interrupt, append = self.Interrupt, RestartWriter.append
-
-        def stop_at_2000(writer, ck):
-            if ck.iteration == 2000:
-                raise interrupt
-            append(writer, ck)
-
-        def interrupted(*args):
-            raise interrupt
-
-        with monkeypatch.context() as patch:
-            patch.setattr(RestartWriter, "append", stop_at_2000)
-            with pytest.raises(interrupt):
-                run_sampler(spec, mvn4)
-        paths = df.output_paths(spec.output_prefix, encoding)
-        os.truncate(paths["chain"], os.path.getsize(paths["chain"]) - 5)
-        to_v1(paths)
-        if encoding == "binary":
-            with monkeypatch.context() as patch:
-                patch.setattr(sampler, "rewrite_restart", interrupted)
-                with pytest.raises(interrupt):
-                    run_sampler(spec, mvn4)
-            for name, version in (("chain", 2), ("restart", 1)):
-                with open(paths[name], "rb") as fh:
-                    assert struct.unpack("<4sI", fh.read(8))[1] == version, name
-        run_sampler(spec, mvn4)
-        assert {name: sha(paths[name]) for name in OUTPUTS} == want
-        assert not os.path.exists(paths["chain"] + ".tmp")
 
     @pytest.mark.parametrize("progress", ["kept", "missing"])
     def test_resume_cuts_progress_back_to_the_checkpoint(self, mvn4, tmp_path, monkeypatch,
