@@ -10,7 +10,6 @@ samples across chains.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -33,31 +32,30 @@ class ContributionStats:
     fit_distance: float
 
 
-def fit_geometric(stats: ContributionStats) -> ContributionStats:
-    """Maximum-likelihood geometric fit to the rank histogram.
+def fit_geometric(counts) -> ContributionStats:
+    """Maximum-likelihood geometric fit to the rank histogram ``counts``.
 
     p_hat = total_steps / sum(k * count_k); the fit distance is the total
     variation between the normalized histogram and the fitted law,
     including the fitted tail mass beyond the largest observed rank.
     """
-    counts = np.asarray(stats.counts, dtype=float)
-    total = counts.sum()
+    observed = np.asarray(counts, dtype=float)
+    total = observed.sum()
     if total <= 0:
         raise UsageError("fit_geometric requires at least one accepted step")
-    ranks = np.arange(1, counts.size + 1)
-    p_hat = float(total / (ranks * counts).sum())
-    empirical = counts / total
+    ranks = np.arange(1, observed.size + 1)
+    p_hat = float(total / (ranks * observed).sum())
+    empirical = observed / total
     fitted = p_hat * (1.0 - p_hat) ** (ranks - 1)
-    tail = (1.0 - p_hat) ** counts.size
+    tail = (1.0 - p_hat) ** observed.size
     tv = 0.5 * (np.abs(empirical - fitted).sum() + tail)
-    return ContributionStats(counts=stats.counts, fitted_p=p_hat, fit_distance=float(tv))
+    return ContributionStats(counts=counts, fitted_p=p_hat, fit_distance=float(tv))
 
 
 def contribution_stats(process_ids, n_workers: int) -> ContributionStats:
     """Histogram chain rows by contributing rank and fit the geometric law."""
     pids = np.asarray(process_ids, dtype=np.int64)
-    counts = np.bincount(pids, minlength=n_workers + 1)[1 : n_workers + 1]
-    return fit_geometric(ContributionStats(counts=counts, fitted_p=1.0, fit_distance=0.0))
+    return fit_geometric(np.bincount(pids, minlength=n_workers + 1)[1 : n_workers + 1])
 
 
 def predict_speedup(mu: float, n: int) -> float:
@@ -147,7 +145,6 @@ class MultiChainReport:
     n_tests: int
     alpha: float
     flagged: bool
-    degenerate: bool
 
     @property
     def min_p(self) -> float:
@@ -161,8 +158,6 @@ def compare_refined_samples(samples: list[np.ndarray], alpha: float = 0.05) -> M
     which either sample has fewer than ``KS_MIN_POINTS`` points is not
     tested, and ``n_tests`` counts the tests made. The run is flagged as
     non-converged when any corrected p-value drops below ``alpha``.
-    Bitwise-identical pairs indicate duplicated streams and raise the
-    ``degenerate`` flag with a warning instead.
     """
     if len(samples) < 2:
         raise UsageError("convergence comparison needs at least two chains")
@@ -171,40 +166,25 @@ def compare_refined_samples(samples: list[np.ndarray], alpha: float = 0.05) -> M
     if any(arr.shape[1] != ndim for arr in arrays):
         raise UsageError("refined samples must share dimensionality")
     tests: list[PairTest] = []
-    degenerate = False
     for i in range(len(arrays)):
         for j in range(i + 1, len(arrays)):
             if min(len(arrays[i]), len(arrays[j])) < KS_MIN_POINTS:
                 continue
-            pair_ds = []
             for dim in range(ndim):
                 d, p = ks_two_sample(arrays[i][:, dim], arrays[j][:, dim])
-                pair_ds.append(d)
                 tests.append(PairTest(i + 1, j + 1, dim + 1, d, p))
-            if max(pair_ds) == 0.0:
-                degenerate = True
     n_tests = len(tests)
     flagged = any(min(t.p_value * n_tests, 1.0) < alpha for t in tests)
-    if degenerate:
-        warnings.warn(
-            "degenerate duplication: chains are bitwise identical "
-            "(identical seed and stream assignment)",
-            stacklevel=2,
-        )
-        flagged = False
-    return MultiChainReport(
-        tests=tests, n_tests=n_tests, alpha=alpha, flagged=flagged, degenerate=degenerate
-    )
+    return MultiChainReport(tests=tests, n_tests=n_tests, alpha=alpha, flagged=flagged)
 
 
 def write_convergence_report(report: MultiChainReport, path: str) -> None:
     """Write the convergence file; it appears whole, marking a finished run."""
     lines = [
-        "# dramforge multi-chain convergence v1",
+        "# dramforge multi-chain convergence v2",
         f"n_tests = {report.n_tests}",
         f"alpha = {report.alpha}",
         f"flagged = {report.flagged}",
-        f"degenerate = {report.degenerate}",
         "chainA,chainB,dimension,D,p",
     ]
     columns = [[getattr(t, field.name) for t in report.tests] for field in fields(PairTest)]
@@ -213,33 +193,24 @@ def write_convergence_report(report: MultiChainReport, path: str) -> None:
 
 
 def run_multi_chain(
-    spec: SimSpec,
-    target: TargetDensity,
-    n_chains: int,
-    stream_ids: list[int] | None = None,
+    spec: SimSpec, target: TargetDensity, n_chains: int
 ) -> tuple[list[SimulationOutputs], MultiChainReport]:
     """Run independent chains and test their refined samples against each other.
 
-    Chain k runs serially on RNG stream ``stream_ids[k-1]`` (rank k by
-    default) with output prefix ``<prefix>_c<k>``. Passing duplicated
-    stream ids reproduces the degenerate-duplication misconfiguration.
-    An unfinished run continues: finished chains are read back, the others
-    resume or start. A finished one (its convergence file exists) raises
-    ``RunAlreadyComplete``.
+    Chain k runs serially on RNG stream k with output prefix
+    ``<prefix>_c<k>``. An unfinished run continues: finished chains are
+    read back, the others resume or start. A finished one (its convergence
+    file exists) raises ``RunAlreadyComplete``.
     """
     if n_chains < 2:
         raise UsageError("run_multi_chain needs n_chains >= 2")
-    if stream_ids is None:
-        stream_ids = list(range(1, n_chains + 1))
-    if len(stream_ids) != n_chains:
-        raise UsageError("stream_ids must provide one stream per chain")
     multi = spec.with_updates(parallelism="multi_chain", num_workers=n_chains)
     if inspect_outputs(multi) == "complete":
         raise RunAlreadyComplete(
             f"outputs for prefix {spec.output_prefix!r} already hold a complete run"
         )
     outputs: list[SimulationOutputs] = []
-    for sub, stream in zip(chain_specs(spec, n_chains), stream_ids):
+    for stream, sub in enumerate(chain_specs(spec, n_chains), start=1):
         if inspect_outputs(sub) == "complete":
             outputs.append(_finished_outputs(sub))
         else:

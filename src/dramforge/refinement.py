@@ -24,8 +24,9 @@ MIN_REFINE_SIZE = 10
 class RefinedSample:
     """Decorrelated sample with the tau estimate history that produced it.
 
-    ``ess`` is the post-burn-in verbose length over the first pass's tau;
-    it is NaN for a sample not produced by ``refine``.
+    ``ess`` is the post-burn-in verbose length over the first pass's tau,
+    at most the post-burn-in row count; it is NaN for a sample not
+    produced by ``refine``.
     """
 
     states: np.ndarray  # (n, ndim)
@@ -104,36 +105,33 @@ def refine(chain, burnin: int) -> RefinedSample:
     Each pass measures tau (the max over coordinates and logf), records
     it, and keeps every ceil(tau)-th verbose element starting at index 0.
     The recursion stops once tau <= 1.05, once the series is too short to
-    re-estimate, or if a noisy estimate stops decreasing.
+    re-estimate, or if a noisy estimate stops decreasing. One accepted
+    state is at most one independent draw, so the ESS and the sample's
+    size are capped at the post-burn-in row count.
     """
     if burnin < 0 or burnin >= chain.n_rows:
         raise ValueError(f"burnin row {burnin} out of range for {chain.n_rows} rows")
     states = chain.states[burnin:]
     logf = chain.logf[burnin:]
-    # The current sample is the verbose expansion of rows[i] repeated
-    # weights[i] times; n is its length.
-    rows = np.arange(states.shape[0])
-    weights = chain.weight[burnin:]
-    n = post = int(weights.sum())
+    n_rows = states.shape[0]
+    # The current sample: the verbose elements kept, as their row indices.
+    rows = np.repeat(np.arange(n_rows), chain.weight[burnin:])
+    post = rows.size
     history: list[float] = []
-    while n >= 2:
+    while rows.size >= 2:
         tau = max(
-            integrated_autocorrelation(weighted_acf(series, weights, n - 1))
-            for series in [*states[rows].T, logf[rows]]
+            integrated_autocorrelation(autocorrelation(series[rows], rows.size - 1))
+            for series in [*states.T, logf]
         )
         if history and tau >= history[-1]:
             break
         history.append(tau)
         if tau <= STOP_TAU:
             break
-        picks = np.searchsorted(
-            np.cumsum(weights), np.arange(0, n, math.ceil(tau)), side="right"
-        )
-        kept, weights = np.unique(picks, return_counts=True)
-        rows = rows[kept]
-        n = picks.size
-        if n < MIN_REFINE_SIZE:
+        rows = rows[:: math.ceil(tau)]
+        if rows.size < MIN_REFINE_SIZE:
             break
-    verbose = np.repeat(rows, weights)
-    ess = post / history[0] if history else float(post)
-    return RefinedSample(states[verbose], logf[verbose], history, burnin, ess)
+    if rows.size > n_rows:
+        rows = rows[:: math.ceil(rows.size / n_rows)]
+    ess = min(post / history[0] if history else float(post), float(n_rows))
+    return RefinedSample(states[rows], logf[rows], history, burnin, ess)

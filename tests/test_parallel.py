@@ -11,7 +11,6 @@ from dramforge.chainio import RestartWriter, chain_specs
 from dramforge.core import SplitMix64
 from dramforge.parallel import (
     KS_MIN_POINTS,
-    ContributionStats,
     compare_refined_samples,
     contribution_stats,
     fit_geometric,
@@ -301,7 +300,7 @@ class TestKsTwoSample:
 
 class TestGeometricFit:
     def test_all_first_rank(self):
-        stats = fit_geometric(ContributionStats(np.array([120, 0, 0]), 0.0, 0.0))
+        stats = fit_geometric(np.array([120, 0, 0]))
         assert stats.fitted_p == 1.0
         assert stats.fit_distance == 0.0
 
@@ -314,7 +313,7 @@ class TestGeometricFit:
             while rng.uniform() >= p_true and k < 64:
                 k += 1
             counts[k - 1] += 1
-        stats = fit_geometric(ContributionStats(counts, 0.0, 0.0))
+        stats = fit_geometric(counts)
         assert abs(stats.fitted_p - p_true) < 0.01
         assert stats.fit_distance < 0.01
 
@@ -325,7 +324,7 @@ class TestGeometricFit:
 
     def test_empty_counts_rejected(self):
         with pytest.raises(UsageError):
-            fit_geometric(ContributionStats(np.zeros(4), 0.0, 0.0))
+            fit_geometric(np.zeros(4))
 
 
 class TestSpeedupModel:
@@ -374,7 +373,6 @@ class TestMultiChain:
         assert len(outputs) == 2
         assert all(out.report.ess >= 500 for out in outputs)
         assert not report.flagged
-        assert not report.degenerate
 
     def test_mismatched_targets_flagged(self):
         rng = np.random.default_rng(3)
@@ -382,18 +380,6 @@ class TestMultiChain:
         b = rng.normal(3, 1, (800, 1))
         report = compare_refined_samples([a, b])
         assert report.flagged
-
-    def test_duplicated_streams_warn_degenerate(self, prefix):
-        target = df.TargetDensity(1, lambda x: -0.5 * float(x[0] * x[0]))
-        spec = SimSpec(
-            ndim=1, output_prefix=prefix(), chain_size=4000, seed=41,
-            parallelism="multi_chain", num_workers=2,
-        )
-        with pytest.warns(UserWarning, match="degenerate duplication"):
-            outputs, report = run_multi_chain(spec, target, 2, stream_ids=[1, 1])
-        assert report.degenerate
-        assert not report.flagged
-        assert sha(outputs[0].paths["chain"]) == sha(outputs[1].paths["chain"])
 
     def test_pairs_with_too_few_points_are_not_tested(self):
         rng = np.random.default_rng(4)
@@ -404,7 +390,7 @@ class TestMultiChain:
         assert pairs == [(1, 2, 1), (1, 2, 2)] and report.n_tests == 2
         report = compare_refined_samples([short, short[::-1]])
         assert report.tests == [] and report.n_tests == 0
-        assert not report.flagged and not report.degenerate and report.min_p == 1.0
+        assert not report.flagged and report.min_p == 1.0
 
     def test_needs_at_least_two_chains(self, mvn4, prefix):
         spec = SimSpec(ndim=4, output_prefix=prefix(), chain_size=100, seed=1)

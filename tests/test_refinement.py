@@ -41,6 +41,7 @@ def reference_refine(chain, burnin):
     the FFT autocorrelation's tau over every coordinate and logf, and thins
     the expansion with a stride slice. Returns (states, logf, iac_history).
     """
+    n_rows = chain.n_rows - burnin
     weights = chain.weight[burnin:]
     states = np.repeat(chain.states[burnin:], weights, axis=0)
     logf = np.repeat(chain.logf[burnin:], weights)
@@ -63,6 +64,9 @@ def reference_refine(chain, burnin):
         logf = logf[::stride]
         if states.shape[0] < MIN_REFINE_SIZE:
             break
+    if states.shape[0] > n_rows:
+        cap = math.ceil(states.shape[0] / n_rows)
+        states, logf = states[::cap], logf[::cap]
     return states, logf, history
 
 
@@ -281,7 +285,7 @@ class TestRefineMatchesVerboseReference:
         assert np.array_equal(got.states, states_ref)
         assert np.array_equal(got.logf, logf_ref)
         assert got.iac_history == history_ref
-        assert got.ess == weights[burnin:].sum() / history_ref[0]
+        assert got.ess == min(weights[burnin:].sum() / history_ref[0], nrows - burnin)
 
 
 class TestEffectiveSampleSize:
@@ -297,10 +301,16 @@ class TestEffectiveSampleSize:
         ess = refine(chain, 0).ess
         assert ess == pytest.approx(100_000 / 3.0, rel=0.10)
 
-    def test_constant_chain_degenerates_to_n(self):
+    def test_constant_chain_is_capped_at_its_rows(self):
         chain = make_chain([2.0, 2.0, 2.0], [5, 1, 2])
-        # zero variance -> tau = 1 -> ESS equals the verbose length
-        assert refine(chain, 0).ess == 8.0
+        # zero variance -> tau = 1 -> ESS is the verbose length 8, capped at
+        # the 3 rows: one accepted state is at most one independent draw
+        assert refine(chain, 0).ess == 3.0
+
+    def test_stuck_row_counts_once(self):
+        # A row held for 5,000 iterations is one draw, not 5,000.
+        refined = refine(make_chain([1.0, 2.0], [1, 5000]), 0)
+        assert len(refined) == 2 and refined.ess == 2.0
 
 
 def test_refined_sample_len():

@@ -438,6 +438,17 @@ class TestRunSampler:
         assert states.shape == (1, 4)
         assert logf[0] == 0.0
 
+    def test_stuck_chain_reports_one_draw(self, prefix):
+        # So narrow a target that every proposal is rejected: the chain is
+        # one row of weight 2,000, and its sample and ESS count it once.
+        target = df.TargetDensity(2, lambda x: -0.5e12 * float(x @ x))
+        spec = SimSpec(ndim=2, output_prefix=prefix(), chain_size=2000, seed=0)
+        out = run_sampler(spec, target)
+        assert out.chain.n_rows == 1 and out.chain.weight[0] == 2000
+        assert df.read_report(out.paths["report"]).ess == 1.0
+        states, _ = df.read_sample(out.paths["sample"])
+        assert states.shape == (1, 2)
+
     def test_same_seed_byte_identical_chains(self, mvn4, tmp_path):
         h = []
         for name in ("a", "b"):
